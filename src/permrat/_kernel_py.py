@@ -4,6 +4,12 @@ Same contracts as the compiled extension `permrat._kernel`; this module is
 the fallback selected when the extension is not built, and the reference the
 compiled kernels are tested against.  Everything here works on plain integer
 digit vectors so results are bit-identical across backends.
+
+`perm_scan` decides bijectivity from one representative per coset x + F_p
+(p^{n-1} evaluations instead of p^n) and returns exactly what the
+index-order full scan returns, `evaluations` included: that count is the
+canonical full scan's, not the work done.  `perm_scan_reference` is that
+full scan, kept for the tests.
 """
 
 from __future__ import annotations
@@ -20,21 +26,13 @@ def _invert_digits(w, modulus, p, n):
     return tuple(iv) + (0,) * (n - len(iv))
 
 
-def perm_scan(p, n, modulus, frob_rows, b_digits):
-    """Exhaustive image scan of f(x) = x + (phi(x) - x + b)^{-1} over F_{p^n}.
+def _image_index(p, n, modulus, frob_rows, b_digits):
+    """The map xd -> index of f(x) for f(x) = x + (phi(x) - x + b)^{-1}.
 
-    phi is the linear map given by frob_rows (row i = image of basis X^i).
-    Elements are visited in index order 0 .. p^n - 1 with a bitset of seen
-    images.  Returns (is_permutation, witness, evaluations) where witness is
-    the index pair (i1, i2), i1 < i2, of the first collision in enumeration
-    order (i2 is the first repeating argument, i1 its smallest preimage,
-    recovered by a second pass).
+    phi is the linear map given by frob_rows (row i = image of basis X^i);
+    xd is the digit vector of x.  Raises ValueError where the denominator
+    vanishes.
     """
-    q = p ** n
-    seen = bytearray((q >> 3) + 1)
-    evals = 0
-    collision = -1
-    target = -1
 
     def f_index(xd):
         t = [0] * n
@@ -52,6 +50,80 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
             yi = yi * p + (xd[j] + iv[j]) % p
         return yi
 
+    return f_index
+
+
+def _step(xd, p, first):
+    """Advance the digit vector xd by one unit in digit `first` (odometer)."""
+    for k in range(first, len(xd)):
+        xd[k] += 1
+        if xd[k] == p:
+            xd[k] = 0
+        else:
+            break
+
+
+def perm_scan(p, n, modulus, frob_rows, b_digits):
+    """Bijectivity of f(x) = x + (phi(x) - x + b)^{-1} over F_{p^n} by a
+    quotient scan over the cosets x + F_p.
+
+    phi fixes F_p, so the denominator is constant on each coset and
+    f(x + c) = f(x) + c for c in F_p.  In index order the coset of x = p*k
+    is the block p*k .. p*k + p - 1, and f maps it bijectively onto the
+    block of f(p*k).  So only the p^{n-1} block representatives are
+    evaluated, with a bitset of image blocks; f permutes iff no image block
+    repeats.
+
+    Returns the same (is_permutation, witness, evaluations) as the
+    index-order full scan `perm_scan_reference`.  The first representative
+    p*k2 whose image block repeats is the full scan's first repeating
+    argument i2; the earlier representative p*k1 with that image block
+    (found by a second pass) gives its smallest preimage
+    i1 = p*k1 + (y2 - y1 mod p), from the digit 0 of both images.
+    evaluations is the full scan's count: p^n for a permutation, else
+    i1 + i2 + 2 (i2 + 1 in the first pass, i1 + 1 in the second).
+    """
+    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
+    blocks = p ** (n - 1)
+    seen = bytearray((blocks >> 3) + 1)
+    xd = [0] * n
+    for k2 in range(blocks):
+        target, y2 = divmod(f_index(xd), p)
+        byte, bit = target >> 3, 1 << (target & 7)
+        if seen[byte] & bit:
+            break
+        seen[byte] |= bit
+        _step(xd, p, 1)
+    else:
+        return True, None, p ** n
+
+    xd = [0] * n
+    for k1 in range(k2):
+        block, y1 = divmod(f_index(xd), p)
+        if block == target:
+            i1, i2 = p * k1 + (y2 - y1) % p, p * k2
+            return False, (i1, i2), i1 + i2 + 2
+        _step(xd, p, 1)
+    raise RuntimeError("collision image lost between passes")
+
+
+def perm_scan_reference(p, n, modulus, frob_rows, b_digits):
+    """Exhaustive index-order image scan; the reference for `perm_scan`.
+
+    Elements are visited in index order 0 .. p^n - 1 with a bitset of seen
+    images.  Returns (is_permutation, witness, evaluations) where witness is
+    the index pair (i1, i2), i1 < i2, of the first collision in enumeration
+    order (i2 is the first repeating argument, i1 its smallest preimage,
+    recovered by a second pass) and evaluations counts every evaluation of
+    both passes.
+    """
+    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
+    q = p ** n
+    seen = bytearray((q >> 3) + 1)
+    evals = 0
+    collision = -1
+    target = -1
+
     xd = [0] * n
     for xi in range(q):
         yi = f_index(xd)
@@ -61,12 +133,7 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
             collision, target = xi, yi
             break
         seen[byte] |= bit
-        for k in range(n):
-            xd[k] += 1
-            if xd[k] == p:
-                xd[k] = 0
-            else:
-                break
+        _step(xd, p, 0)
     if collision < 0:
         return True, None, evals
 
@@ -76,12 +143,7 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
         evals += 1
         if yi == target:
             return False, (xj, collision), evals
-        for k in range(n):
-            xd[k] += 1
-            if xd[k] == p:
-                xd[k] = 0
-            else:
-                break
+        _step(xd, p, 0)
     raise RuntimeError("collision image lost between passes")
 
 

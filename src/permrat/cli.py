@@ -314,7 +314,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["backend"] = backend.backend_name()
+    # a single-characteristic command names the kernel select() picks for p
+    kern = backend.select(args.p) if hasattr(args, "p") else backend.get_backend()
+    report["backend"] = kern.BACKEND
     sys.stdout.write(emit_report(report, args.format))
     return code
 

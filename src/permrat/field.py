@@ -457,8 +457,12 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     """The element of smallest index whose level-d trace equals t.
 
     t may be an integer (interpreted in the prime subfield) or an element of
-    the order-p^d subfield.  Surjectivity of the trace guarantees existence;
-    the linear scan terminates quickly in practice.
+    the order-p^d subfield.  The trace is F_p-linear, so this solves
+    sum_j x_j Tr(X^j) = t for the digits x_j by row reduction over F_p, with
+    pivots taken in column order 0 .. n-1 and every free digit set to 0.
+    That solution has the smallest index: two solutions differ by a kernel
+    vector whose highest nonzero digit sits on a free column (a pivot column
+    is independent of all earlier ones), where this solution has digit 0.
     """
     if isinstance(t, int):
         t = ctx.from_int(t)
@@ -466,10 +470,31 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
         raise ValueError("trace target must live in the same field context")
     if frobenius(t, d) != t:
         raise ValueError("trace target is not in the requested subfield")
-    for e in ctx:
-        if trace_rel(e, d) == t:
-            return e
-    raise RuntimeError("trace is surjective; unreachable")
+    p, n = ctx.p, ctx.n
+    cols = [trace_rel(ctx.element(p ** j), d).coeffs for j in range(n)]
+    # augmented system: one row per digit of the trace, last entry from t
+    rows = [[col[i] for col in cols] + [t.coeffs[i]] for i in range(n)]
+    pivots = []
+    for j in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(n):
+            c = rows[i][j]
+            if i != r and c:
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+    digits = [0] * n
+    for r, j in enumerate(pivots):
+        digits[j] = rows[r][n]
+    e = Elem(ctx, tuple(digits))
+    if trace_rel(e, d) != t:
+        raise RuntimeError("trace solve missed its target (implementation bug)")
+    return e
 
 
 def subfield_elements(ctx: Field, d: int) -> list[Elem]:

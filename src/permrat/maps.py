@@ -38,7 +38,12 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class PermReport:
-    """Scan verdict. witness is an (x1, x2) pair with x1 != x2, f(x1) = f(x2)."""
+    """Scan verdict. witness is an (x1, x2) pair with x1 != x2, f(x1) = f(x2).
+
+    evaluations is the count of the canonical index-order scan: p^n for a
+    permutation, i1 + i2 + 2 for a witness with indices (i1, i2).  It fixes
+    the report bytes; the kernel may evaluate f fewer times.
+    """
 
     is_permutation: bool
     witness: tuple[Elem, Elem] | None
@@ -58,12 +63,14 @@ def eval_f(spec: MapSpec, x: Elem) -> Elem:
 
 def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP,
                    backend_name: str | None = None) -> PermReport:
-    """Exact bijectivity verdict by a full image scan over element indices.
+    """Exact bijectivity verdict by an image scan over element indices.
 
-    The scan is serial and deterministic: the witness is the first collision
-    in index-enumeration order, paired with the smallest earlier preimage of
-    the repeated value (found by a second pass), so reruns and backends agree
-    bit for bit.
+    The verdict is that of a serial index-order scan: the witness is the
+    first collision in index-enumeration order, paired with the smallest
+    earlier preimage of the repeated value, so reruns and backends agree bit
+    for bit.  The pure kernel gets it from a quotient scan: f(x + c) =
+    f(x) + c for c in F_p, so it evaluates one representative per coset
+    x + F_p.  The scan cap still applies to the field order.
     """
     f = spec.field
     cap = min(scan_cap, HARD_SCAN_CAP)
@@ -105,8 +112,8 @@ def trace_class_reps(ctx: Field) -> list[Elem]:
     """One parameter per trace class {t, -t}, t in F_p^*.
 
     For odd p these are the first elements with absolute trace 1 .. (p-1)/2;
-    for p = 2 the single trace-1 representative.  Chosen by index scan, so
-    deterministic for a given field.
+    for p = 2 the single trace-1 representative.  Each is the smallest index
+    with its trace, so deterministic for a given field.
     """
     if ctx.p == 2:
         return [first_elem_with_trace(ctx, 1)]

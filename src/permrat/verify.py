@@ -308,34 +308,75 @@ class ProgressMismatch(ValueError):
     pass
 
 
+def _parse_record(line: bytes):
+    """A complete progress record, or None for a torn or malformed line."""
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(rec, dict) and "key" in rec and "result" in rec:
+        return rec
+    return None
+
+
+def _load_progress(path: str, header: str, done: dict) -> bool:
+    """Read the completed cases of an existing progress file into `done`.
+
+    Returns False when there is nothing to resume from: no file, an empty
+    one, or a torn copy of `header` alone.  Any other header than `header`
+    (which carries the config fingerprint) is refused.  A kill during a write can tear
+    the last line, so a last line with no newline or that does not parse is
+    dropped (its case is redone) and the file is cut back to the end of the
+    last good record.  A bad line before the last is refused.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return False
+    with open(path, "rb") as f:
+        data = f.read()
+    lines = data.splitlines(keepends=True)
+    head = lines[0]
+    if head != header.encode():
+        if header.encode().startswith(head):
+            return False
+        raise ProgressMismatch("progress file was written for a different configuration")
+    good = len(head)
+    for num, line in enumerate(lines[1:], start=2):
+        rec = _parse_record(line)
+        if rec is None and line.strip():
+            if num < len(lines):
+                raise ValueError(f"progress file {path} is corrupt at line {num}")
+            break
+        if rec is not None:
+            done[rec["key"]] = rec["result"]
+        good += len(line)
+    if good < len(data):
+        with open(path, "r+b") as f:
+            f.truncate(good)
+    return True
+
+
 def run_cases(campaign: str, config: dict, payloads: list[dict],
               jobs: int = 1, progress_path: str | None = None) -> list[dict]:
     """Run cases in payload order, skipping any already in the progress file.
 
     The progress file is append-only JSON lines: a header with the config
     fingerprint, then one line per completed case.  Resuming with a different
-    configuration is refused.  Results are returned in payload order, so the
-    final report does not depend on jobs or on interruptions.
+    configuration is refused; a torn last record is dropped and redone (see
+    _load_progress).  Results are returned in payload order, so the final
+    report does not depend on jobs or on interruptions.
     """
     fingerprint = config_fingerprint(campaign, config)
     done: dict[str, dict] = {}
     fh = None
     if progress_path:
-        if os.path.exists(progress_path) and os.path.getsize(progress_path) > 0:
-            with open(progress_path, encoding="utf-8") as f:
-                header = json.loads(f.readline())
-                if header.get("fingerprint") != fingerprint:
-                    raise ProgressMismatch(
-                        "progress file was written for a different configuration"
-                    )
-                for line in f:
-                    if line.strip():
-                        rec = json.loads(line)
-                        done[rec["key"]] = rec["result"]
+        header = json.dumps({"campaign": campaign, "fingerprint": fingerprint}) + "\n"
+        if _load_progress(progress_path, header, done):
             fh = open(progress_path, "a", encoding="utf-8")
         else:
             fh = open(progress_path, "w", encoding="utf-8")
-            fh.write(json.dumps({"campaign": campaign, "fingerprint": fingerprint}) + "\n")
+            fh.write(header)
             fh.flush()
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import types
 
 import pytest
 
+from permrat import backend
 from permrat.cli import main
 
 
@@ -153,6 +155,45 @@ def test_cli_resume_byte_identical(capsys, tmp_path):
     assert code == 0 and out == ref
 
 
+@pytest.mark.parametrize("cut", [10, 1])
+def test_cli_resume_from_torn_record(capsys, tmp_path, cut):
+    # a kill mid-write tears the last record; it is dropped and redone
+    prog = tmp_path / "prog"
+    argv = ("verify", "lemmaL", "--p-max", "13", "--progress-file", str(prog))
+    _, ref, _ = run_cli(capsys, *argv[:4])
+    run_cli(capsys, *argv)
+    clean = prog.read_bytes()
+    prog.write_bytes(clean[:-cut])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == ref
+    assert prog.read_bytes() == clean
+    assert all(json.loads(line) for line in prog.read_text().splitlines())
+
+
+def test_cli_resume_from_torn_header(capsys, tmp_path):
+    prog = tmp_path / "prog"
+    argv = ("verify", "lemmaL", "--p-max", "13", "--progress-file", str(prog))
+    _, ref, _ = run_cli(capsys, *argv[:4])
+    run_cli(capsys, *argv)
+    clean = prog.read_bytes()
+    prog.write_bytes(clean[:20])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == ref
+    assert prog.read_bytes() == clean
+
+
+def test_cli_resume_refuses_corrupt_inner_record(capsys, tmp_path):
+    prog = tmp_path / "prog"
+    argv = ("verify", "lemmaL", "--p-max", "13", "--progress-file", str(prog))
+    run_cli(capsys, *argv)
+    lines = prog.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:15] + "\n"
+    prog.write_text("".join(lines))
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "corrupt at line 2" in err
+
+
 def test_cli_resume_fingerprint_mismatch(capsys, tmp_path):
     prog = tmp_path / "prog"
     run_cli(capsys, "verify", "lemmaL", "--p-max", "13", "--progress-file", str(prog))
@@ -168,3 +209,16 @@ def test_weil_audit_small(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
+
+
+def test_report_names_the_backend_that_ran(capsys, monkeypatch):
+    # a compiled kernel is the default, but select() runs the pure one for p >= 2^31
+    monkeypatch.setattr(backend, "_compiled", types.SimpleNamespace(BACKEND="compiled"))
+    monkeypatch.delenv("PERMRAT_BACKEND", raising=False)
+    assert backend.get_backend().BACKEND == "compiled"
+    code, out, _ = run_cli(capsys, "permcheck", "--p", "2147483659", "--n", "1",
+                           "--b-index", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["backend"] == "pure"
+    assert doc["is_permutation"] is True and doc["evaluations"] == 2147483659

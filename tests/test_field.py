@@ -221,3 +221,18 @@ def test_subfield_elements():
     sub = subfield_elements(f, 2)
     assert len(sub) == 9
     assert all(frobenius(e, 2) == e for e in sub)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 6), (3, 4), (3, 6), (5, 3), (7, 2)])
+def test_first_elem_with_trace_is_smallest_index_at_every_level(p, n):
+    f = make_field(p, n)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        first = {}
+        for e in f:
+            first.setdefault(trace_rel(e, d).index, e)
+        for t in subfield_elements(f, d):
+            assert first_elem_with_trace(f, t, d) == first[t.index]
+        outside = next((e for e in f if frobenius(e, d) != e), None)
+        if outside is not None:
+            with pytest.raises(ValueError):
+                first_elem_with_trace(f, outside, d)

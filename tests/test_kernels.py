@@ -1,10 +1,12 @@
-"""Cross-checks: the compiled kernels must agree bit for bit with the pure twin."""
+"""Cross-checks: the compiled kernels must agree bit for bit with the pure twin,
+and the pure quotient scan with the full-scan reference."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permrat import backend
+from permrat import _kernel_py, backend
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
-from permrat.field import make_field
+from permrat.field import make_field, trace_rel
 from permrat.maps import MapSpec, is_permutation
 
 needs_compiled = pytest.mark.skipif(
@@ -73,3 +75,38 @@ def test_select_falls_back_above_compiled_limit():
 def test_unknown_backend_name_rejected():
     with pytest.raises(ValueError):
         backend.get_backend("numpy")
+
+
+# Every F_{p^n} with q <= 3000 for a spread of characteristics.
+_SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 53)
+                 for n in range(1, 12) if p ** n <= 3000]
+
+
+def _scan_outcome(scan, ctx, d, b):
+    try:
+        return scan(ctx.p, ctx.n, ctx.modulus, ctx.frobenius_rows(d), b.coeffs)
+    except ValueError:
+        return "ValueError"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quotient_scan_matches_full_scan(data):
+    p, n = data.draw(st.sampled_from(_SMALL_FIELDS))
+    ctx = make_field(p, n)
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
+    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
+    ref = _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    assert fast == ref
+    if trace_rel(b, d):
+        assert fast != "ValueError"
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 4, 1), (3, 4, 2), (5, 2, 1), (7, 1, 1)])
+def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
+    # b = 0 has trace 0 and the denominator vanishes at x = 0
+    ctx = make_field(p, n)
+    for scan in (_kernel_py.perm_scan, _kernel_py.perm_scan_reference):
+        with pytest.raises(ValueError):
+            scan(p, n, ctx.modulus, ctx.frobenius_rows(d), ctx.zero.coeffs)
