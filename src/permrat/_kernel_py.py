@@ -10,11 +10,19 @@ digit vectors so results are bit-identical across backends.
 index-order full scan returns, `evaluations` included: that count is the
 canonical full scan's, not the work done.  `perm_scan_reference` is that
 full scan, kept for the tests.
+
+`count_zeros` uses Python ints as wide registers, one path for F_p and
+F_{p^n}: for each x it evaluates the polynomial at every y in F_q at once,
+one W-bit slot per y, reduces all slots mod p with one Barrett step per
+digit, and counts the zero slots with a flag bit (the bound that keeps the
+slots from overflowing is in its docstring).
 """
 
 from __future__ import annotations
 
-from .field import pinvmod, pmul, pdivmod, ptrim
+import functools
+
+from .field import pdivmod, pinvmod, pmul, prime_divisors, ptrim
 
 BACKEND = "pure"
 
@@ -167,89 +175,151 @@ def _mul_digits(a, b, modulus, p, n):
     return tuple(red) + (0,) * (n - len(red))
 
 
+def _index(digits, p):
+    i = 0
+    for c in reversed(digits):
+        i = i * p + c
+    return i
+
+
+@functools.lru_cache(maxsize=4)
+def _field_tables(p, n, modulus):
+    """(ex, lg, zech) for F_{p^n}, with g the primitive element of smallest
+    index: ex[k] is the digit tuple of g^k (k < q - 1), lg[i] the discrete
+    log of the element of index i (None for 0), and zech[k] = lg(1 + g^k),
+    so that g^a + g^b = g^(a + zech[b - a])."""
+    q = p ** n
+    one = (1,) + (0,) * (n - 1)
+    ells = prime_divisors(q - 1)
+    for gi in range(1, q):
+        g = tuple(gi // p ** k % p for k in range(n))
+        if all(_digit_pow(g, (q - 1) // ell, modulus, p, n) != one for ell in ells):
+            break
+    ex, lg = [], [None] * q
+    cur = one
+    for k in range(q - 1):
+        ex.append(cur)
+        lg[_index(cur, p)] = k
+        cur = _mul_digits(cur, g, modulus, p, n)
+    zech = tuple(lg[_index(((d[0] + 1) % p,) + d[1:], p)] for d in ex)
+    return tuple(ex), tuple(lg), zech
+
+
 def count_zeros(p, n, modulus, terms, collect=False):
     """Exact zero count of a sparse bivariate polynomial over F_{p^n} x F_{p^n}.
 
-    terms is a sequence of (i, j, coeff_digits).  Rows are collapsed per x
-    into a sparse polynomial in y.  Returns (count, zeros) where zeros is a
-    list of (x_index, y_index) pairs when collect is true, else None.
+    terms is a sequence of (i, j, coeff_digits).  Returns (count, zeros)
+    where zeros lists the (x_index, y_index) pairs in x, then y, index order
+    when collect is true, else None.
+
+    One packed pass per x serves every n.  A Python int holds one W-bit slot
+    per y in F_q (slot y at bit y*W), and plane[j][k] packs digit k of y^j.
+    For fixed x the polynomial is sum_j r_j y^j with r_j = sum_i c_ij x^i,
+    and digit m of r*y^j is sum_k M(r)[m][k] * (digit k of y^j), where column
+    k of the F_p-matrix M(r) is the digit tuple of r*X^k (for n = 1, M(r) is
+    the scalar r).  So digit m of the value at every y at once is
+
+        S_m = sum_j sum_k M(r_j)[m][k] * plane[j][k],
+
+    rows*n products of entries below p, each slot below
+    B = rows*n*(p-1)^2 + 1.  Barrett reduces every slot mod p together: with
+    sh = bitlen(B) + bitlen(p) and mu = ceil(2^sh / p) = (2^sh + e)/p, e < p,
+    a slot s < B has s*mu/2^sh = s/p + s*e/(p*2^sh) and s*e < B*p <= 2^sh,
+    so floor(s*mu / 2^sh) = floor(s/p).  As s*mu < B*2^sh <= 2^W when
+    W >= sh + bitlen(B), the products stay in their slots, and
+    Q = ((S*mu) >> sh) & maskQ keeps the W - sh low bits of each shifted slot
+    (the quotient) and drops the bits that slide in from the slot above.
+    R = S - p*Q is then every slot mod p, with no borrow.  With h = bitlen(p)
+    the remainders of the n digits are ORed and 2^h - 1 added per slot: bit h
+    of a slot is set exactly when some digit is nonzero (r + 2^h - 1 < 2^(h+1)
+    since r < p < 2^h), so the zeros of the row are the clear bits h.  W is
+    rounded up to whole bytes, so `collect` reads the flags from every W/8-th
+    byte in increasing y.  A row with every r_j = 0 vanishes at all q points.
+
+    Field arithmetic outside the planes runs on discrete logs (tables cached
+    per field): r_j is summed term by term with Zech logarithms, and column
+    k of M(r) is g^(log r + k log X).
     """
     q = p ** n
-    exps = sorted({i for i, _, _ in terms} | {j for _, j, _ in terms})
-    pos = {e: k for k, e in enumerate(exps)}
-    count = 0
-    zeros = [] if collect else None
-
-    if n == 1:
-        powers = [[pow(e, a, p) for a in exps] for e in range(q)]
-        by_j = {}
-        for i, j, c in terms:
-            by_j.setdefault(j, []).append((pos[i], c[0]))
-        jslots = sorted(by_j)
-        for x in range(q):
-            px = powers[x]
-            rows = []
-            for j in jslots:
-                r = 0
-                for ipos, c in by_j[j]:
-                    r += c * px[ipos]
-                r %= p
-                if r:
-                    rows.append((pos[j], r))
-            if not rows:
-                count += q
-                if collect:
-                    zeros.extend((x, y) for y in range(q))
-                continue
-            for y in range(q):
-                py = powers[y]
-                v = 0
-                for jpos, r in rows:
-                    v += r * py[jpos]
-                if v % p == 0:
-                    count += 1
-                    if collect:
-                        zeros.append((x, y))
-        return count, zeros
-
-    # Extension-field path: digit-tuple arithmetic throughout.
-    one = (1,) + (0,) * (n - 1)
-    zero = (0,) * n
-    powers = []
-    for ei in range(q):
-        digits = []
-        kk = ei
-        for _ in range(n):
-            kk, c = divmod(kk, p)
-            digits.append(c)
-        base = tuple(digits)
-        powers.append([_digit_pow(base, a, modulus, p, n) for a in exps])
+    ex, lg, zech = _field_tables(p, n, tuple(modulus) if modulus else None)
+    order = q - 1
+    iexps = sorted({i for i, _, _ in terms})
+    ipos = {i: k for k, i in enumerate(iexps)}
     by_j = {}
     for i, j, c in terms:
-        by_j.setdefault(j, []).append((pos[i], tuple(c)))
+        lc = lg[_index(tuple(d % p for d in c), p)]
+        if lc is not None:
+            by_j.setdefault(j, []).append((ipos[i], lc))
     jslots = sorted(by_j)
-    add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
+
+    bound = len(jslots) * n * (p - 1) ** 2 + 1
+    h = p.bit_length()
+    sh = bound.bit_length() + h
+    mu = -(-(1 << sh) // p)
+    wb = (sh + bound.bit_length() + 7) // 8
+    unit = int.from_bytes((b"\x01" + bytes(wb - 1)) * q, "little")
+    top = unit << h
+    ones = unit * ((1 << h) - 1)
+    mask_q = unit * ((1 << (8 * wb - sh)) - 1)
+    flag_byte, flag = h // 8, bytes([1 << (h % 8)])
+
+    def log_powers(lx):
+        """log x^i for every i in iexps, from lx = log x (None: x = 0, 0^0 = 1)."""
+        if lx is None:
+            return [None if i else 0 for i in iexps]
+        return [lx * i % order for i in iexps]
+
+    rows = []
+    zero = (0,) * n
+    for j in jslots:
+        # digit tuples of y^j in y order (ex[0] is 1, for 0^0)
+        pw = [ex[ly * j % order] if ly is not None else (zero if j else ex[0]) for ly in lg]
+        plane = [int.from_bytes(b"".join(d[k].to_bytes(wb, "little") for d in pw), "little")
+                 for k in range(n)]
+        rows.append((plane, by_j[j]))
+    lx_step = lg[p] if n > 1 else 0  # log X, for the columns r*X^k of M(r)
+
+    count = 0
+    zeros = [] if collect else None
     for x in range(q):
-        px = powers[x]
-        rows = []
-        for j in jslots:
-            r = zero
-            for ipos, c in by_j[j]:
-                r = add(r, _mul_digits(c, px[ipos], modulus, p, n))
-            if any(r):
-                rows.append((pos[j], r))
-        if not rows:
+        xl = log_powers(lg[x])
+        sums = [0] * n
+        live = False
+        for plane, row_terms in rows:
+            lr = None  # log r_j, summed with Zech logs; None while r_j = 0
+            for ip, lc in row_terms:
+                le = xl[ip]
+                if le is None:
+                    continue
+                le += lc
+                if lr is None:
+                    lr = le % order
+                else:
+                    z = zech[(le - lr) % order]
+                    lr = None if z is None else (lr + z) % order
+            if lr is None:
+                continue
+            live = True
+            for k in range(n):
+                pl = plane[k]
+                for m, d in enumerate(ex[(lr + k * lx_step) % order]):
+                    if d:
+                        sums[m] += d * pl
+        if not live:
             count += q
             if collect:
                 zeros.extend((x, y) for y in range(q))
             continue
-        for y in range(q):
-            py = powers[y]
-            v = zero
-            for jpos, r in rows:
-                v = add(v, _mul_digits(r, py[jpos], modulus, p, n))
-            if not any(v):
-                count += 1
-                if collect:
+        nz = 0
+        for s in sums:
+            nz |= s - p * (((s * mu) >> sh) & mask_q)
+        z = ((nz + ones) & top) ^ top
+        if z:
+            count += z.bit_count()
+            if collect:
+                flags = z.to_bytes(q * wb, "little")[flag_byte::wb]
+                y = flags.find(flag)
+                while y >= 0:
                     zeros.append((x, y))
+                    y = flags.find(flag, y + 1)
     return count, zeros

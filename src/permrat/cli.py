@@ -11,7 +11,7 @@ Long sweeps accept --progress-file; an interrupted run resumes from the
 completed cases, refusing to resume under a changed configuration.
 
 PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND forces the
-pure or compiled kernels.
+pure or compiled kernels.  A bad value of either is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -228,6 +228,24 @@ def _cmd_conjecture(args) -> tuple[dict, int]:
     return _campaign_exit(rep)
 
 
+def _env_jobs() -> int:
+    text = os.environ.get("PERMRAT_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"PERMRAT_JOBS must be an integer, got {text!r}") from None
+
+
+def _kernel_for(args):
+    """The kernel this command runs on, resolved before any work: a
+    single-characteristic command names the one select() picks for p.  A bad
+    PERMRAT_BACKEND, or a compiled kernel that is not built, is a usage error."""
+    try:
+        return backend.select(args.p) if hasattr(args, "p") else backend.get_backend()
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permrat",
@@ -236,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    common.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("PERMRAT_JOBS", "1")),
-                        help="parallel worker processes for campaign cases")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="parallel worker processes for campaign cases "
+                             "(default: PERMRAT_JOBS, else 1)")
     common.add_argument("--progress-file", default=None,
                         help="resumable progress record for long campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,12 +328,13 @@ def main(argv=None) -> int:
         print(f"error: --scan-cap exceeds the hard limit 2^32", file=sys.stderr)
         return 2
     try:
+        if args.jobs is None:
+            args.jobs = _env_jobs()
+        kern = _kernel_for(args)
         report, code = args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # a single-characteristic command names the kernel select() picks for p
-    kern = backend.select(args.p) if hasattr(args, "p") else backend.get_backend()
     report["backend"] = kern.BACKEND
     sys.stdout.write(emit_report(report, args.format))
     return code

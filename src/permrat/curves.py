@@ -285,23 +285,24 @@ def _term_list(poly: BiPoly):
     return [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
 
 
-def count_affine(poly: BiPoly, backend_name: str | None = None) -> int:
-    """|{(x, y) in F_q^2 : poly(x, y) = 0}| by row-collapsed evaluation."""
+def _kernel_zeros(poly: BiPoly, backend_name: str | None, collect: bool):
+    """The kernel's (count, zeros) for `poly`, zeros as index pairs."""
     f = poly.field
     if f.order ** 2 > COUNT_BUDGET:
         raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
     kern = backend.select(f.p, backend_name)
-    count, _ = kern.count_zeros(f.p, f.n, f.modulus, _term_list(poly), False)
-    return count
+    return kern.count_zeros(f.p, f.n, f.modulus, _term_list(poly), collect)
+
+
+def count_affine(poly: BiPoly, backend_name: str | None = None) -> int:
+    """|{(x, y) in F_q^2 : poly(x, y) = 0}| by row-collapsed evaluation."""
+    return _kernel_zeros(poly, backend_name, False)[0]
 
 
 def affine_zeros(poly: BiPoly, backend_name: str | None = None) -> list[tuple[Elem, Elem]]:
     """The affine zero set, in (x index, y index) enumeration order."""
     f = poly.field
-    if f.order ** 2 > COUNT_BUDGET:
-        raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
-    kern = backend.select(f.p, backend_name)
-    _, zeros = kern.count_zeros(f.p, f.n, f.modulus, _term_list(poly), True)
+    zeros = _kernel_zeros(poly, backend_name, True)[1]
     return [(f.element(xi), f.element(yi)) for xi, yi in zeros]
 
 
@@ -314,6 +315,11 @@ def count_infinity(poly: BiPoly) -> int:
     lf = poly.leading_form()
     d = poly.degree
     count = 0 if (d, 0) in lf else 1  # the point [1 : 0 : 0]
+    if f.n == 1:
+        p = f.p
+        form = [(i, c.coeffs[0]) for (i, _j), c in lf.items()]
+        return count + sum(1 for x in range(p)
+                           if not sum(c * pow(x, i, p) for i, c in form) % p)
     for x in f:
         acc = f.zero
         for (i, _j), c in lf.items():
@@ -389,8 +395,8 @@ def phi_fibers(p: int, tau: int, backend_name: str | None = None) -> dict:
     tau = _check_tau(ctx, tau, forbid_unit=True)
     g = criterion_sextic(ctx, tau)
     h = symmetric_quartic(ctx, tau)
-    vg = [(x.index, y.index) for x, y in affine_zeros(g, backend_name)]
-    vh = {(x.index, y.index) for x, y in affine_zeros(h, backend_name)}
+    vg = _kernel_zeros(g, backend_name, True)[1]
+    vh = set(_kernel_zeros(h, backend_name, True)[1])
     diag = [pt for pt in vg if pt[0] == pt[1]]
     if diag != [(0, 0)]:
         raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")

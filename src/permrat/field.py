@@ -310,7 +310,7 @@ class Elem:
 
     def _coerce(self, other):
         if isinstance(other, Elem):
-            if other.field != self.field:
+            if other.field is not self.field:  # make_field interns fields
                 raise ValueError("elements belong to different field contexts")
             return other
         if isinstance(other, int):
@@ -385,13 +385,20 @@ class Elem:
         return f"{self.field!r}.element({self.index})"
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, n: int = 1) -> Field:
     """Construct (and cache) F_{p^n} with the canonical modulus.
 
     Rejects composite p and orders above 2^40.  The same (p, n) always yields
-    the identical modulus, so element indices are stable across runs.
+    the identical modulus, so element indices are stable across runs.  Fields
+    are interned: every call for the same (p, n), positional, keyword or with
+    n defaulted, returns the same object, so elements compare fields by
+    identity.
     """
+    return _interned_field(p, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _interned_field(p: int, n: int) -> Field:
     if not isinstance(p, int) or not isinstance(n, int):
         raise ValueError("p and n must be integers")
     if not is_prime(p):

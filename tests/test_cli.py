@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -222,3 +225,32 @@ def test_report_names_the_backend_that_ran(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["backend"] == "pure"
     assert doc["is_permutation"] is True and doc["evaluations"] == 2147483659
+
+
+@pytest.mark.parametrize("env,value,needle", [
+    ("PERMRAT_BACKEND", "bogus", "unknown backend 'bogus'"),
+    ("PERMRAT_BACKEND", "compiled", "not built"),
+    ("PERMRAT_JOBS", "abc", "PERMRAT_JOBS must be an integer"),
+])
+def test_bad_environment_value_exits_two(capsys, monkeypatch, env, value, needle):
+    monkeypatch.setattr(backend, "_compiled", None)  # as when the extension is not built
+    monkeypatch.setenv(env, value)
+    for argv in (["reps", "--p", "5", "--n", "2"], ["verify", "lemmaL", "--p-max", "7"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and needle in err
+
+
+def test_jobs_flag_overrides_environment(capsys, monkeypatch):
+    monkeypatch.setenv("PERMRAT_JOBS", "abc")
+    code, out, _ = run_cli(capsys, "verify", "lemmaL", "--p-max", "7", "--jobs", "1")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_process_pool_is_imported_only_when_used():
+    # --jobs 1 must not pay for multiprocessing at start-up
+    probe = ("import sys, permrat.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

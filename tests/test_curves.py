@@ -1,6 +1,7 @@
 """Curve builders, exact counts, bound audits, and the univariate toolkit."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permrat.curves import (
     BiPoly,
@@ -388,3 +389,16 @@ def test_eval_embeds_prime_coefficients_into_extension():
     g = criterion_sextic(base, 2)
     y = ext.element(7)
     assert g.eval(y, frobenius(y, 1)).field == ext
+
+
+_TEXT_PRIMES = (2, 3, 5, 7, 13, 97)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parse_bipoly_inverts_to_text(data):
+    f = make_field(data.draw(st.sampled_from(_TEXT_PRIMES)), 1)
+    exps = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    terms = data.draw(st.dictionaries(exps, st.integers(1, f.p - 1), max_size=8))
+    poly = BiPoly(f, terms)
+    assert parse_bipoly(poly.to_text(), f) == poly

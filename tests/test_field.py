@@ -100,6 +100,17 @@ def test_mixed_contexts_raise():
     b = make_field(5, 3).one
     with pytest.raises(ValueError):
         a + b
+    c, d = make_field(5, 1).one, make_field(7, 1).one
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u / v):
+        with pytest.raises(ValueError, match="different field"):
+            op(c, d)
+        with pytest.raises(ValueError, match="different field"):
+            op(a, b)
+    # interned: identity is the test, however the arguments are spelled
+    assert make_field(5) is make_field(5, 1) is make_field(p=5, n=1)
+    assert make_field(5, 2) is make_field(5, n=2)
+    assert make_field(5).one + make_field(5, 1).one == make_field(p=5).from_int(2)
 
 
 def test_inverse_matches_fermat_pow():

@@ -110,3 +110,48 @@ def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
     for scan in (_kernel_py.perm_scan, _kernel_py.perm_scan_reference):
         with pytest.raises(ValueError):
             scan(p, n, ctx.modulus, ctx.frobenius_rows(d), ctx.zero.coeffs)
+
+
+# Every F_{p^n} with q <= 49: the packed count_zeros against a BiPoly.eval census.
+_COUNT_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                 for n in range(1, 6) if p ** n <= 49]
+
+
+def _census(poly):
+    """(count, zeros) by evaluating poly at every point, x index then y index."""
+    f = poly.field
+    elems = list(f)
+    zeros = [(x.index, y.index) for x in elems for y in elems if not poly.eval(x, y)]
+    return len(zeros), zeros
+
+
+def _kernel_count(poly, collect):
+    f = poly.field
+    terms = [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
+    return _kernel_py.count_zeros(f.p, f.n, f.modulus, terms, collect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_count_zeros_matches_eval_census(data):
+    p, n = data.draw(st.sampled_from(_COUNT_FIELDS))
+    f = make_field(p, n)
+    exps = st.tuples(st.integers(0, 2 * p + 1), st.integers(0, 2 * p + 1))
+    coeff = st.integers(1, f.order - 1).map(f.element)
+    poly = BiPoly(f, data.draw(st.dictionaries(exps, coeff, max_size=5)))
+    count, zeros = _census(poly)
+    assert _kernel_count(poly, True) == (count, zeros)
+    assert _kernel_count(poly, False) == (count, None)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (7, 2), (47, 1)])
+def test_count_zeros_degenerate_polynomials(p, n):
+    f = make_field(p, n)
+    q = f.order
+    c = f.element(q - 1)
+    every = [(x, y) for x in range(q) for y in range(q)]
+    assert _kernel_count(BiPoly(f, {}), True) == (q * q, every)
+    assert _kernel_count(BiPoly(f, {(0, 0): c}), True) == (0, [])
+    x_only = BiPoly(f, {(2, 0): c, (1, 0): f.one})  # zeros: x = 0 and x = -1/c
+    assert _kernel_count(x_only, True) == _census(x_only)
+    assert _kernel_count(x_only, False)[0] == 2 * q
