@@ -2,20 +2,28 @@
 
 Same contracts as the compiled extension `permrat._kernel`; this module is
 the fallback selected when the extension is not built, and the reference the
-compiled kernels are tested against.  Everything here works on plain integer
-digit vectors so results are bit-identical across backends.
+compiled kernels are tested against.  Results are bit-identical across
+backends.
+
+Both kernels use Python ints as wide registers: a packed int holds one W-bit
+slot per value, and `_slot_barrett` reduces every slot mod p at once with
+one Barrett step (the argument and the slot bound it needs are in its
+docstring).
 
 `perm_scan` decides bijectivity from one representative per coset x + F_p
 (p^{n-1} evaluations instead of p^n) and returns exactly what the
 index-order full scan returns, `evaluations` included: that count is the
-canonical full scan's, not the work done.  `perm_scan_reference` is that
-full scan, kept for the tests.
+canonical full scan's, not the work done.  Elements are packed one slot per
+digit (`_Packed`), and the denominators of consecutive representatives are
+inverted in chunks by Montgomery's batch inversion: 3 multiplications per
+element and one extended-Euclid inversion per chunk.  Chunks start at
+_CHUNK_FIRST representatives and double up to _CHUNK_CAP, so a scan that
+stops early does little extra work and memory stays bounded.
+`perm_scan_reference` is the element-by-element full scan on digit tuples,
+kept for the tests.
 
-`count_zeros` uses Python ints as wide registers, one path for F_p and
-F_{p^n}: for each x it evaluates the polynomial at every y in F_q at once,
-one W-bit slot per y, reduces all slots mod p with one Barrett step per
-digit, and counts the zero slots with a flag bit (the bound that keeps the
-slots from overflowing is in its docstring).
+`count_zeros` evaluates a polynomial at every y in F_q at once for each x,
+one slot per y, and counts the zero slots with a flag bit.
 """
 
 from __future__ import annotations
@@ -25,6 +33,116 @@ import functools
 from .field import pdivmod, pinvmod, pmul, prime_divisors, ptrim
 
 BACKEND = "pure"
+
+_CHUNK_FIRST = 8
+_CHUNK_CAP = 512
+
+
+def _slot_barrett(p, bound, slots, min_bits=0):
+    """The one packed-slot reduction: reduce every slot of a packed int mod p
+    in one Barrett step.
+
+    The int has `slots` slots of W bits and every slot is below `bound`.
+    Returns (W, unit, reduce): W is at least min_bits and a whole number of
+    bytes, unit has a 1 in the lowest bit of every slot, and reduce(S) is S
+    with every slot reduced mod p,
+
+        S - p * (((S * mu) >> sh) & mask).
+
+    With sh = bitlen(B) + bitlen(p) and mu = ceil(2^sh / p) = (2^sh + e)/p,
+    e < p, a slot s < B has s*mu/2^sh = s/p + s*e/(p*2^sh) and
+    s*e < B*p <= 2^sh, so floor(s*mu / 2^sh) = floor(s/p).  As
+    s*mu < B*2^sh <= 2^W when W >= sh + bitlen(B), the products stay in
+    their slots, and masking the shifted int with mask = 2^(W - sh) - 1 per
+    slot keeps each slot's quotient Q and drops the bits that slide in from
+    the slot above.  S - p*Q is then every slot mod p, with no borrow.
+    """
+    sh = bound.bit_length() + p.bit_length()
+    mu = -(-(1 << sh) // p)
+    wb = (max(sh + bound.bit_length(), min_bits) + 7) // 8
+    unit = int.from_bytes((b"\x01" + bytes(wb - 1)) * slots, "little")
+    mask = unit * ((1 << (8 * wb - sh)) - 1)
+
+    def reduce(s):
+        return s - p * (((s * mu) >> sh) & mask)
+
+    return 8 * wb, unit, reduce
+
+
+class _Packed:
+    """F_{p^n} on packed ints: digit i of an element sits in the W-bit slot i.
+
+    An element is canonical when every slot is below p; `mul` and `inv`
+    return canonical elements.  mul(a, b, add) is a*b + add for a canonical
+    a, b with slots up to bmax (b need not be reduced mod p) and a canonical
+    add.  It takes three int products:
+
+    * Kronecker substitution: the int product a*b is the polynomial product
+      with coefficient k in slot k, each below n*(p-1)*bmax + 1; one
+      Barrett step makes it c = c0 + X^n c1 with canonical slots.
+    * Polynomial Barrett reduction by the monic modulus m: with
+      mu_m = floor(X^(2n) / m), the quotient of c by m is exactly
+      floor(c1 * mu_m / X^n), a shift by n slots (a polynomial has no
+      rounding error: X^(2n) = mu_m*m + r with deg r < n gives
+      c*X^n = c1*mu_m*m + c1*r + c0*X^n, whose last two terms are below
+      X^(2n) and so leave the quotient's part above X^n alone).  Its slots
+      are reduced only mod p later, below (n-1)*(p-1)^2 + 1.
+    * The remainder c - quot*m only needs the n low slots: c0 + add plus the
+      low slots of quot * (-m mod p), each below (n-1)^2*(p-1)^3 + 2p - 1,
+      and a second Barrett step makes it canonical.
+
+    W is the width for the larger of the two slot bounds, and at least
+    min_bits.  For n = 1 (modulus None) the modulus is X: F_p = F_p[X]/(X).
+    """
+
+    def __init__(self, p, n, modulus, bmax, min_bits=0):
+        modulus = modulus or (0, 1)
+        bound = max(n * (p - 1) * bmax, (n - 1) ** 2 * (p - 1) ** 3 + 2 * (p - 1)) + 1
+        w, _, self.reduce = _slot_barrett(p, bound, 2 * n, min_bits)
+        self.p, self.n, self.w = p, n, w
+        self.smask = (1 << w) - 1
+        self.low = (1 << (w * n)) - 1
+        self.modulus = self.pack(modulus)
+        self.mneg = self.pack(-c % p for c in modulus[:n])
+        self.mu_m = self.pack(pdivmod([0] * (2 * n) + [1], list(modulus), p)[0])
+
+    def pack(self, digits):
+        return sum(d << (self.w * i) for i, d in enumerate(digits))
+
+    def unpack(self, a):
+        return tuple((a >> (self.w * i)) & self.smask for i in range(self.n))
+
+    def mul(self, a, b, add=0):
+        reduce, nw, low = self.reduce, self.w * self.n, self.low
+        c = reduce(a * b)
+        quot = ((c >> nw) * self.mu_m) >> nw
+        return reduce((c & low) + add + ((quot * self.mneg) & low))
+
+    def inv(self, a):
+        """1/a by extended Euclid on packed polynomials.
+
+        Keeps t0*a = r0 and t1*a = r1 (mod m) and cancels the leading
+        coefficient of the remainder of larger degree with the other one,
+        until r1 is a nonzero constant (m is irreducible and a is nonzero,
+        so the gcd is 1); then 1/a = t1/r1.  Each step lowers
+        deg r0 + deg r1 < 2n, so 2n steps always suffice.
+        """
+        if not a:
+            raise ZeroDivisionError("inversion of zero")
+        p, w, reduce = self.p, self.w, self.reduce
+        r0, r1, t0, t1 = self.modulus, a, 0, 1
+        d0, d1 = self.n, (a.bit_length() - 1) // w
+        for _ in range(2 * self.n):
+            if d1 <= 0:
+                return reduce(t1 * pow(r1, -1, p))
+            c = p - (r0 >> (w * d0)) * pow(r1 >> (w * d1), -1, p) % p
+            s = w * (d0 - d1)
+            r0 = reduce(r0 + (c * r1 << s))
+            t0 = reduce(t0 + (c * t1 << s))
+            d0 = (r0.bit_length() - 1) // w
+            if d0 < d1:
+                r0, r1, t0, t1, d0, d1 = r1, r0, t1, t0, d1, d0
+        raise RuntimeError("extended Euclid did not end (implementation bug)")
 
 
 def _invert_digits(w, modulus, p, n):
@@ -71,6 +189,80 @@ def _step(xd, p, first):
             break
 
 
+def _image_blocks(p, n, modulus, frob_rows, b_digits):
+    """(block, digit 0) of f(p*k) for the coset representatives p*k,
+    k = 0 .. p^(n-1) - 1, in order; block is the index of f(p*k) divided by
+    p.  Raises ValueError on reaching a representative whose denominator
+    vanishes, after yielding every earlier one.
+
+    The denominator D(x) = phi(x) - x + b is F_p-linear in the digits of x
+    plus b, and each step of the odometer that walks the representatives
+    raises one digit by 1 and resets the digits below it from p-1 to 0, so
+    D is kept as the exact integer sum b + sum_j x_j*col_j, with
+    col_j = phi(X^j) - X^j mod p: one packed add or subtract per changed
+    digit, slots below
+    bmax = (p-1)*(1 + (n-1)*(p-1)).  A chunk of consecutive
+    representatives is inverted by Montgomery's trick: prefix products
+    P_i = D_1*...*D_i, one inversion of P_m, then walking back
+    1/D_i = (1/P_i)*P_{i-1} and 1/P_{i-1} = (1/P_i)*D_i.  A vanishing D
+    makes every later prefix product 0, so the chunk is cut before the
+    first zero prefix.
+    """
+    blocks = p ** (n - 1)
+    bmax = (p - 1) * (1 + (n - 1) * (p - 1))
+    pk = _Packed(p, n, modulus, bmax, (blocks - 1).bit_length())
+    w, smask, mul, inv = pk.w, pk.smask, pk.mul, pk.inv
+    cols = [pk.pack((r - (i == j)) % p for i, r in enumerate(frob_rows[j])) for j in range(n)]
+    wraps = [(p - 1) * c for c in cols]
+    ones = [1 << (w * j) for j in range(n)]
+    xwraps = [(p - 1) * u for u in ones]
+    # block index of y from slot n-1 of y * to_block: sum_{j>=1} y_j p^(j-1),
+    # every slot of the product below p^(n-1) <= 2^W
+    to_block = sum(p ** (j - 1) << (w * (n - 1 - j)) for j in range(1, n))
+    bshift = w * (n - 1)
+
+    xd = [0] * n
+    x, den = 0, pk.pack(c % p for c in b_digits)
+    size, left = _CHUNK_FIRST, blocks
+    while left:
+        size = min(size, left)
+        left -= size
+        xs, dens = [], []
+        for _ in range(size):
+            xs.append(x)
+            dens.append(den)
+            for j in range(1, n):  # odometer on the digits above digit 0
+                if xd[j] == p - 1:
+                    xd[j] = 0
+                    x -= xwraps[j]
+                    den -= wraps[j]
+                else:
+                    xd[j] += 1
+                    x += ones[j]
+                    den += cols[j]
+                    break
+        prefix = [1]
+        acc = 1
+        for d in dens:
+            acc = mul(acc, d)
+            prefix.append(acc)
+        vanished = not acc
+        if vanished:
+            size = prefix.index(0) - 1
+        if size:
+            ys = [0] * size
+            acc = inv(prefix[size])
+            for i in range(size - 1, 0, -1):
+                ys[i] = mul(acc, prefix[i], xs[i])
+                acc = mul(acc, dens[i])
+            ys[0] = mul(acc, prefix[0], xs[0])
+            for y in ys:
+                yield ((y * to_block) >> bshift) & smask, y & smask
+        if vanished:
+            raise ValueError("denominator vanished; trace hypothesis violated")
+        size = min(2 * size, _CHUNK_CAP)
+
+
 def perm_scan(p, n, modulus, frob_rows, b_digits):
     """Bijectivity of f(x) = x + (phi(x) - x + b)^{-1} over F_{p^n} by a
     quotient scan over the cosets x + F_p.
@@ -82,6 +274,16 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     evaluated, with a bitset of image blocks; f permutes iff no image block
     repeats.
 
+    `_image_blocks` evaluates them on packed ints: the denominators of
+    consecutive representatives are inverted in chunks by Montgomery's batch
+    inversion (3 multiplications per representative, one extended-Euclid
+    inversion per chunk), and chunks start at _CHUNK_FIRST representatives
+    and double up to _CHUNK_CAP.  Every slot stays below the bound of
+    `_Packed` (n*(p-1)*bmax + 1 for a product, with bmax the largest slot of
+    an unreduced denominator, and (n-1)^2*(p-1)^3 + 2p - 1 for a
+    remainder), so one `_slot_barrett` step reduces all of its slots mod p
+    exactly.
+
     Returns the same (is_permutation, witness, evaluations) as the
     index-order full scan `perm_scan_reference`.  The first representative
     p*k2 whose image block repeats is the full scan's first repeating
@@ -89,29 +291,25 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     (found by a second pass) gives its smallest preimage
     i1 = p*k1 + (y2 - y1 mod p), from the digit 0 of both images.
     evaluations is the full scan's count: p^n for a permutation, else
-    i1 + i2 + 2 (i2 + 1 in the first pass, i1 + 1 in the second).
+    i1 + i2 + 2 (i2 + 1 in the first pass, i1 + 1 in the second).  A
+    vanishing denominator raises ValueError only when the scan reaches it,
+    as the full scan does: a collision before it is still returned.
     """
-    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
     blocks = p ** (n - 1)
     seen = bytearray((blocks >> 3) + 1)
-    xd = [0] * n
-    for k2 in range(blocks):
-        target, y2 = divmod(f_index(xd), p)
+    for k2, (target, y2) in enumerate(_image_blocks(p, n, modulus, frob_rows, b_digits)):
         byte, bit = target >> 3, 1 << (target & 7)
         if seen[byte] & bit:
             break
         seen[byte] |= bit
-        _step(xd, p, 1)
     else:
         return True, None, p ** n
 
-    xd = [0] * n
-    for k1 in range(k2):
-        block, y1 = divmod(f_index(xd), p)
+    images = _image_blocks(p, n, modulus, frob_rows, b_digits)
+    for k1, (block, y1) in zip(range(k2), images):
         if block == target:
             i1, i2 = p * k1 + (y2 - y1) % p, p * k2
             return False, (i1, i2), i1 + i2 + 2
-        _step(xd, p, 1)
     raise RuntimeError("collision image lost between passes")
 
 
@@ -222,14 +420,8 @@ def count_zeros(p, n, modulus, terms, collect=False):
         S_m = sum_j sum_k M(r_j)[m][k] * plane[j][k],
 
     rows*n products of entries below p, each slot below
-    B = rows*n*(p-1)^2 + 1.  Barrett reduces every slot mod p together: with
-    sh = bitlen(B) + bitlen(p) and mu = ceil(2^sh / p) = (2^sh + e)/p, e < p,
-    a slot s < B has s*mu/2^sh = s/p + s*e/(p*2^sh) and s*e < B*p <= 2^sh,
-    so floor(s*mu / 2^sh) = floor(s/p).  As s*mu < B*2^sh <= 2^W when
-    W >= sh + bitlen(B), the products stay in their slots, and
-    Q = ((S*mu) >> sh) & maskQ keeps the W - sh low bits of each shifted slot
-    (the quotient) and drops the bits that slide in from the slot above.
-    R = S - p*Q is then every slot mod p, with no borrow.  With h = bitlen(p)
+    B = rows*n*(p-1)^2 + 1, and one `_slot_barrett` step reduces every slot
+    mod p together, with no borrow.  With h = bitlen(p)
     the remainders of the n digits are ORed and 2^h - 1 added per slot: bit h
     of a slot is set exactly when some digit is nonzero (r + 2^h - 1 < 2^(h+1)
     since r < p < 2^h), so the zeros of the row are the clear bits h.  W is
@@ -253,14 +445,11 @@ def count_zeros(p, n, modulus, terms, collect=False):
     jslots = sorted(by_j)
 
     bound = len(jslots) * n * (p - 1) ** 2 + 1
+    width, unit, reduce = _slot_barrett(p, bound, q)
+    wb = width // 8
     h = p.bit_length()
-    sh = bound.bit_length() + h
-    mu = -(-(1 << sh) // p)
-    wb = (sh + bound.bit_length() + 7) // 8
-    unit = int.from_bytes((b"\x01" + bytes(wb - 1)) * q, "little")
     top = unit << h
     ones = unit * ((1 << h) - 1)
-    mask_q = unit * ((1 << (8 * wb - sh)) - 1)
     flag_byte, flag = h // 8, bytes([1 << (h % 8)])
 
     def log_powers(lx):
@@ -312,7 +501,7 @@ def count_zeros(p, n, modulus, terms, collect=False):
             continue
         nz = 0
         for s in sums:
-            nz |= s - p * (((s * mu) >> sh) & mask_q)
+            nz |= reduce(s)
         z = ((nz + ones) & top) ^ top
         if z:
             count += z.bit_count()

@@ -254,3 +254,16 @@ def test_process_pool_is_imported_only_when_used():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_permcheck_does_not_import_numpy():
+    # importing numpy costs 0.1-0.2 s and ~11 MB of peak RSS; the kernels are pure Python
+    from permrat.field import first_elem_with_trace, make_field
+    b = first_elem_with_trace(make_field(2, 8), 1).index
+    probe = ("import sys; from permrat.cli import main; "
+             f"code = main(['permcheck', '--p', '2', '--n', '8', '--b-index', '{b}']); "
+             "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert json.loads(out.stdout)["is_permutation"] is True
+    assert out.stderr.split() == ["0", "False"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from permrat import _kernel_py, backend
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
-from permrat.field import make_field, trace_rel
+from permrat.field import first_elem_with_trace, is_prime, make_field, trace_rel
 from permrat.maps import MapSpec, is_permutation
 
 needs_compiled = pytest.mark.skipif(
@@ -110,6 +110,69 @@ def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
     for scan in (_kernel_py.perm_scan, _kernel_py.perm_scan_reference):
         with pytest.raises(ValueError):
             scan(p, n, ctx.modulus, ctx.frobenius_rows(d), ctx.zero.coeffs)
+
+
+def _trace_zero_cases():
+    cases = []
+    for p, n, d in [(2, 3, 1), (2, 4, 1), (3, 3, 1), (5, 2, 1), (3, 4, 2)]:
+        ctx = make_field(p, n)
+        cases += [(p, n, d, i) for i in range(ctx.order) if not trace_rel(ctx.element(i), d)]
+    return cases
+
+
+@pytest.mark.parametrize("chunks", [None, (1, 2)], ids=["default-chunks", "tiny-chunks"])
+@pytest.mark.parametrize("p,n,d,b_index", _trace_zero_cases())
+def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, d, b_index):
+    # a batch holding a zero denominator must still return a collision that
+    # comes before it in index order, and raise only when the scan reaches
+    # it; tiny chunks put the collision and the zero in different batches
+    if chunks:
+        monkeypatch.setattr(_kernel_py, "_CHUNK_FIRST", chunks[0])
+        monkeypatch.setattr(_kernel_py, "_CHUNK_CAP", chunks[1])
+    ctx = make_field(p, n)
+    b = ctx.element(b_index)
+    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
+    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    if (p, n, b_index) == (2, 3, 2):
+        assert fast == (False, (0, 2), 4)  # f(0) = f(2) before the zero at x = 4
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8)])
+def test_full_scan_past_the_chunk_cap(p, n):
+    # p^(n-1) representatives span several capped chunks; p = 2, 3 with
+    # nonzero trace permute, so both scans run to the end
+    assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
+    ctx = make_field(p, n)
+    b = first_elem_with_trace(ctx, 1)
+    fast = _scan_outcome(_kernel_py.perm_scan, ctx, 1, b)
+    assert fast == (True, None, ctx.order)
+    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, 1, b)
+
+
+# Every F_{p^n} with q <= 3000.
+_ALL_FIELDS = [(p, n) for p in range(2, 3001) if is_prime(p)
+               for n in range(1, 12) if p ** n <= 3000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_matches_field(data):
+    p, n = data.draw(st.sampled_from(_ALL_FIELDS))
+    ctx = make_field(p, n)
+    bmax = (p - 1) * (1 + (n - 1) * (p - 1))  # the scan's unreduced denominators
+    pk = _kernel_py._Packed(p, n, ctx.modulus, bmax)
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    a, add = data.draw(digits), data.draw(digits)
+    b_raw = data.draw(st.lists(st.integers(0, bmax), min_size=n, max_size=n))
+    for a, add, b_raw in ((a, add, b_raw), ((p - 1,) * n, (p - 1,) * n, [bmax] * n)):
+        b = tuple(c % p for c in b_raw)
+        got = pk.mul(pk.pack(a), pk.pack(b_raw), pk.pack(add))
+        assert pk.unpack(got) == ctx._add(ctx._mul(a, b), add)
+        assert got == pk.pack(pk.unpack(got))  # canonical: every slot below p
+        if any(a):
+            assert pk.unpack(pk.inv(pk.pack(a))) == ctx._inv(a)
+    with pytest.raises(ZeroDivisionError):
+        pk.inv(0)
 
 
 # Every F_{p^n} with q <= 49: the packed count_zeros against a BiPoly.eval census.
