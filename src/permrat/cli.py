@@ -11,30 +11,22 @@ Long sweeps accept --progress-file; an interrupted run resumes from the
 completed cases, refusing to resume under a changed configuration.
 
 PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND forces the
-pure or compiled kernels.  A bad value of either is a usage error (exit 2).
+pure or compiled kernels.  A bad value of either is a usage error (exit 2), as
+is a width below 1 from --jobs or PERMRAT_JOBS, or a campaign configuration
+that selects no cases.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
-from . import backend, verify
-from .curves import (
-    collision_curve,
-    count_affine,
-    count_infinity,
-    criterion_sextic,
-    homogenization_quartic,
-    parse_bipoly,
-    symmetric_quartic,
-)
 from .field import absolute_trace, first_elem_with_trace, make_field
-from .maps import HARD_SCAN_CAP, MapSpec, is_permutation, subfield_trace_reps, trace_class_reps
+
+# Each _cmd_* imports the modules it runs, so a process compiles only what its
+# subcommand needs (reps and permcheck never load curves or verify).
 
 
 def _int_list(text: str) -> list[int]:
@@ -59,6 +51,9 @@ def emit_report(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         rows = report.get("cases")
         if rows is None:
@@ -106,11 +101,16 @@ def _pick_b(ctx, args, d: int = 1):
 
 
 def _cmd_permcheck(args) -> tuple[dict, int]:
+    from .maps import HARD_SCAN_CAP, MapSpec, is_permutation
+
+    scan_cap = HARD_SCAN_CAP if args.scan_cap is None else args.scan_cap
+    if scan_cap > HARD_SCAN_CAP:
+        raise ValueError("--scan-cap exceeds the hard limit 2^32")
     ctx = make_field(args.p, args.n)
     d = args.frob_level
     b = _pick_b(ctx, args, d)
     spec = MapSpec(ctx, b, d)
-    report = is_permutation(spec, scan_cap=args.scan_cap)
+    report = is_permutation(spec, scan_cap=scan_cap)
     out = {
         "command": "permcheck",
         "p": args.p, "n": args.n, "d": d,
@@ -128,6 +128,9 @@ def _cmd_permcheck(args) -> tuple[dict, int]:
 
 
 def _cmd_count(args) -> tuple[dict, int]:
+    from .curves import (collision_curve, count_affine, count_infinity, criterion_sextic,
+                         homogenization_quartic, parse_bipoly, symmetric_quartic)
+
     ctx = make_field(args.p, args.n)
     params: dict = {}
     if args.poly_file:
@@ -169,6 +172,8 @@ def _cmd_count(args) -> tuple[dict, int]:
 
 
 def _cmd_reps(args) -> tuple[dict, int]:
+    from .maps import subfield_trace_reps, trace_class_reps
+
     ctx = make_field(args.p, args.n)
     d = args.d
     if d == 1:
@@ -191,6 +196,8 @@ def _campaign_exit(report) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import verify
+
     jobs, progress = args.jobs, args.progress_file
     target = args.target
     if target == "baseline":
@@ -215,6 +222,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_weil_audit(args) -> tuple[dict, int]:
+    from . import verify
+
     rep = verify.verify_curve_bounds(
         p_max=args.p_max, f_p=args.f_p, f_degrees=tuple(args.f_degrees),
         ident_p_max=args.ident_p_max, eq28_p_max=args.eq28_p_max,
@@ -223,23 +232,31 @@ def _cmd_weil_audit(args) -> tuple[dict, int]:
 
 
 def _cmd_conjecture(args) -> tuple[dict, int]:
-    rep = verify.conjecture_search(args.n, tuple(args.primes) if args.primes else None,
-                                   jobs=args.jobs, progress_path=args.progress_file)
+    from . import verify
+
+    primes = None if args.primes is None else tuple(args.primes)
+    rep = verify.conjecture_search(args.n, primes, jobs=args.jobs,
+                                   progress_path=args.progress_file)
     return _campaign_exit(rep)
 
 
 def _env_jobs() -> int:
     text = os.environ.get("PERMRAT_JOBS", "1")
     try:
-        return int(text)
+        jobs = int(text)
     except ValueError:
         raise ValueError(f"PERMRAT_JOBS must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise ValueError(f"PERMRAT_JOBS must be at least 1, got {text!r}")
+    return jobs
 
 
 def _kernel_for(args):
     """The kernel this command runs on, resolved before any work: a
     single-characteristic command names the one select() picks for p.  A bad
     PERMRAT_BACKEND, or a compiled kernel that is not built, is a usage error."""
+    from . import backend
+
     try:
         return backend.select(args.p) if hasattr(args, "p") else backend.get_backend()
     except RuntimeError as exc:
@@ -268,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b-index", type=int, default=None)
     pc.add_argument("--b-trace", type=int, default=None)
     pc.add_argument("--frob-level", type=int, default=1, metavar="D")
-    pc.add_argument("--scan-cap", type=int, default=HARD_SCAN_CAP)
+    pc.add_argument("--scan-cap", type=int, default=None,
+                    help="largest field order to scan (default and limit: 2^32)")
     pc.set_defaults(func=_cmd_permcheck)
 
     ct = sub.add_parser("count", parents=[common], help="affine and infinity point counts")
@@ -324,12 +342,11 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "conjecture" and args.p_max is not None:
         from .verify import primes_upto
         args.primes = primes_upto(args.p_max, start=5)
-    if getattr(args, "scan_cap", None) is not None and args.scan_cap > HARD_SCAN_CAP:
-        print(f"error: --scan-cap exceeds the hard limit 2^32", file=sys.stderr)
-        return 2
     try:
         if args.jobs is None:
             args.jobs = _env_jobs()
+        elif args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         kern = _kernel_for(args)
         report, code = args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:

@@ -22,9 +22,9 @@ proofs, and are labeled as such in reports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import backend
+from ._record import FrozenRecord
 from .field import Elem, Field, padd, pgcd_monic, pmul, psub, ptrim
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
@@ -359,14 +359,15 @@ def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     return ok, audit
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    affine_count: int
-    infinity_count: int
-    degree: int
-    weil_lower_ok: bool
-    weil_upper_ok: bool
-    bound_values: dict
+class CurveReport(FrozenRecord):
+    __slots__ = ("affine_count", "infinity_count", "degree", "weil_lower_ok",
+                 "weil_upper_ok", "bound_values")
+
+    def __init__(self, affine_count: int, infinity_count: int, degree: int,
+                 weil_lower_ok: bool, weil_upper_ok: bool, bound_values: dict):
+        self._set(affine_count=affine_count, infinity_count=infinity_count,
+                  degree=degree, weil_lower_ok=weil_lower_ok,
+                  weil_upper_ok=weil_upper_ok, bound_values=bound_values)
 
 
 def audit_curve(poly: BiPoly, backend_name: str | None = None) -> CurveReport:

@@ -9,35 +9,31 @@ the denominator never vanishes and f_b is total on the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import backend
+from ._record import FrozenRecord
 from .field import Elem, Field, first_elem_with_trace, frobenius, subfield_elements, trace_rel
 
 HARD_SCAN_CAP = 1 << 32
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(FrozenRecord):
     """One member of the family: field, parameter b, Frobenius level d."""
 
-    field: Field
-    b: Elem
-    d: int = 1
+    __slots__ = ("field", "b", "d")
 
-    def __post_init__(self):
-        if self.b.field != self.field:
+    def __init__(self, field: Field, b: Elem, d: int = 1):
+        self._set(field=field, b=b, d=d)
+        if b.field != field:
             raise ValueError("parameter b must live in the map's field")
-        if self.d < 1 or self.field.n % self.d != 0:
-            raise ValueError(f"Frobenius level {self.d} must divide n = {self.field.n}")
-        if not trace_rel(self.b, self.d):
+        if d < 1 or field.n % d != 0:
+            raise ValueError(f"Frobenius level {d} must divide n = {field.n}")
+        if not trace_rel(b, d):
             raise ValueError(
-                "trace hypothesis violated: the level-%d trace of b is zero" % self.d
+                "trace hypothesis violated: the level-%d trace of b is zero" % d
             )
 
 
-@dataclass(frozen=True)
-class PermReport:
+class PermReport(FrozenRecord):
     """Scan verdict. witness is an (x1, x2) pair with x1 != x2, f(x1) = f(x2).
 
     evaluations is the count of the canonical index-order scan: p^n for a
@@ -45,9 +41,11 @@ class PermReport:
     the report bytes; the kernel may evaluate f fewer times.
     """
 
-    is_permutation: bool
-    witness: tuple[Elem, Elem] | None
-    evaluations: int
+    __slots__ = ("is_permutation", "witness", "evaluations")
+
+    def __init__(self, is_permutation: bool, witness: tuple[Elem, Elem] | None,
+                 evaluations: int):
+        self._set(is_permutation=is_permutation, witness=witness, evaluations=evaluations)
 
 
 def denominator(spec: MapSpec, x: Elem) -> Elem:

@@ -15,30 +15,11 @@ sweep into a resumable one (see run_cases).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
-import random
 import time
-from dataclasses import dataclass, field as dataclass_field
 
-from .curves import (
-    BiPoly,
-    UniPoly,
-    collision_curve,
-    count_affine,
-    count_infinity,
-    criterion_sextic,
-    homogenization_quartic,
-    is_squarefree,
-    phi_fibers,
-    symmetric_quartic,
-    uni_derivative,
-    uni_gcd,
-    uni_square_root,
-    weil_lower_check,
-    weil_upper_check,
-)
+from ._record import Record
 from .field import absolute_trace, frobenius, is_prime, make_field
 from .maps import (
     MapSpec,
@@ -55,15 +36,15 @@ def primes_upto(n: int, start: int = 2) -> list[int]:
     return [p for p in range(start, n + 1) if is_prime(p)]
 
 
-@dataclass
-class CampaignReport:
-    campaign: str
-    config: dict
-    cases: list
-    totals: dict
-    ok: bool
-    counterexamples: list = dataclass_field(default_factory=list)
-    wall_time: float = 0.0
+class CampaignReport(Record):
+    __slots__ = ("campaign", "config", "cases", "totals", "ok", "counterexamples",
+                 "wall_time")
+
+    def __init__(self, campaign: str, config: dict, cases: list, totals: dict, ok: bool,
+                 counterexamples: list | None = None, wall_time: float = 0.0):
+        self._set(campaign=campaign, config=config, cases=cases, totals=totals, ok=ok,
+                  counterexamples=[] if counterexamples is None else counterexamples,
+                  wall_time=wall_time)
 
     def to_dict(self, include_wall_time: bool = False) -> dict:
         d = {
@@ -81,7 +62,8 @@ class CampaignReport:
 
 # ---------------------------------------------------------------------------
 # Case functions.  Each takes a plain dict and returns a plain dict so cases
-# can cross a process boundary and land in a progress file unchanged.
+# can cross a process boundary and land in a progress file unchanged.  The
+# curve cases import `curves` themselves, so the perm campaigns never load it.
 
 def _witness_dict(spec: MapSpec, report) -> dict | None:
     if report.witness is None:
@@ -111,6 +93,8 @@ def _perm_case(args: dict) -> dict:
 
 
 def _curve_f_case(args: dict) -> dict:
+    from .curves import collision_curve, count_affine, count_infinity, weil_lower_check
+
     p, n = args["p"], args["n"]
     ctx = make_field(p, n)
     b = ctx.element(args["b_index"])
@@ -133,6 +117,8 @@ def _curve_f_case(args: dict) -> dict:
 
 def _compose_symmetric(h: BiPoly) -> BiPoly:
     """h(X + Y, X*Y) expanded back into a bivariate polynomial."""
+    from .curves import BiPoly
+
     ctx = h.field
     s = BiPoly(ctx, {(1, 0): 1, (0, 1): 1})
     prod = BiPoly(ctx, {(1, 1): 1})
@@ -146,11 +132,16 @@ def _compose_symmetric(h: BiPoly) -> BiPoly:
 def _symmetric_identity_ok(p: int, tau: int) -> bool:
     """Whether H(X + Y, X*Y) = G over F_p, expanded once per (p, tau); only
     the verdict is cached."""
+    from .curves import criterion_sextic, symmetric_quartic
+
     ctx = make_field(p, 1)
     return _compose_symmetric(symmetric_quartic(ctx, tau)) == criterion_sextic(ctx, tau)
 
 
 def _curve_gh_case(args: dict) -> dict:
+    from .curves import (count_infinity, criterion_sextic, phi_fibers, symmetric_quartic,
+                         weil_lower_check, weil_upper_check)
+
     p, tau = args["p"], args["tau"]
     ctx = make_field(p, 1)
     g = criterion_sextic(ctx, tau)
@@ -173,6 +164,8 @@ def _curve_gh_case(args: dict) -> dict:
 def _ident_eq28_case(args: dict) -> dict:
     """Symmetric-reduction identity: symbolic for every tau, pointwise for
     one tau over all of F_p^2."""
+    from .curves import criterion_sextic, symmetric_quartic
+
     p = args["p"]
     ctx = make_field(p, 1)
     symbolic_ok = all(_symmetric_identity_ok(p, tau) for tau in range(1, p))
@@ -200,6 +193,8 @@ def _ident_eq28_case(args: dict) -> dict:
 def _ident_subst_case(args: dict) -> dict:
     """Substitution identity on the quadratic extension, every tau in F_p^*
     and every y != 0; plus the two-factor split of G(y, y^p) when tau^2 = 1."""
+    from .curves import criterion_sextic
+
     p = args["p"]
     base = make_field(p, 1)
     ctx = make_field(p, 2)
@@ -245,6 +240,8 @@ def _lemma22_case(args: dict) -> dict:
     reduces to 4(t - 1) = 0, so the system is consistent only at t = 1.  A
     direct square-root attempt on the dehomogenized quartic must agree.
     """
+    from .curves import UniPoly, homogenization_quartic, uni_square_root
+
     p = args["p"]
     ctx = make_field(p, 1)
     failures = []
@@ -266,6 +263,8 @@ def _lemma22_case(args: dict) -> dict:
 
 def _lemmaL_case(args: dict) -> dict:
     """The gcd chain certifying Y^{p+1} - Y^2 + 4 has no repeated zeros."""
+    from .curves import UniPoly, is_squarefree, uni_derivative, uni_gcd
+
     p = args["p"]
     one = UniPoly(p, [1])
     f = UniPoly.from_terms(p, {p + 1: 1, 2: -1, 0: 4})
@@ -310,6 +309,8 @@ def _case_worker(payload: dict) -> dict:
 # Case runner with optional process pool and resumable progress.
 
 def config_fingerprint(campaign: str, config: dict) -> str:
+    import hashlib  # only a progress file needs it
+
     blob = json.dumps({"campaign": campaign, "config": config}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -375,12 +376,16 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     fingerprint, then one line per completed case.  Resuming with a different
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
-    report does not depend on jobs or on interruptions.
+    report does not depend on jobs or on interruptions.  A configuration
+    that selects no cases is refused: a campaign that checked nothing must
+    not read as a pass.
     """
-    fingerprint = config_fingerprint(campaign, config)
+    if not payloads:
+        raise ValueError("configuration selects no cases")
     done: dict[str, dict] = {}
     fh = None
     if progress_path:
+        fingerprint = config_fingerprint(campaign, config)
         header = json.dumps({"campaign": campaign, "fingerprint": fingerprint}) + "\n"
         if _load_progress(progress_path, header, done):
             fh = open(progress_path, "a", encoding="utf-8")
@@ -723,6 +728,8 @@ def conjugation_identity_mismatches(p: int, n: int, trials: int = 20,
     representative b; returns the number of pointwise mismatches (zero unless
     something is broken) plus bookkeeping totals.
     """
+    import random
+
     ctx = make_field(p, n)
     rng = random.Random(seed if seed is not None else f"conjugation:{p}^{n}")
     mismatches = 0

@@ -1,0 +1,131 @@
+"""The package's re-exported names and its value classes."""
+
+import copy
+import pickle
+
+import pytest
+
+import permrat
+from permrat import backend, curves, field, maps
+from permrat.curves import CurveReport, audit_curve, criterion_sextic
+from permrat.field import make_field
+from permrat.maps import MapSpec, PermReport, is_permutation
+from permrat.verify import CampaignReport
+
+EXPORTS = {
+    backend: ["backend_name", "have_compiled"],
+    curves: ["BiPoly", "CurveReport", "TriPoly", "UniPoly", "affine_zeros", "audit_curve",
+             "collision_curve", "count_affine", "count_infinity", "criterion_sextic",
+             "homogenization_quartic", "homogenize", "is_squarefree", "parse_bipoly",
+             "phi_fibers", "symmetric_quartic", "uni_derivative", "uni_gcd",
+             "uni_square_root", "weil_lower_check", "weil_upper_check"],
+    field: ["Elem", "Field", "absolute_trace", "first_elem_with_trace", "frobenius",
+            "is_irreducible", "is_prime", "make_field", "subfield_elements", "trace_rel"],
+    maps: ["MapSpec", "PermReport", "conjugate_b", "difference_value", "eval_f",
+           "is_permutation", "subfield_trace_reps", "trace_class_reps", "verify_witness"],
+}
+
+
+def test_every_exported_name_is_its_submodule_object():
+    listed = dir(permrat)
+    for module, names in EXPORTS.items():
+        for name in names:
+            ns = {}
+            exec(f"from permrat import {name}", ns)
+            assert ns[name] is getattr(module, name), name
+            assert getattr(permrat, name) is getattr(module, name), name
+            assert name in listed, name
+    assert permrat.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        permrat.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from permrat import no_such_name", {})
+
+
+def test_submodules_still_import_from_the_package():
+    ns = {}
+    exec("from permrat import verify, cli", ns)
+    assert ns["verify"].CampaignReport is CampaignReport
+    assert callable(ns["cli"].main)
+
+
+def _frozen(obj, name):
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+
+
+def test_mapspec_value_semantics():
+    f = make_field(5, 2)
+    spec = MapSpec(f, f.element(3))
+    assert spec == MapSpec(f, f.element(3), 1)
+    assert spec != MapSpec(f, f.element(4)) and spec != MapSpec(f, f.element(3), 2)
+    assert spec != (f, f.element(3), 1)
+    assert hash(spec) == hash(MapSpec(f, f.element(3)))
+    assert repr(spec) == f"MapSpec(field={f!r}, b={f.element(3)!r}, d=1)"
+    assert (spec.field, spec.b, spec.d) == (f, f.element(3), 1)
+    for name in ("field", "b", "d"):
+        _frozen(spec, name)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert pickle.loads(pickle.dumps(spec)) == spec and copy.copy(spec) == spec
+
+
+def test_mapspec_validation_errors():
+    f4 = make_field(2, 2)
+    with pytest.raises(ValueError, match="trace hypothesis"):
+        MapSpec(f4, f4.one)  # Tr(1) = 1 + 1 = 0 over F_4
+    f5 = make_field(5, 5)
+    with pytest.raises(ValueError, match="trace hypothesis"):
+        MapSpec(f5, f5.from_int(2))  # constants have trace 5c = 0
+    f25 = make_field(5, 2)
+    with pytest.raises(ValueError, match="must live in the map's field"):
+        MapSpec(f25, make_field(5, 1).from_int(1))
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="must divide n"):
+            MapSpec(f25, f25.element(3), d)
+
+
+def test_permreport_value_semantics():
+    f = make_field(5, 2)
+    report = is_permutation(MapSpec(f, f.element(1)))
+    assert report == is_permutation(MapSpec(f, f.element(1)))
+    x1, x2 = report.witness
+    assert report == PermReport(False, (x1, x2), report.evaluations)
+    assert report != PermReport(False, (x1, x2), report.evaluations + 1)
+    assert repr(report) == (f"PermReport(is_permutation=False, witness=({x1!r}, {x2!r}), "
+                            f"evaluations={report.evaluations})")
+    assert hash(report) == hash(PermReport(False, (x1, x2), report.evaluations))
+    for name in ("is_permutation", "witness", "evaluations"):
+        _frozen(report, name)
+
+
+def test_curvereport_value_semantics():
+    poly = criterion_sextic(make_field(7, 1), 2)
+    report = audit_curve(poly)
+    assert report == audit_curve(poly)
+    assert isinstance(report, CurveReport)
+    assert repr(report).startswith(f"CurveReport(affine_count={report.affine_count}, "
+                                   f"infinity_count={report.infinity_count}, degree=6, ")
+    assert "bound_values={'lower': " in repr(report)
+    for name in ("affine_count", "bound_values"):
+        _frozen(report, name)
+    with pytest.raises(TypeError):
+        hash(report)  # its dict field is unhashable, as for the frozen dataclass
+
+
+def test_campaignreport_value_semantics():
+    a = CampaignReport("c", {"k": 1}, [], {"cases": 0}, True)
+    b = CampaignReport("c", {"k": 1}, [], {"cases": 0}, True, [], 0.0)
+    assert a == b and a.counterexamples == [] and a.wall_time == 0.0
+    assert a.counterexamples is not b.counterexamples  # no shared default
+    assert repr(a) == ("CampaignReport(campaign='c', config={'k': 1}, cases=[], "
+                       "totals={'cases': 0}, ok=True, counterexamples=[], wall_time=0.0)")
+    a.ok = False  # not frozen
+    assert a != b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert b.to_dict() == {"campaign": "c", "config": {"k": 1}, "cases": [],
+                           "totals": {"cases": 0}, "counterexamples": [], "ok": True}
+    assert pickle.loads(pickle.dumps(b)) == b

@@ -267,3 +267,96 @@ def test_permcheck_does_not_import_numpy():
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert json.loads(out.stdout)["is_permutation"] is True
     assert out.stderr.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm11", "--primes", ""],
+    ["verify", "thm31", "--p-max", "-5", "--full-primes", ""],
+    ["weil-audit", "--p-max", "3", "--f-degrees", "", "--eq28-p-max", "2",
+     "--ident-p-max", "2"],
+    ["conjecture", "--n", "3", "--p-max", "3"],
+], ids=["thm11", "thm31", "weil-audit", "conjecture"])
+def test_vacuous_configuration_exits_two(capsys, tmp_path, argv):
+    # a campaign that checks nothing must not report "ok": true
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: configuration selects no cases\n"
+    assert not prog.exists()
+
+
+@pytest.mark.parametrize("flag,env,needle", [
+    (["--jobs", "0"], None, "error: --jobs must be at least 1, got 0"),
+    (["--jobs", "-1"], None, "error: --jobs must be at least 1, got -1"),
+    ([], "0", "error: PERMRAT_JOBS must be at least 1, got '0'"),
+    ([], "-3", "error: PERMRAT_JOBS must be at least 1, got '-3'"),
+], ids=["flag-0", "flag-minus-1", "env-0", "env-minus-3"])
+def test_nonpositive_jobs_exits_two(capsys, monkeypatch, flag, env, needle):
+    if env is None:
+        monkeypatch.delenv("PERMRAT_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("PERMRAT_JOBS", env)
+    for argv in (["reps", "--p", "5", "--n", "2"], ["verify", "lemmaL", "--p-max", "7"]):
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert code == 2 and out == ""
+        assert err == needle + "\n"
+
+
+def _fresh_process(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+_WATCHED = ("permrat.curves", "permrat.verify", "permrat.maps", "permrat.backend",
+            "dataclasses")
+_NOT_IN_SCANS = ("permrat.curves", "permrat.verify", "dataclasses")
+_NOT_IN_CAMPAIGNS = ("permrat.curves", "dataclasses")
+_WEIL_SMALL = ["weil-audit", "--p-max", "11", "--f-degrees", "2", "--ident-p-max", "5",
+               "--eq28-p-max", "7"]
+
+
+def test_importing_the_cli_loads_no_command_module():
+    out = _fresh_process("-c", "import sys, permrat.cli; "
+                               f"print([m for m in {_WATCHED!r} if m in sys.modules])")
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,ran,absent", [
+    (["reps", "--p", "3", "--n", "4"], "permrat.maps", _NOT_IN_SCANS),
+    (["reps", "--p", "3", "--n", "4", "--d", "2"], "permrat.maps", _NOT_IN_SCANS),
+    (["permcheck", "--p", "5", "--n", "2", "--b-index", "3"], "permrat.maps", _NOT_IN_SCANS),
+    (["verify", "baseline", "--n2-max", "3", "--n3-max", "2"], "permrat.verify",
+     _NOT_IN_CAMPAIGNS),
+    (["verify", "thm11", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
+    (["verify", "thm31", "--p-max", "7", "--full-primes", "3"], "permrat.verify",
+     _NOT_IN_CAMPAIGNS),
+    (["verify", "remark43", "--q-list", "9"], "permrat.verify", _NOT_IN_CAMPAIGNS),
+    (["conjecture", "--n", "3", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
+    (["conjecture", "--n", "4", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
+    (["count", "--p", "5", "--builtin", "G", "--tau", "2"], "permrat.curves",
+     ("dataclasses",)),
+    (["verify", "lemma22", "--p-max", "7"], "permrat.curves", ("dataclasses",)),
+    (["verify", "lemmaL", "--p-max", "7"], "permrat.curves", ("dataclasses",)),
+    (_WEIL_SMALL, "permrat.curves", ("dataclasses",)),
+], ids=["reps", "reps-d2", "permcheck", "verify-baseline", "verify-thm11", "verify-thm31",
+        "verify-remark43", "conjecture-n3", "conjecture-n4", "count", "verify-lemma22",
+        "verify-lemmaL", "weil-audit"])
+def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
+    # each process compiles only the modules its command runs
+    probe = ("import json, sys; from permrat.cli import main; "
+             f"code = main({argv!r}); "
+             f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "
+             "print(json.dumps([code, loaded]), file=sys.stderr)")
+    out = _fresh_process("-c", probe)
+    code, loaded = json.loads(out.stderr)
+    assert code == 0 and json.loads(out.stdout)
+    assert ran in loaded
+    assert not set(absent) & set(loaded)
+
+
+def test_weil_audit_in_pool_workers_matches_serial():
+    # the parent never runs a curve case, so the workers import curves themselves
+    serial = _fresh_process("-m", "permrat.cli", *_WEIL_SMALL, "--jobs", "1").stdout
+    pooled = _fresh_process("-m", "permrat.cli", *_WEIL_SMALL, "--jobs", "2").stdout
+    assert pooled == serial
+    assert json.loads(serial)["ok"] is True
