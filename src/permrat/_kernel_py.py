@@ -13,12 +13,22 @@ docstring).
 `perm_scan` decides bijectivity from one representative per coset x + F_p
 (p^{n-1} evaluations instead of p^n) and returns exactly what the
 index-order full scan returns, `evaluations` included: that count is the
-canonical full scan's, not the work done.  Elements are packed one slot per
-digit (`_Packed`), and the denominators of consecutive representatives are
-inverted in chunks by Montgomery's batch inversion: 3 multiplications per
-element and one extended-Euclid inversion per chunk.  Chunks start at
-_CHUNK_FIRST representatives and double up to _CHUNK_CAP, so a scan that
-stops early does little extra work and memory stays bounded.
+canonical full scan's, not the work done.  Two generators evaluate the
+representatives, with the same output stream:
+
+* `_image_blocks`, for p >= 5 and for small fields: elements are packed
+  one slot per digit (`_Packed`), and the denominators of consecutive
+  representatives are inverted in chunks by Montgomery's batch inversion:
+  3 multiplications per element and one extended-Euclid inversion per
+  chunk.  Chunks start at _CHUNK_FIRST representatives and double up to
+  _CHUNK_CAP, so a scan that stops early does little extra work and memory
+  stays bounded.
+* `_sliced.image_blocks`, for p = 2, 3 from _SLICED_MIN_BLOCKS
+  representatives on: bit-sliced, one big-int operation per digit for a
+  whole chunk of representatives, with Itoh-Tsujii inversion.  For
+  p = 2, 3 every map with a nonzero trace permutes, so these scans always
+  run to the end.  The module is imported only by scans that use it.
+
 `perm_scan_reference` is the element-by-element full scan on digit tuples,
 kept for the tests.
 
@@ -36,6 +46,10 @@ BACKEND = "pure"
 
 _CHUNK_FIRST = 8
 _CHUNK_CAP = 512
+# p = 2, 3 scans of at least this many representatives run bit-sliced.  Below
+# it the generators are within ~15 us a scan, so a process that scans only
+# such fields is spared the ~5 ms it takes to compile _sliced.
+_SLICED_MIN_BLOCKS = 16
 
 
 def _slot_barrett(p, bound, slots, min_bits=0):
@@ -274,6 +288,9 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     evaluated, with a bitset of image blocks; f permutes iff no image block
     repeats.
 
+    For p = 2, 3 and at least _SLICED_MIN_BLOCKS representatives,
+    `_sliced.image_blocks` evaluates them bit-sliced, a chunk of up to
+    `_sliced._LANE_CAP` representatives per big-int operation.  Otherwise
     `_image_blocks` evaluates them on packed ints: the denominators of
     consecutive representatives are inverted in chunks by Montgomery's batch
     inversion (3 multiplications per representative, one extended-Euclid
@@ -282,7 +299,7 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     `_Packed` (n*(p-1)*bmax + 1 for a product, with bmax the largest slot of
     an unreduced denominator, and (n-1)^2*(p-1)^3 + 2p - 1 for a
     remainder), so one `_slot_barrett` step reduces all of its slots mod p
-    exactly.
+    exactly.  Both generators yield the same (block, digit 0) stream.
 
     Returns the same (is_permutation, witness, evaluations) as the
     index-order full scan `perm_scan_reference`.  The first representative
@@ -296,8 +313,12 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     as the full scan does: a collision before it is still returned.
     """
     blocks = p ** (n - 1)
+    if p <= 3 and blocks >= _SLICED_MIN_BLOCKS:
+        from ._sliced import image_blocks
+    else:
+        image_blocks = _image_blocks
     seen = bytearray((blocks >> 3) + 1)
-    for k2, (target, y2) in enumerate(_image_blocks(p, n, modulus, frob_rows, b_digits)):
+    for k2, (target, y2) in enumerate(image_blocks(p, n, modulus, frob_rows, b_digits)):
         byte, bit = target >> 3, 1 << (target & 7)
         if seen[byte] & bit:
             break
@@ -305,7 +326,7 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     else:
         return True, None, p ** n
 
-    images = _image_blocks(p, n, modulus, frob_rows, b_digits)
+    images = image_blocks(p, n, modulus, frob_rows, b_digits)
     for k1, (block, y1) in zip(range(k2), images):
         if block == target:
             i1, i2 = p * k1 + (y2 - y1) % p, p * k2

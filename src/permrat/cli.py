@@ -251,14 +251,15 @@ def _env_jobs() -> int:
     return jobs
 
 
-def _kernel_for(args):
-    """The kernel this command runs on, resolved before any work: a
-    single-characteristic command names the one select() picks for p.  A bad
-    PERMRAT_BACKEND, or a compiled kernel that is not built, is a usage error."""
+def _backend_for(args) -> str:
+    """The name of the kernel this command runs on, resolved before any work
+    and without importing it: a single-characteristic command names the one
+    select() picks for p.  A bad PERMRAT_BACKEND, or a compiled kernel that
+    is not built, is a usage error."""
     from . import backend
 
     try:
-        return backend.select(args.p) if hasattr(args, "p") else backend.get_backend()
+        return backend.select_name(args.p) if hasattr(args, "p") else backend.backend_name()
     except RuntimeError as exc:
         raise ValueError(str(exc)) from None
 
@@ -347,12 +348,12 @@ def main(argv=None) -> int:
             args.jobs = _env_jobs()
         elif args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        kern = _kernel_for(args)
+        kernel = _backend_for(args)
         report, code = args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["backend"] = kern.BACKEND
+    report["backend"] = kernel
     sys.stdout.write(emit_report(report, args.format))
     return code
 

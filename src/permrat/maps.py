@@ -68,11 +68,14 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP,
     earlier preimage of the repeated value, so reruns and backends agree bit
     for bit.  The pure kernel gets it from a quotient scan: f(x + c) =
     f(x) + c for c in F_p, so it evaluates one representative per coset
-    x + F_p.  It works on packed ints (one slot per digit, reduced mod p by
-    one Barrett step under a proven slot bound) and inverts the denominators
-    of consecutive representatives in chunks by Montgomery's batch
-    inversion; chunks start small and double up to a fixed cap, so a scan
-    that stops at an early collision does little extra work, and a
+    x + F_p.  For p = 2, 3 (where every map with a nonzero trace permutes,
+    so the scan runs to the end) it evaluates them bit-sliced: one big-int
+    operation per digit for a whole chunk of representatives, inverting by
+    Itoh-Tsujii.  Very small fields, and every p >= 5, use packed ints (one
+    slot per digit, reduced mod p by one Barrett step under a proven slot
+    bound), inverting the denominators of consecutive representatives in
+    chunks by Montgomery's batch inversion.  Either way chunks are bounded,
+    so a scan that stops at an early collision does little extra work, and a
     vanishing denominator raises only where the index-order scan would meet
     it.  The scan cap still applies to the field order.
     """

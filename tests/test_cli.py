@@ -302,13 +302,14 @@ def test_nonpositive_jobs_exits_two(capsys, monkeypatch, flag, env, needle):
         assert err == needle + "\n"
 
 
-def _fresh_process(*args):
+def _fresh_process(*args, **env):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
 
 
 _WATCHED = ("permrat.curves", "permrat.verify", "permrat.maps", "permrat.backend",
-            "dataclasses")
+            "permrat._kernel_py", "permrat._sliced", "dataclasses")
+_KERNELS = ("permrat._kernel_py", "permrat._sliced")
 _NOT_IN_SCANS = ("permrat.curves", "permrat.verify", "dataclasses")
 _NOT_IN_CAMPAIGNS = ("permrat.curves", "dataclasses")
 _WEIL_SMALL = ["weil-audit", "--p-max", "11", "--f-degrees", "2", "--ident-p-max", "5",
@@ -322,35 +323,44 @@ def test_importing_the_cli_loads_no_command_module():
 
 
 @pytest.mark.parametrize("argv,ran,absent", [
-    (["reps", "--p", "3", "--n", "4"], "permrat.maps", _NOT_IN_SCANS),
-    (["reps", "--p", "3", "--n", "4", "--d", "2"], "permrat.maps", _NOT_IN_SCANS),
-    (["permcheck", "--p", "5", "--n", "2", "--b-index", "3"], "permrat.maps", _NOT_IN_SCANS),
-    (["verify", "baseline", "--n2-max", "3", "--n3-max", "2"], "permrat.verify",
+    (["reps", "--p", "3", "--n", "4"], ("permrat.maps",), _NOT_IN_SCANS + _KERNELS),
+    (["reps", "--p", "3", "--n", "4", "--d", "2"], ("permrat.maps",),
+     _NOT_IN_SCANS + _KERNELS),
+    (["permcheck", "--p", "5", "--n", "2", "--b-index", "3"],
+     ("permrat.maps", "permrat._kernel_py"), _NOT_IN_SCANS + ("permrat._sliced",)),
+    # F_{2^5} has 16 coset representatives
+    (["verify", "baseline", "--n2-max", "5", "--n3-max", "2"],
+     ("permrat.verify",) + _KERNELS, _NOT_IN_CAMPAIGNS),
+    (["verify", "thm11", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
+     _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
+    (["verify", "thm31", "--p-max", "7", "--full-primes", "3"], ("permrat.verify",),
      _NOT_IN_CAMPAIGNS),
-    (["verify", "thm11", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
-    (["verify", "thm31", "--p-max", "7", "--full-primes", "3"], "permrat.verify",
-     _NOT_IN_CAMPAIGNS),
-    (["verify", "remark43", "--q-list", "9"], "permrat.verify", _NOT_IN_CAMPAIGNS),
-    (["conjecture", "--n", "3", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
-    (["conjecture", "--n", "4", "--primes", "5"], "permrat.verify", _NOT_IN_CAMPAIGNS),
-    (["count", "--p", "5", "--builtin", "G", "--tau", "2"], "permrat.curves",
+    (["verify", "remark43", "--q-list", "9"], ("permrat.verify",), _NOT_IN_CAMPAIGNS),
+    (["conjecture", "--n", "3", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
+     _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
+    (["conjecture", "--n", "4", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
+     _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
+    (["count", "--p", "5", "--builtin", "G", "--tau", "2"], ("permrat.curves",),
      ("dataclasses",)),
-    (["verify", "lemma22", "--p-max", "7"], "permrat.curves", ("dataclasses",)),
-    (["verify", "lemmaL", "--p-max", "7"], "permrat.curves", ("dataclasses",)),
-    (_WEIL_SMALL, "permrat.curves", ("dataclasses",)),
+    (["verify", "lemma22", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
+    (["verify", "lemmaL", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
+    (_WEIL_SMALL, ("permrat.curves",), ("dataclasses",)),
 ], ids=["reps", "reps-d2", "permcheck", "verify-baseline", "verify-thm11", "verify-thm31",
         "verify-remark43", "conjecture-n3", "conjecture-n4", "count", "verify-lemma22",
         "verify-lemmaL", "weil-audit"])
 def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
-    # each process compiles only the modules its command runs
+    # each process compiles only the modules its command runs; reps, lemma22
+    # and lemmaL run no kernel, and only p = 2, 3 scans of 16 or more coset
+    # representatives run the sliced one (the pure backend's footprint, also
+    # where a compiled kernel is built)
     probe = ("import json, sys; from permrat.cli import main; "
              f"code = main({argv!r}); "
              f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "
              "print(json.dumps([code, loaded]), file=sys.stderr)")
-    out = _fresh_process("-c", probe)
+    out = _fresh_process("-c", probe, PERMRAT_BACKEND="pure")
     code, loaded = json.loads(out.stderr)
     assert code == 0 and json.loads(out.stdout)
-    assert ran in loaded
+    assert set(ran) <= set(loaded)
     assert not set(absent) & set(loaded)
 
 

@@ -1,12 +1,14 @@
 """Cross-checks: the compiled kernels must agree bit for bit with the pure twin,
-and the pure quotient scan with the full-scan reference."""
+the pure quotient scan with the full-scan reference, and the bit-sliced
+generator for p = 2, 3 with the packed one."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permrat import _kernel_py, backend
+from permrat import _kernel_py, _sliced, backend
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
-from permrat.field import first_elem_with_trace, is_prime, make_field, trace_rel
+from permrat.field import (Elem, first_elem_with_trace, frobenius, is_prime, make_field,
+                           trace_rel)
 from permrat.maps import MapSpec, is_permutation
 
 needs_compiled = pytest.mark.skipif(
@@ -120,13 +122,20 @@ def _trace_zero_cases():
     return cases
 
 
+def _route(monkeypatch, path):
+    """Send perm_scan at p = 2, 3 through one generator at every field size."""
+    monkeypatch.setattr(_kernel_py, "_SLICED_MIN_BLOCKS", 1 if path == "sliced" else 1 << 64)
+
+
 @pytest.mark.parametrize("chunks", [None, (1, 2)], ids=["default-chunks", "tiny-chunks"])
 @pytest.mark.parametrize("p,n,d,b_index", _trace_zero_cases())
 def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, d, b_index):
     # a batch holding a zero denominator must still return a collision that
     # comes before it in index order, and raise only when the scan reaches
     # it; tiny chunks put the collision and the zero in different batches
+    # of the packed generator, which they drive at every p
     if chunks:
+        _route(monkeypatch, "packed")
         monkeypatch.setattr(_kernel_py, "_CHUNK_FIRST", chunks[0])
         monkeypatch.setattr(_kernel_py, "_CHUNK_CAP", chunks[1])
     ctx = make_field(p, n)
@@ -137,16 +146,136 @@ def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, 
         assert fast == (False, (0, 2), 4)  # f(0) = f(2) before the zero at x = 4
 
 
+@pytest.mark.parametrize("p,n,d,b_index", [c for c in _trace_zero_cases() if c[0] <= 3])
+def test_vanishing_denominator_in_a_later_lane_chunk(monkeypatch, p, n, d, b_index):
+    # the same through the sliced generator with chunks of p lanes, so the
+    # collision, the zero and the chunk borders fall apart
+    _route(monkeypatch, "sliced")
+    monkeypatch.setattr(_sliced, "_LANE_CAP", p)
+    ctx = make_field(p, n)
+    b = ctx.element(b_index)
+    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
+    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    if (p, n, b_index) == (2, 3, 2):
+        assert fast == (False, (0, 2), 4)
+
+
 @pytest.mark.parametrize("p,n", [(2, 13), (3, 8)])
-def test_full_scan_past_the_chunk_cap(p, n):
-    # p^(n-1) representatives span several capped chunks; p = 2, 3 with
-    # nonzero trace permute, so both scans run to the end
-    assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
+def test_full_scan_past_the_chunk_cap(monkeypatch, p, n):
+    # p^(n-1) representatives span several capped chunks of either
+    # generator; p = 2, 3 with nonzero trace permute, so every scan runs to
+    # the end
     ctx = make_field(p, n)
     b = first_elem_with_trace(ctx, 1)
+    ref = _scan_outcome(_kernel_py.perm_scan_reference, ctx, 1, b)
+    _route(monkeypatch, "packed")
+    assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
     fast = _scan_outcome(_kernel_py.perm_scan, ctx, 1, b)
     assert fast == (True, None, ctx.order)
-    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, 1, b)
+    assert fast == ref
+    _route(monkeypatch, "sliced")
+    monkeypatch.setattr(_sliced, "_LANE_CAP", 256)
+    assert p ** (n - 1) > 2 * _sliced._LANE_CAP
+    assert _scan_outcome(_kernel_py.perm_scan, ctx, 1, b) == ref
+
+
+# p = 2, 3: every n with q <= 2^13 or q <= 3^8, every level d | n.
+_SLICED_FIELDS = [(p, n, d) for p, top in ((2, 13), (3, 8)) for n in range(1, top + 1)
+                  for d in range(1, n + 1) if n % d == 0]
+
+
+def _stream(blocks):
+    """Every (block, digit 0) pair of a generator, then "ValueError" if it raised."""
+    out = []
+    try:
+        for block, d0 in blocks:
+            out.append((block, d0))
+    except ValueError:
+        out.append("ValueError")
+    return out
+
+
+@pytest.mark.parametrize("lanes", [None, "p^2"], ids=["default-lanes", "p2-lanes"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sliced_stream_matches_packed(lanes, data):
+    # item for item, including where a vanishing denominator raises; p^2
+    # lanes put chunk borders, the high-digit odometer and zeros in later
+    # chunks into small fields
+    fields = [f for f in _SLICED_FIELDS if f[1] <= 9] if lanes else _SLICED_FIELDS
+    p, n, d = data.draw(st.sampled_from(fields))  # p^2 lanes: p^(n-3) chunks
+    ctx = make_field(p, n)
+    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
+    if data.draw(st.booleans()):
+        b = frobenius(b, d) - b  # level-d trace 0 (Hilbert 90)
+    args = (p, n, ctx.modulus, ctx.frobenius_rows(d), b.coeffs)
+    with pytest.MonkeyPatch.context() as mp:
+        if lanes:
+            mp.setattr(_sliced, "_LANE_CAP", p * p)
+        sliced = _stream(_sliced.image_blocks(*args))
+    assert sliced == _stream(_kernel_py._image_blocks(*args))
+    if not trace_rel(b, d):
+        assert sliced[-1] == "ValueError"
+
+
+def _lane_planes(ctx, elems):
+    """The sliced element with lane k = elems[k]."""
+    planes = []
+    for i in range(ctx.n):
+        marks = [sum(1 << k for k, e in enumerate(elems) if e.coeffs[i] == v)
+                 for v in range(1, ctx.p)]
+        planes.append(marks[0] if ctx.p == 2 else tuple(marks))
+    return planes
+
+
+def _lane_elems(fld, ctx, planes, lanes):
+    """Inverse of _lane_planes."""
+    elems = []
+    for k in range(lanes):
+        coeffs = []
+        for digit in planes:
+            marks = fld.bits(digit)
+            coeffs.append(sum(v * (marks[v - 1] >> k & 1) for v in range(1, ctx.p)))
+        elems.append(Elem(ctx, tuple(coeffs)))
+    return elems
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sliced_digit_ops_on_all_pairs(p):
+    pairs = [(a, c) for a in range(p) for c in range(p)]
+    ctx = make_field(p, 1)
+    fld = (_sliced._F2 if p == 2 else _sliced._F3)(1, None, (1 << len(pairs)) - 1)
+    a = _lane_planes(ctx, [ctx.element(x) for x, _ in pairs])
+    c = _lane_planes(ctx, [ctx.element(y) for _, y in pairs])
+
+    def values(planes):
+        return [e.coeffs[0] for e in _lane_elems(fld, ctx, planes, len(pairs))]
+
+    assert values(fld.add(a, c)) == [(x + y) % p for x, y in pairs]
+    assert values(fld.mul(a, c)) == [x * y % p for x, y in pairs]
+    for k in range(p):
+        assert values(fld.add_const(a, [k])) == [(x + k) % p for x, _ in pairs]
+        assert values([fld.scale(a[0], k)]) == [k * x % p for x, _ in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sliced_arithmetic_matches_field(data):
+    p, n, _ = data.draw(st.sampled_from(_SLICED_FIELDS))
+    ctx = make_field(p, n)
+    elems = st.integers(0, ctx.order - 1).map(ctx.element)
+    lanes = data.draw(st.integers(1, 40))
+    xs = data.draw(st.lists(elems, min_size=lanes, max_size=lanes))
+    ys = data.draw(st.lists(elems, min_size=lanes, max_size=lanes))
+    fld = (_sliced._F2 if p == 2 else _sliced._F3)(n, ctx.modulus, (1 << lanes) - 1)
+    a, c = _lane_planes(ctx, xs), _lane_planes(ctx, ys)
+    assert _lane_elems(fld, ctx, fld.mul(a, c), lanes) == [x * y for x, y in zip(xs, ys)]
+    assert _lane_elems(fld, ctx, fld.inverse(a), lanes) == [
+        x.inverse() if x else ctx.zero for x in xs]
+    if n > 1:
+        l = data.draw(st.integers(1, n - 1))
+        assert _sliced._frobenius_rows(p, n, ctx.modulus, l) == ctx.frobenius_rows(l)
+        assert _lane_elems(fld, ctx, fld.frobenius(a, l), lanes) == [frobenius(x, l) for x in xs]
 
 
 # Every F_{p^n} with q <= 3000.
