@@ -1,9 +1,7 @@
-"""Pure-Python scan kernels.
+"""The scan and count kernels, in pure Python.
 
-Same contracts as the compiled extension `permrat._kernel`; this module is
-the fallback selected when the extension is not built, and the reference the
-compiled kernels are tested against.  Results are bit-identical across
-backends.
+`maps` and `curves` reach this module through `backend.select`; BACKEND is
+the name reports record for it.
 
 Both kernels use Python ints as wide registers: a packed int holds one W-bit
 slot per value, and `_slot_barrett` reduces every slot mod p at once with

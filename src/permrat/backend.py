@@ -1,66 +1,34 @@
-"""Kernel backend selection.
+"""The kernel module that scans and counts run on.
 
-The compiled extension is preferred when importable; the pure-Python twin is
-always available.  Set PERMRAT_BACKEND=pure or PERMRAT_BACKEND=compiled to
-force a choice (the latter raises if the extension was not built).
-
-The compiled kernels do 64-bit arithmetic and require p < 2^31; select()
-silently falls back to the pure kernels above that, where Python integers
-take over.
-
-A backend is resolved by name first (`backend_name`, `select_name`), so a
-command that only reports which kernel it would run never imports the pure
-kernel module.
+There is one kernel, the pure-Python `_kernel_py`.  PERMRAT_BACKEND may name
+it ("pure"); any other value is rejected.  `maps` and `curves` look the
+kernel up through `select` at call time, so a wrapper installed there sees
+every scan and count.  The kernel module is imported only when `select` is
+first called.
 """
 
 from __future__ import annotations
 
 import os
 
-try:
-    from . import _kernel as _compiled
-except ImportError:  # extension not built; pure fallback only
-    _compiled = None
-
-COMPILED_P_LIMIT = 1 << 31
-
 
 def have_compiled() -> bool:
-    return _compiled is not None
+    """Always False: there is no compiled kernel."""
+    return False
 
 
 def backend_name(name: str | None = None) -> str:
-    """The backend `name` resolves to: the argument, else PERMRAT_BACKEND,
-    else compiled when built and pure otherwise."""
-    name = name or os.environ.get("PERMRAT_BACKEND")
-    if name is None:
-        return "compiled" if _compiled is not None else "pure"
-    if name == "compiled" and _compiled is None:
-        raise RuntimeError("compiled kernel requested but the extension is not built")
-    if name not in ("pure", "compiled"):
-        raise ValueError(f"unknown backend {name!r} (expected 'pure' or 'compiled')")
+    """Validate `name`, else PERMRAT_BACKEND, and return it: "pure" is the
+    only backend."""
+    name = name or os.environ.get("PERMRAT_BACKEND", "pure")
+    if name != "pure":
+        raise ValueError(f"unknown backend {name!r} (expected 'pure')")
     return name
 
 
-def select_name(p: int, name: str | None = None) -> str:
-    """The backend for work in characteristic p, honoring the compiled p-limit."""
-    name = backend_name(name)
-    return "pure" if p >= COMPILED_P_LIMIT else name
-
-
-def _module(name: str):
-    if name == "compiled":
-        return _compiled
+def select(p: int, name: str | None = None):
+    """The kernel module for work in characteristic p (the same for every p)."""
+    backend_name(name)
     from . import _kernel_py
 
     return _kernel_py
-
-
-def get_backend(name: str | None = None):
-    """Return the kernel module for `name` (or the environment/default choice)."""
-    return _module(backend_name(name))
-
-
-def select(p: int, name: str | None = None):
-    """Kernel module for work in characteristic p, honoring the compiled p-limit."""
-    return _module(select_name(p, name))

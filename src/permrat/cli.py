@@ -10,10 +10,10 @@ resource errors.
 Long sweeps accept --progress-file; an interrupted run resumes from the
 completed cases, refusing to resume under a changed configuration.
 
-PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND forces the
-pure or compiled kernels.  A bad value of either is a usage error (exit 2), as
-is a width below 1 from --jobs or PERMRAT_JOBS, or a campaign configuration
-that selects no cases.
+PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND may name the
+one kernel, "pure", which every report records under "backend".  A bad value
+of either is a usage error (exit 2), as is a width below 1 from --jobs or
+PERMRAT_JOBS, or a campaign configuration that selects no cases.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .field import absolute_trace, first_elem_with_trace, make_field
+from .field import absolute_trace, first_elem_with_trace, make_field, trace_rel
 
 # Each _cmd_* imports the modules it runs, so a process compiles only what its
 # subcommand needs (reps and permcheck never load curves or verify).
@@ -111,11 +111,14 @@ def _cmd_permcheck(args) -> tuple[dict, int]:
     b = _pick_b(ctx, args, d)
     spec = MapSpec(ctx, b, d)
     report = is_permutation(spec, scan_cap=scan_cap)
+    # the level-d trace, which the hypothesis and --b-trace are about
+    trace = ({"trace": absolute_trace(b)} if d == 1
+             else {"trace_index": trace_rel(b, d).index})
     out = {
         "command": "permcheck",
         "p": args.p, "n": args.n, "d": d,
         "modulus": list(ctx.modulus) if ctx.modulus else None,
-        "b": {**_elem_dict(b), "trace": absolute_trace(b)},
+        "b": {**_elem_dict(b), **trace},
         "is_permutation": report.is_permutation,
         "witness": None,
         "evaluations": report.evaluations,
@@ -251,17 +254,10 @@ def _env_jobs() -> int:
     return jobs
 
 
-def _backend_for(args) -> str:
-    """The name of the kernel this command runs on, resolved before any work
-    and without importing it: a single-characteristic command names the one
-    select() picks for p.  A bad PERMRAT_BACKEND, or a compiled kernel that
-    is not built, is a usage error."""
-    from . import backend
-
-    try:
-        return backend.select_name(args.p) if hasattr(args, "p") else backend.backend_name()
-    except RuntimeError as exc:
-        raise ValueError(str(exc)) from None
+def _add_b_choice(sub: argparse.ArgumentParser) -> None:
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--b-index", type=int, default=None)
+    group.add_argument("--b-trace", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact bijectivity verdict for one map")
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--b-index", type=int, default=None)
-    pc.add_argument("--b-trace", type=int, default=None)
+    _add_b_choice(pc)
     pc.add_argument("--frob-level", type=int, default=1, metavar="D")
     pc.add_argument("--scan-cap", type=int, default=None,
                     help="largest field order to scan (default and limit: 2^32)")
@@ -295,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--n", type=int, default=1)
     ct.add_argument("--builtin", choices=("F", "G", "H", "A"), default=None)
     ct.add_argument("--poly-file", default=None)
-    ct.add_argument("--b-index", type=int, default=None)
-    ct.add_argument("--b-trace", type=int, default=None)
+    _add_b_choice(ct)
     ct.add_argument("--tau", type=int, default=None)
     ct.add_argument("--t", type=int, default=None)
     ct.set_defaults(func=_cmd_count)
@@ -348,7 +342,8 @@ def main(argv=None) -> int:
             args.jobs = _env_jobs()
         elif args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        kernel = _backend_for(args)
+        from .backend import backend_name
+        kernel = backend_name()  # a bad PERMRAT_BACKEND fails before any work
         report, code = args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

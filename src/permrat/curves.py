@@ -285,24 +285,24 @@ def _term_list(poly: BiPoly):
     return [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
 
 
-def _kernel_zeros(poly: BiPoly, backend_name: str | None, collect: bool):
+def _kernel_zeros(poly: BiPoly, collect: bool):
     """The kernel's (count, zeros) for `poly`, zeros as index pairs."""
     f = poly.field
     if f.order ** 2 > COUNT_BUDGET:
         raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
-    kern = backend.select(f.p, backend_name)
+    kern = backend.select(f.p)
     return kern.count_zeros(f.p, f.n, f.modulus, _term_list(poly), collect)
 
 
-def count_affine(poly: BiPoly, backend_name: str | None = None) -> int:
+def count_affine(poly: BiPoly) -> int:
     """|{(x, y) in F_q^2 : poly(x, y) = 0}| by row-collapsed evaluation."""
-    return _kernel_zeros(poly, backend_name, False)[0]
+    return _kernel_zeros(poly, False)[0]
 
 
-def affine_zeros(poly: BiPoly, backend_name: str | None = None) -> list[tuple[Elem, Elem]]:
+def affine_zeros(poly: BiPoly) -> list[tuple[Elem, Elem]]:
     """The affine zero set, in (x index, y index) enumeration order."""
     f = poly.field
-    zeros = _kernel_zeros(poly, backend_name, True)[1]
+    zeros = _kernel_zeros(poly, True)[1]
     return [(f.element(xi), f.element(yi)) for xi, yi in zeros]
 
 
@@ -370,10 +370,10 @@ class CurveReport(FrozenRecord):
                   weil_upper_ok=weil_upper_ok, bound_values=bound_values)
 
 
-def audit_curve(poly: BiPoly, backend_name: str | None = None) -> CurveReport:
+def audit_curve(poly: BiPoly) -> CurveReport:
     """Count points, count zeros at infinity, and run both bound audits."""
     q = poly.field.order
-    affine = count_affine(poly, backend_name)
+    affine = count_affine(poly)
     inf = count_infinity(poly)
     d = poly.degree
     lo_ok, lo = weil_lower_check(affine, q, d, inf)
@@ -381,7 +381,7 @@ def audit_curve(poly: BiPoly, backend_name: str | None = None) -> CurveReport:
     return CurveReport(affine, inf, d, lo_ok, hi_ok, {"lower": lo, "upper": hi})
 
 
-def phi_fibers(p: int, tau: int, backend_name: str | None = None) -> dict:
+def phi_fibers(p: int, tau: int) -> dict:
     """Census of the cover (x, y) -> (x + y, x*y) from the sextic's zero set
     to the quartic's.
 
@@ -396,8 +396,8 @@ def phi_fibers(p: int, tau: int, backend_name: str | None = None) -> dict:
     tau = _check_tau(ctx, tau, forbid_unit=True)
     g = criterion_sextic(ctx, tau)
     h = symmetric_quartic(ctx, tau)
-    vg = _kernel_zeros(g, backend_name, True)[1]
-    vh = set(_kernel_zeros(h, backend_name, True)[1])
+    vg = _kernel_zeros(g, True)[1]
+    vh = set(_kernel_zeros(h, True)[1])
     diag = [pt for pt in vg if pt[0] == pt[1]]
     if diag != [(0, 0)]:
         raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")

@@ -59,16 +59,14 @@ def eval_f(spec: MapSpec, x: Elem) -> Elem:
     return x + denominator(spec, x).inverse()
 
 
-def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP,
-                   backend_name: str | None = None) -> PermReport:
+def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
     """Exact bijectivity verdict by an image scan over element indices.
 
     The verdict is that of a serial index-order scan: the witness is the
     first collision in index-enumeration order, paired with the smallest
-    earlier preimage of the repeated value, so reruns and backends agree bit
-    for bit.  The pure kernel gets it from a quotient scan: f(x + c) =
-    f(x) + c for c in F_p, so it evaluates one representative per coset
-    x + F_p.  For p = 2, 3 (where every map with a nonzero trace permutes,
+    earlier preimage of the repeated value, so reruns agree bit for bit.
+    The kernel gets it from a quotient scan: f(x + c) = f(x) + c for c in
+    F_p, so it evaluates one representative per coset x + F_p.  For p = 2, 3 (where every map with a nonzero trace permutes,
     so the scan runs to the end) it evaluates them bit-sliced: one big-int
     operation per digit for a whole chunk of representatives, inverting by
     Itoh-Tsujii.  Very small fields, and every p >= 5, use packed ints (one
@@ -83,7 +81,7 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP,
     cap = min(scan_cap, HARD_SCAN_CAP)
     if f.order > cap:
         raise ValueError(f"field order {f.order} exceeds the scan cap {cap}")
-    kern = backend.select(f.p, backend_name)
+    kern = backend.select(f.p)
     ok, witness_idx, evals = kern.perm_scan(
         f.p, f.n, f.modulus, f.frobenius_rows(spec.d), spec.b.coeffs
     )

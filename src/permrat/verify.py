@@ -473,7 +473,11 @@ def verify_small_characteristic_baseline(n_max_2: int = 12, n_max_3: int = 8,
 
 def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
                                       progress_path: str | None = None) -> CampaignReport:
-    """No trace-class representative permutes F_{p^5} for the desk primes."""
+    """No trace-class representative permutes F_{p^5} for the desk primes.
+
+    The theorem is about p >= 5: for p = 2, 3 every such map permutes."""
+    if any(p < 5 for p in primes):
+        raise ValueError("thm11 requires p >= 5")
     t0 = time.perf_counter()
     config = {"primes": list(primes), "n": 5}
     payloads, meta = [], []

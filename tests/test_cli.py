@@ -6,11 +6,9 @@ import json
 import os
 import subprocess
 import sys
-import types
 
 import pytest
 
-from permrat import backend
 from permrat.cli import main
 
 
@@ -51,6 +49,27 @@ def test_permcheck_scan_cap(capsys):
     code, _out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "2",
                               "--b-trace", "1", "--scan-cap", str(1 << 40))
     assert code == 2 and "hard limit" in err
+
+
+def test_permcheck_reports_the_level_d_trace(capsys):
+    # b = element 25 has absolute trace 0 but level-2 trace element 50 over F_{5^4}
+    code, out, _ = run_cli(capsys, "permcheck", "--p", "5", "--n", "4", "--frob-level", "2",
+                           "--b-index", "25")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["b"] == {"index": 25, "coeffs": [0, 0, 1, 0], "trace_index": 50}
+    code, out, _ = run_cli(capsys, "permcheck", "--p", "5", "--n", "4", "--frob-level", "2",
+                           "--b-trace", "2")
+    assert code == 0 and json.loads(out)["b"]["trace_index"] == 2
+    code, out, _ = run_cli(capsys, "permcheck", "--p", "5", "--n", "4", "--b-index", "3")
+    assert json.loads(out)["b"] == {"index": 3, "coeffs": [3, 0, 0, 0], "trace": 2}
+
+
+@pytest.mark.parametrize("cmd", [["permcheck", "--n", "2"], ["count", "--builtin", "F", "--n", "2"]])
+def test_b_index_and_b_trace_are_exclusive(capsys, cmd):
+    code, out, err = run_cli(capsys, *cmd, "--p", "5", "--b-index", "1", "--b-trace", "1")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_count_builtin_sextic(capsys):
@@ -215,10 +234,7 @@ def test_weil_audit_small(capsys):
 
 
 def test_report_names_the_backend_that_ran(capsys, monkeypatch):
-    # a compiled kernel is the default, but select() runs the pure one for p >= 2^31
-    monkeypatch.setattr(backend, "_compiled", types.SimpleNamespace(BACKEND="compiled"))
     monkeypatch.delenv("PERMRAT_BACKEND", raising=False)
-    assert backend.get_backend().BACKEND == "compiled"
     code, out, _ = run_cli(capsys, "permcheck", "--p", "2147483659", "--n", "1",
                            "--b-index", "1")
     assert code == 0
@@ -229,11 +245,10 @@ def test_report_names_the_backend_that_ran(capsys, monkeypatch):
 
 @pytest.mark.parametrize("env,value,needle", [
     ("PERMRAT_BACKEND", "bogus", "unknown backend 'bogus'"),
-    ("PERMRAT_BACKEND", "compiled", "not built"),
+    ("PERMRAT_BACKEND", "compiled", "unknown backend 'compiled'"),
     ("PERMRAT_JOBS", "abc", "PERMRAT_JOBS must be an integer"),
 ])
 def test_bad_environment_value_exits_two(capsys, monkeypatch, env, value, needle):
-    monkeypatch.setattr(backend, "_compiled", None)  # as when the extension is not built
     monkeypatch.setenv(env, value)
     for argv in (["reps", "--p", "5", "--n", "2"], ["verify", "lemmaL", "--p-max", "7"]):
         code, out, err = run_cli(capsys, *argv)
@@ -282,6 +297,17 @@ def test_vacuous_configuration_exits_two(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
     assert code == 2 and out == ""
     assert err == "error: configuration selects no cases\n"
+    assert not prog.exists()
+
+
+@pytest.mark.parametrize("primes", ["3", "2,5"])
+def test_thm11_rejects_primes_below_five(capsys, tmp_path, primes):
+    # the theorem is about p >= 5; for p = 2, 3 every such map permutes
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, "verify", "thm11", "--primes", primes,
+                             "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: thm11 requires p >= 5\n"
     assert not prog.exists()
 
 
@@ -351,8 +377,7 @@ def test_importing_the_cli_loads_no_command_module():
 def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
     # each process compiles only the modules its command runs; reps, lemma22
     # and lemmaL run no kernel, and only p = 2, 3 scans of 16 or more coset
-    # representatives run the sliced one (the pure backend's footprint, also
-    # where a compiled kernel is built)
+    # representatives run the sliced one
     probe = ("import json, sys; from permrat.cli import main; "
              f"code = main({argv!r}); "
              f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "

@@ -1,30 +1,18 @@
-"""Cross-checks: the compiled kernels must agree bit for bit with the pure twin,
-the pure quotient scan with the full-scan reference, and the bit-sliced
-generator for p = 2, 3 with the packed one."""
+"""Cross-checks: the quotient scan against the full-scan reference, the
+bit-sliced generator for p = 2, 3 against the packed one, and count_zeros
+against a BiPoly.eval census."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permrat import _kernel_py, _sliced, backend
+from permrat.cli import main
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
 from permrat.field import (Elem, first_elem_with_trace, frobenius, is_prime, make_field,
                            trace_rel)
 from permrat.maps import MapSpec, is_permutation
 
-needs_compiled = pytest.mark.skipif(
-    not backend.have_compiled(), reason="compiled kernel not built"
-)
 
-
-def _scan_pair(p, n, b_index, d=1):
-    ctx = make_field(p, n)
-    spec = MapSpec(ctx, ctx.element(b_index), d)
-    rc = is_permutation(spec, backend_name="compiled")
-    rp = is_permutation(spec, backend_name="pure")
-    return rc, rp
-
-
-@needs_compiled
 @pytest.mark.parametrize("p,n,b_index,d", [
     (5, 2, 1, 1),
     (5, 2, 3, 1),
@@ -34,49 +22,31 @@ def _scan_pair(p, n, b_index, d=1):
     (3, 4, 5, 2),
     (2, 5, 1, 1),
 ])
-def test_perm_scan_backends_agree(p, n, b_index, d):
-    rc, rp = _scan_pair(p, n, b_index, d)
-    assert rc.is_permutation == rp.is_permutation
-    assert rc.evaluations == rp.evaluations
-    if rc.witness is None:
-        assert rp.witness is None
+def test_is_permutation_matches_reference_scan(p, n, b_index, d):
+    ctx = make_field(p, n)
+    spec = MapSpec(ctx, ctx.element(b_index), d)
+    report = is_permutation(spec)
+    ok, witness, evals = _kernel_py.perm_scan_reference(
+        p, n, ctx.modulus, ctx.frobenius_rows(d), spec.b.coeffs)
+    assert report.is_permutation == ok
+    assert report.evaluations == evals
+    if witness is None:
+        assert report.witness is None
     else:
-        assert [e.index for e in rc.witness] == [e.index for e in rp.witness]
+        assert tuple(e.index for e in report.witness) == tuple(witness)
 
 
-@needs_compiled
-def test_count_backends_agree_prime_and_extension():
-    polys = [
-        criterion_sextic(make_field(13, 1), 5),
-        symmetric_quartic(make_field(13, 1), 5),
-        BiPoly(make_field(7, 1), {}),
-        BiPoly(make_field(7, 1), {(0, 0): 3}),
-    ]
-    f52 = make_field(5, 2)
-    polys.append(collision_curve(f52, f52.from_int(3)))
-    for poly in polys:
-        f = poly.field
-        terms = [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
-        comp = backend.get_backend("compiled").count_zeros(f.p, f.n, f.modulus, terms, True)
-        pure = backend.get_backend("pure").count_zeros(f.p, f.n, f.modulus, terms, True)
-        assert comp == pure
+def test_select_returns_the_pure_kernel():
+    for p in (2, 5, 1 << 32):
+        assert backend.select(p).BACKEND == "pure"
+    assert backend.have_compiled() is False
 
 
-@needs_compiled
-def test_compiled_refuses_huge_characteristic():
-    kern = backend.get_backend("compiled")
-    with pytest.raises(ValueError):
-        kern.perm_scan(1 << 32, 1, None, ((1,),), (1,))
-
-
-def test_select_falls_back_above_compiled_limit():
-    kern = backend.select(1 << 32)
-    assert kern.BACKEND == "pure"
-
-
-def test_unknown_backend_name_rejected():
-    with pytest.raises(ValueError):
-        backend.get_backend("numpy")
+def test_unknown_backend_name_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("PERMRAT_BACKEND", "numpy")
+    assert main(["permcheck", "--p", "5", "--n", "2", "--b-index", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown backend 'numpy'" in out.err
 
 
 # Every F_{p^n} with q <= 3000 for a spread of characteristics.
@@ -334,6 +304,19 @@ def test_count_zeros_matches_eval_census(data):
     count, zeros = _census(poly)
     assert _kernel_count(poly, True) == (count, zeros)
     assert _kernel_count(poly, False) == (count, None)
+
+
+def test_count_zeros_matches_census_prime_and_extension():
+    f52 = make_field(5, 2)
+    polys = [
+        criterion_sextic(make_field(13, 1), 5),
+        symmetric_quartic(make_field(13, 1), 5),
+        BiPoly(make_field(7, 1), {}),
+        BiPoly(make_field(7, 1), {(0, 0): 3}),
+        collision_curve(f52, f52.from_int(3)),
+    ]
+    for poly in polys:
+        assert _kernel_count(poly, True) == _census(poly)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (7, 2), (47, 1)])
