@@ -7,8 +7,11 @@ can be diffed.  Exit codes: 0 all checks passed or query completed, 1 a
 mathematical claim was violated (the report carries the witness), 2 usage or
 resource errors.
 
-Long sweeps accept --progress-file; an interrupted run resumes from the
-completed cases, refusing to resume under a changed configuration.
+The campaign subcommands (verify TARGET, weil-audit, conjecture) take their
+flags from one table, _CAMPAIGNS.  Flags are per target: a flag the target
+does not read is a usage error, as are both of conjecture's --primes and
+--p-max.  Long sweeps accept --progress-file; an interrupted run resumes from
+the completed cases, refusing to resume under a changed configuration.
 
 PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND may name the
 one kernel, "pure", which every report records under "backend".  A bad value
@@ -96,7 +99,9 @@ def _pick_b(ctx, args, d: int = 1):
     if args.b_index is not None:
         return ctx.element(args.b_index)
     if args.b_trace is not None:
-        return first_elem_with_trace(ctx, ctx.from_int(args.b_trace), d)
+        # at level d > 1 a trace is named by its element index, as reports print it
+        t = ctx.from_int(args.b_trace) if d == 1 else ctx.element(args.b_trace)
+        return first_elem_with_trace(ctx, t, d)
     raise ValueError("provide --b-index or --b-trace")
 
 
@@ -194,53 +199,63 @@ def _cmd_reps(args) -> tuple[dict, int]:
     return out, 0
 
 
-def _campaign_exit(report) -> tuple[dict, int]:
+def _primes_from_five(text: str) -> list[int]:
+    from .verify import primes_upto
+
+    return primes_upto(int(text), start=5)
+
+
+# The campaign targets: target -> (subcommand, function in `verify`, flags).
+# Each flag is (option, argparse keywords); its dest is the function's
+# keyword and its default the CLI default.  Options of one subcommand that
+# share a dest are alternatives.  A verify target reads only its own flags.
+_CAMPAIGNS = {
+    "baseline": ("verify", "verify_small_characteristic_baseline", (
+        ("--n2-max", dict(dest="n_max_2", type=int, default=12)),
+        ("--n3-max", dict(dest="n_max_3", type=int, default=8)))),
+    "thm11": ("verify", "verify_degree_five_nonpermutation", (
+        ("--primes", dict(dest="primes", type=_int_list, default=(5, 7, 11, 13))),)),
+    "thm31": ("verify", "verify_quadratic_trace_criterion", (
+        ("--p-max", dict(dest="p_max", type=int, default=100)),
+        ("--full-primes", dict(dest="full_primes", type=_int_list, default=(3, 5, 7))))),
+    "remark43": ("verify", "verify_prime_power_trace_criterion", (
+        ("--q-list", dict(dest="q_list", type=_int_list, default=(9, 25, 27, 49))),)),
+    "lemma22": ("verify", "verify_square_obstruction", (
+        ("--p-max", dict(dest="p_max", type=int, default=100)),)),
+    # 100, not the API's 97: the config, and so old progress files, say 100
+    "lemmaL": ("verify", "verify_squarefree_gcd_chain", (
+        ("--p-max", dict(dest="p_max", type=int, default=100)),)),
+    "weil-audit": ("weil-audit", "verify_curve_bounds", (
+        ("--p-max", dict(dest="p_max", type=int, default=97)),
+        ("--f-p", dict(dest="f_p", type=int, default=5)),
+        ("--f-degrees", dict(dest="f_degrees", type=_int_list, default=(2, 3))),
+        ("--ident-p-max", dict(dest="ident_p_max", type=int, default=13)),
+        ("--eq28-p-max", dict(dest="eq28_p_max", type=int, default=97)))),
+    "conjecture": ("conjecture", "conjecture_search", (
+        ("--n", dict(dest="n", type=int, choices=(3, 4), required=True)),
+        ("--primes", dict(dest="primes", type=_int_list)),
+        ("--p-max", dict(dest="primes", type=_primes_from_five, metavar="P_MAX")))),
+}
+
+
+def _campaign_flags(command: str) -> dict:
+    """Every campaign flag of `command`, option -> argparse keywords."""
+    return {opt: kw for cmd, _, own in _CAMPAIGNS.values() if cmd == command for opt, kw in own}
+
+
+def _cmd_campaign(args) -> tuple[dict, int]:
+    from . import verify
+
+    _, name, own = _CAMPAIGNS[args.target]
+    dests = {kw["dest"] for _, kw in own}
+    for option, kw in _campaign_flags(args.command).items():
+        if kw["dest"] not in dests and getattr(args, kw["dest"]) is not None:
+            raise ValueError(f"{option} does not apply to {args.command} {args.target}")
+    kwargs = {kw["dest"]: kw.get("default") for _, kw in own}
+    kwargs.update((d, getattr(args, d)) for d in dests if getattr(args, d) is not None)
+    # looked up by name, so a wrapper installed over the module attribute runs
+    report = getattr(verify, name)(**kwargs, jobs=args.jobs, progress_path=args.progress_file)
     return report.to_dict(), 0 if report.ok else 1
-
-
-def _cmd_verify(args) -> tuple[dict, int]:
-    from . import verify
-
-    jobs, progress = args.jobs, args.progress_file
-    target = args.target
-    if target == "baseline":
-        rep = verify.verify_small_characteristic_baseline(
-            args.n2_max, args.n3_max, jobs=jobs, progress_path=progress)
-    elif target == "thm11":
-        rep = verify.verify_degree_five_nonpermutation(
-            tuple(args.primes), jobs=jobs, progress_path=progress)
-    elif target == "thm31":
-        rep = verify.verify_quadratic_trace_criterion(
-            args.p_max, tuple(args.full_primes), jobs=jobs, progress_path=progress)
-    elif target == "remark43":
-        rep = verify.verify_prime_power_trace_criterion(
-            tuple(args.q_list), jobs=jobs, progress_path=progress)
-    elif target == "lemma22":
-        rep = verify.verify_square_obstruction(args.p_max, jobs=jobs, progress_path=progress)
-    elif target == "lemmaL":
-        rep = verify.verify_squarefree_gcd_chain(args.p_max, jobs=jobs, progress_path=progress)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verify target {target!r}")
-    return _campaign_exit(rep)
-
-
-def _cmd_weil_audit(args) -> tuple[dict, int]:
-    from . import verify
-
-    rep = verify.verify_curve_bounds(
-        p_max=args.p_max, f_p=args.f_p, f_degrees=tuple(args.f_degrees),
-        ident_p_max=args.ident_p_max, eq28_p_max=args.eq28_p_max,
-        jobs=args.jobs, progress_path=args.progress_file)
-    return _campaign_exit(rep)
-
-
-def _cmd_conjecture(args) -> tuple[dict, int]:
-    from . import verify
-
-    primes = None if args.primes is None else tuple(args.primes)
-    rep = verify.conjecture_search(args.n, primes, jobs=args.jobs,
-                                   progress_path=args.progress_file)
-    return _campaign_exit(rep)
 
 
 def _env_jobs() -> int:
@@ -295,30 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--t", type=int, default=None)
     ct.set_defaults(func=_cmd_count)
 
-    wa = sub.add_parser("weil-audit", parents=[common], help="curve suite: counts, bounds, identities")
-    wa.add_argument("--p-max", type=int, default=97)
-    wa.add_argument("--f-p", type=int, default=5)
-    wa.add_argument("--f-degrees", type=_int_list, default=[2, 3])
-    wa.add_argument("--ident-p-max", type=int, default=13)
-    wa.add_argument("--eq28-p-max", type=int, default=97)
-    wa.set_defaults(func=_cmd_weil_audit)
-
-    vf = sub.add_parser("verify", parents=[common], help="run a verification campaign")
-    vf.add_argument("target", choices=("baseline", "thm11", "thm31",
-                                       "remark43", "lemma22", "lemmaL"))
-    vf.add_argument("--n2-max", type=int, default=12)
-    vf.add_argument("--n3-max", type=int, default=8)
-    vf.add_argument("--p-max", type=int, default=100)
-    vf.add_argument("--primes", type=_int_list, default=[5, 7, 11, 13])
-    vf.add_argument("--full-primes", type=_int_list, default=[3, 5, 7])
-    vf.add_argument("--q-list", type=_int_list, default=[9, 25, 27, 49])
-    vf.set_defaults(func=_cmd_verify)
-
-    cj = sub.add_parser("conjecture", parents=[common], help="search the open cases n = 3, 4")
-    cj.add_argument("--n", type=int, choices=(3, 4), required=True)
-    cj.add_argument("--primes", type=_int_list, default=None)
-    cj.add_argument("--p-max", type=int, default=None)
-    cj.set_defaults(func=_cmd_conjecture)
+    for command, help_text in (("weil-audit", "curve suite: counts, bounds, identities"),
+                               ("verify", "run a verification campaign"),
+                               ("conjecture", "search the open cases n = 3, 4")):
+        cp = sub.add_parser(command, parents=[common], help=help_text)
+        cp.set_defaults(func=_cmd_campaign, target=command)
+        targets = [t for t, (cmd, _, _) in _CAMPAIGNS.items() if cmd == command]
+        if targets != [command]:
+            cp.add_argument("target", choices=targets)
+        flags = _campaign_flags(command)
+        dests = [kw["dest"] for kw in flags.values()]
+        groups = {d: cp.add_mutually_exclusive_group()
+                  for d in dict.fromkeys(dests) if dests.count(d) > 1}
+        for option, kw in flags.items():
+            groups.get(kw["dest"], cp).add_argument(option, **{**kw, "default": None})
 
     rp = sub.add_parser("reps", parents=[common], help="print the trace-class representatives")
     rp.add_argument("--p", type=int, required=True)
@@ -334,9 +339,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: bad usage (2) or --help (0)
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "conjecture" and args.p_max is not None:
-        from .verify import primes_upto
-        args.primes = primes_upto(args.p_max, start=5)
     try:
         if args.jobs is None:
             args.jobs = _env_jobs()

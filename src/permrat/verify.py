@@ -7,6 +7,12 @@ cases always carry a re-checkable witness.  Campaign ids double as the CLI
 verify targets (baseline, thm11, thm31, remark43, lemma22, lemmaL) plus the
 weil-audit curve suite and the two conjecture searches.
 
+A campaign function validates its arguments and gives its config and grid
+to the one runner, _campaign.  A grid yields _perm(key, params, expected,
+search) scan cases, which pass when the verdict equals `expected` (a search
+accepts either) and a non-permutation carries a witness, or _checked curve
+and lemma cases, whose results carry their own verdict.
+
 Cases are independent and may be dispatched to a process pool (`jobs`); the
 report is assembled in grid order either way.  A progress file turns a long
 sweep into a resumable one (see run_cases).
@@ -20,7 +26,7 @@ import os
 import time
 
 from ._record import Record
-from .field import absolute_trace, frobenius, is_prime, make_field
+from .field import absolute_trace, frobenius, is_prime, make_field, prime_divisors
 from .maps import (
     MapSpec,
     conjugate_b,
@@ -46,8 +52,9 @@ class CampaignReport(Record):
                   counterexamples=[] if counterexamples is None else counterexamples,
                   wall_time=wall_time)
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The serialized report; wall_time stays off it."""
+        return {
             "campaign": self.campaign,
             "config": self.config,
             "cases": self.cases,
@@ -55,9 +62,6 @@ class CampaignReport(Record):
             "counterexamples": self.counterexamples,
             "ok": self.ok,
         }
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +422,53 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     return [done[pl["key"]] for pl in payloads]
 
 
-def _finish(campaign, config, cases, t0, counterexamples=None) -> CampaignReport:
-    counterexamples = counterexamples or []
+def _campaign(name: str, config: dict, grid, jobs: int,
+              progress_path: str | None) -> CampaignReport:
+    """Run the cases of `grid` and assemble the campaign report.
+
+    `grid` yields (payload, record) pairs: the payload goes to run_cases,
+    and record(result) is the report's case.  A case whose record carries
+    a true "counterexample" is listed among the counterexamples.
+    """
+    t0 = time.perf_counter()
+    grid = list(grid)
+    results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path)
+    cases = [record(res) for (_, record), res in zip(grid, results)]
+    counterexamples = [c["key"] for c in cases if c.get("counterexample")]
     passed = sum(1 for c in cases if c["pass"])
-    totals = {
-        "cases": len(cases),
-        "passed": passed,
-        "failed": len(cases) - passed,
-        "counterexamples": len(counterexamples),
-    }
-    return CampaignReport(
-        campaign=campaign,
-        config=config,
-        cases=cases,
-        totals=totals,
-        ok=passed == len(cases),
-        counterexamples=counterexamples,
-        wall_time=time.perf_counter() - t0,
-    )
+    totals = {"cases": len(cases), "passed": passed, "failed": len(cases) - passed,
+              "counterexamples": len(counterexamples)}
+    return CampaignReport(name, config, cases, totals, passed == len(cases),
+                          counterexamples, time.perf_counter() - t0)
+
+
+def _perm(key: str, params: dict, expected: bool, search: bool = False):
+    """A permutation scan case; the scan reads p, n, b_index and d (when
+    present) off `params`.  A permuting search case is a counterexample."""
+    def record(res: dict) -> dict:
+        observed = res["is_permutation"]
+        case = {
+            "key": key,
+            "params": {**params, "modulus": res["modulus"]},
+            "expected_permutation": expected,
+            "observed_permutation": observed,
+            "witness": res["witness"],
+            "evaluations": res["evaluations"],
+        }
+        if search:
+            case["counterexample"] = bool(observed)
+        case["pass"] = ((search or observed == expected)
+                        and (observed or res["witness"] is not None))
+        return case
+
+    return {"kind": "perm", "key": key, "args": params}, record
+
+
+def _checked(kind: str, head: dict, params: dict):
+    """A curve or lemma case of `kind`, whose result carries its own "pass".
+    The report's case is `head` (the key first), then params, then the result."""
+    return ({"kind": kind, "key": head["key"], "args": params},
+            lambda res: {**head, "params": params, **res})
 
 
 # ---------------------------------------------------------------------------
@@ -445,30 +478,11 @@ def verify_small_characteristic_baseline(n_max_2: int = 12, n_max_3: int = 8,
                                          jobs: int = 1,
                                          progress_path: str | None = None) -> CampaignReport:
     """Every trace-class representative permutes F_{2^n} and F_{3^n}."""
-    t0 = time.perf_counter()
+    grid = (_perm(f"p={p},n={n},b={b.index}", {"p": p, "n": n, "b_index": b.index}, True)
+            for p, n_max in ((2, n_max_2), (3, n_max_3)) for n in range(1, n_max + 1)
+            for b in trace_class_reps(make_field(p, n)))
     config = {"n_max_2": n_max_2, "n_max_3": n_max_3}
-    payloads, meta = [], []
-    for p, n_max in ((2, n_max_2), (3, n_max_3)):
-        for n in range(1, n_max + 1):
-            ctx = make_field(p, n)
-            for b in trace_class_reps(ctx):
-                key = f"p={p},n={n},b={b.index}"
-                payloads.append({"kind": "perm", "key": key,
-                                 "args": {"p": p, "n": n, "b_index": b.index}})
-                meta.append((key, p, n, b.index))
-    results = run_cases("baseline", config, payloads, jobs, progress_path)
-    cases = []
-    for (key, p, n, b_index), res in zip(meta, results):
-        cases.append({
-            "key": key,
-            "params": {"p": p, "n": n, "b_index": b_index, "modulus": res["modulus"]},
-            "expected_permutation": True,
-            "observed_permutation": res["is_permutation"],
-            "witness": res["witness"],
-            "evaluations": res["evaluations"],
-            "pass": res["is_permutation"] is True,
-        })
-    return _finish("baseline", config, cases, t0)
+    return _campaign("baseline", config, grid, jobs, progress_path)
 
 
 def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
@@ -478,30 +492,11 @@ def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
     The theorem is about p >= 5: for p = 2, 3 every such map permutes."""
     if any(p < 5 for p in primes):
         raise ValueError("thm11 requires p >= 5")
-    t0 = time.perf_counter()
-    config = {"primes": list(primes), "n": 5}
-    payloads, meta = [], []
-    for p in primes:
-        ctx = make_field(p, 5)
-        for t, b in zip(range(1, (p - 1) // 2 + 1), trace_class_reps(ctx)):
-            key = f"p={p},t={t},b={b.index}"
-            payloads.append({"kind": "perm", "key": key,
-                             "args": {"p": p, "n": 5, "b_index": b.index}})
-            meta.append((key, p, t, b.index))
-    results = run_cases("thm11", config, payloads, jobs, progress_path)
-    cases = []
-    for (key, p, t, b_index), res in zip(meta, results):
-        cases.append({
-            "key": key,
-            "params": {"p": p, "n": 5, "trace": t, "b_index": b_index,
-                       "modulus": res["modulus"]},
-            "expected_permutation": False,
-            "observed_permutation": res["is_permutation"],
-            "witness": res["witness"],
-            "evaluations": res["evaluations"],
-            "pass": res["is_permutation"] is False and res["witness"] is not None,
-        })
-    return _finish("thm11", config, cases, t0)
+    grid = (_perm(f"p={p},t={t},b={b.index}",
+                  {"p": p, "n": 5, "trace": t, "b_index": b.index}, False)
+            for p in primes
+            for t, b in zip(range(1, (p - 1) // 2 + 1), trace_class_reps(make_field(p, 5))))
+    return _campaign("thm11", {"primes": list(primes), "n": 5}, grid, jobs, progress_path)
 
 
 def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
@@ -512,42 +507,22 @@ def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
     Class mode runs b = 1 .. (p-1)/2 (trace 2b) for every odd prime up to
     p_max; full mode runs every b with nonzero trace for the listed primes.
     """
-    t0 = time.perf_counter()
+    def grid():
+        for p in primes_upto(p_max, start=3):
+            for b in range(1, (p - 1) // 2 + 1):
+                tr = (2 * b) % p
+                yield _perm(f"class,p={p},b={b}",
+                            {"p": p, "n": 2, "b_index": b, "trace": tr}, tr in (1, p - 1))
+        for p in full_primes:
+            ctx = make_field(p, 2)
+            for i in range(ctx.order):
+                tr = absolute_trace(ctx.element(i))
+                if tr:
+                    yield _perm(f"full,p={p},b_index={i}",
+                                {"p": p, "n": 2, "b_index": i, "trace": tr}, tr in (1, p - 1))
+
     config = {"p_max": p_max, "full_primes": list(full_primes)}
-    payloads, meta = [], []
-    for p in primes_upto(p_max, start=3):
-        for b in range(1, (p - 1) // 2 + 1):
-            tr = (2 * b) % p
-            expected = tr in (1, p - 1)
-            key = f"class,p={p},b={b}"
-            payloads.append({"kind": "perm", "key": key,
-                             "args": {"p": p, "n": 2, "b_index": b}})
-            meta.append((key, p, b, tr, expected))
-    for p in full_primes:
-        ctx = make_field(p, 2)
-        for i in range(ctx.order):
-            tr = absolute_trace(ctx.element(i))
-            if tr == 0:
-                continue
-            expected = tr in (1, p - 1)
-            key = f"full,p={p},b_index={i}"
-            payloads.append({"kind": "perm", "key": key,
-                             "args": {"p": p, "n": 2, "b_index": i}})
-            meta.append((key, p, i, tr, expected))
-    results = run_cases("thm31", config, payloads, jobs, progress_path)
-    cases = []
-    for (key, p, b_index, tr, expected), res in zip(meta, results):
-        cases.append({
-            "key": key,
-            "params": {"p": p, "n": 2, "b_index": b_index, "trace": tr,
-                       "modulus": res["modulus"]},
-            "expected_permutation": expected,
-            "observed_permutation": res["is_permutation"],
-            "witness": res["witness"],
-            "evaluations": res["evaluations"],
-            "pass": res["is_permutation"] == expected,
-        })
-    return _finish("thm31", config, cases, t0)
+    return _campaign("thm31", config, grid(), jobs, progress_path)
 
 
 def verify_prime_power_trace_criterion(q_list=(9, 25, 27, 49), jobs: int = 1,
@@ -558,45 +533,22 @@ def verify_prime_power_trace_criterion(q_list=(9, 25, 27, 49), jobs: int = 1,
     exactly when the trace down to F_q is +-1; one representative b is
     scanned per sign pair of nonzero trace values.
     """
-    t0 = time.perf_counter()
-    config = {"q_list": list(q_list)}
-    payloads, meta = [], []
-    for q in q_list:
-        facs = [p for p in range(2, q + 1) if is_prime(p) and q % p == 0]
-        if len(facs) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        p = facs[0]
-        m = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            m += 1
-        if p ** m != q:
-            raise ValueError(f"{q} is not a prime power")
-        if p == 2:
-            raise ValueError("odd characteristic required")
-        ctx = make_field(p, 2 * m)
-        one = ctx.one
-        for t, b in subfield_trace_reps(ctx, m):
-            expected = t == one or t == -one
-            key = f"q={q},t={t.index},b={b.index}"
-            payloads.append({"kind": "perm", "key": key,
-                             "args": {"p": p, "n": 2 * m, "d": m, "b_index": b.index}})
-            meta.append((key, q, p, m, t.index, b.index, expected))
-    results = run_cases("remark43", config, payloads, jobs, progress_path)
-    cases = []
-    for (key, q, p, m, t_index, b_index, expected), res in zip(meta, results):
-        cases.append({
-            "key": key,
-            "params": {"q": q, "p": p, "n": 2 * m, "d": m, "t_index": t_index,
-                       "b_index": b_index, "modulus": res["modulus"]},
-            "expected_permutation": expected,
-            "observed_permutation": res["is_permutation"],
-            "witness": res["witness"],
-            "evaluations": res["evaluations"],
-            "pass": res["is_permutation"] == expected,
-        })
-    return _finish("remark43", config, cases, t0)
+    def grid():
+        for q in q_list:
+            facs = prime_divisors(q)
+            if len(facs) != 1:
+                raise ValueError(f"{q} is not a prime power")
+            p = facs[0]
+            if p == 2:
+                raise ValueError("odd characteristic required")
+            m = next(m for m in range(1, q) if p ** m == q)
+            ctx = make_field(p, 2 * m)
+            for t, b in subfield_trace_reps(ctx, m):
+                yield _perm(f"q={q},t={t.index},b={b.index}",
+                            {"q": q, "p": p, "n": 2 * m, "d": m, "t_index": t.index,
+                             "b_index": b.index}, t == ctx.one or t == -ctx.one)
+
+    return _campaign("remark43", {"q_list": list(q_list)}, grid(), jobs, progress_path)
 
 
 def conjecture_search(n: int, primes=None, jobs: int = 1,
@@ -612,81 +564,39 @@ def conjecture_search(n: int, primes=None, jobs: int = 1,
         raise ValueError("conjecture search covers n = 3 and n = 4 only")
     if primes is None:
         primes = (5, 7, 11, 13, 17, 19) if n == 3 else (5, 7, 11)
-    t0 = time.perf_counter()
+
+    def grid():
+        for p in primes:
+            if p < 5:
+                raise ValueError("conjecture search requires p >= 5")
+            classes = range(1, (p - 1) // 2 + 1)
+            for b in classes if n == 3 else ((p + 1) // 2,):  # n = 4: b = 1/2
+                yield _perm(f"p={p},n={n},b={b}",
+                            {"p": p, "n": n, "b_index": b, "role": "search"}, False, True)
+            for b in () if n == 3 else classes:
+                if (2 * b) % p not in (1, p - 1):
+                    for nn in (2, 4):
+                        yield _perm(f"filter,p={p},n={nn},b={b}",
+                                    {"p": p, "n": nn, "b_index": b, "role": "filter"}, False)
+
     config = {"n": n, "primes": list(primes)}
-    campaign = f"conjecture-n{n}"
-    payloads, meta = [], []
-    for p in primes:
-        if p < 5:
-            raise ValueError("conjecture search requires p >= 5")
-        if n == 3:
-            for b in range(1, (p - 1) // 2 + 1):
-                key = f"p={p},n=3,b={b}"
-                payloads.append({"kind": "perm", "key": key,
-                                 "args": {"p": p, "n": 3, "b_index": b}})
-                meta.append((key, p, 3, b, "search"))
-        else:
-            b_half = (p + 1) // 2  # the constant 1/2
-            key = f"p={p},n=4,b={b_half}"
-            payloads.append({"kind": "perm", "key": key,
-                             "args": {"p": p, "n": 4, "b_index": b_half}})
-            meta.append((key, p, 4, b_half, "search"))
-            for b in range(1, (p - 1) // 2 + 1):
-                if (2 * b) % p in (1, p - 1):
-                    continue
-                for nn in (2, 4):
-                    key = f"filter,p={p},n={nn},b={b}"
-                    payloads.append({"kind": "perm", "key": key,
-                                     "args": {"p": p, "n": nn, "b_index": b}})
-                    meta.append((key, p, nn, b, "filter"))
-    results = run_cases(campaign, config, payloads, jobs, progress_path)
-    cases, counterexamples = [], []
-    for (key, p, nn, b_index, role), res in zip(meta, results):
-        observed = res["is_permutation"]
-        case = {
-            "key": key,
-            "params": {"p": p, "n": nn, "b_index": b_index, "role": role,
-                       "modulus": res["modulus"]},
-            "expected_permutation": False,
-            "observed_permutation": observed,
-            "witness": res["witness"],
-            "evaluations": res["evaluations"],
-        }
-        if role == "search":
-            case["counterexample"] = bool(observed)
-            case["pass"] = True if observed else res["witness"] is not None
-            if observed:
-                counterexamples.append(key)
-        else:
-            case["pass"] = observed is False
-        cases.append(case)
-    return _finish(campaign, config, cases, t0, counterexamples)
+    return _campaign(f"conjecture-n{n}", config, grid(), jobs, progress_path)
 
 
 def verify_square_obstruction(p_max: int = 100, jobs: int = 1,
                               progress_path: str | None = None) -> CampaignReport:
     """The quartic-is-a-square coefficient system is inconsistent for t != 1."""
-    t0 = time.perf_counter()
-    config = {"p_max": p_max}
-    payloads = [{"kind": "lemma22", "key": f"p={p}", "args": {"p": p}}
-                for p in primes_upto(p_max, start=3)]
-    results = run_cases("lemma22", config, payloads, jobs, progress_path)
-    cases = [{"key": pl["key"], "params": pl["args"], **res}
-             for pl, res in zip(payloads, results)]
-    return _finish("lemma22", config, cases, t0)
+    grid = (_checked("lemma22", {"key": f"p={p}"}, {"p": p})
+            for p in primes_upto(p_max, start=3))
+    return _campaign("lemma22", {"p_max": p_max}, grid, jobs, progress_path)
 
 
 def verify_squarefree_gcd_chain(p_max: int = 97, jobs: int = 1,
                                 progress_path: str | None = None) -> CampaignReport:
     """The gcd chain collapses to 1 for every prime 5 <= p <= p_max."""
-    t0 = time.perf_counter()
-    config = {"p_max": p_max}
-    payloads = [{"kind": "lemmaL", "key": f"p={p}", "args": {"p": p}}
-                for p in primes_upto(p_max, start=5)]
-    results = run_cases("lemmaL", config, payloads, jobs, progress_path)
-    cases = [{"key": pl["key"], "params": pl["args"], **res}
-             for pl, res in zip(payloads, results)]
-    return _finish("lemmaL", config, cases, t0)
+    grid = (_checked("lemmaL", {"key": f"p={p}"}, {"p": p})
+            for p in primes_upto(p_max, start=5))
+    return _campaign("lemmaL", {"p_max": p_max}, grid, jobs, progress_path)
 
 
 def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
@@ -699,29 +609,27 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     class), the sextic/quartic pair for every odd prime 5 <= p <= p_max and
     every tau outside {0, +-1} (counts, infinity points, bound audits, cover
     census), the symmetric-reduction identity, the substitution identity, and
-    the tau^2 = 1 factorization.
+    the tau^2 = 1 factorization.  Each case records its kind.
     """
-    t0 = time.perf_counter()
+    def case(kind, key, params):
+        return _checked(kind, {"key": key, "kind": kind}, params)
+
+    def grid():
+        for n in f_degrees:
+            for b in trace_class_reps(make_field(f_p, n)):
+                yield case("curve_f", f"F,p={f_p},n={n},b={b.index}",
+                           {"p": f_p, "n": n, "b_index": b.index})
+        for p in primes_upto(p_max, start=5):
+            for tau in range(2, p - 1):
+                yield case("curve_gh", f"GH,p={p},tau={tau}", {"p": p, "tau": tau})
+        for p in primes_upto(eq28_p_max, start=3):
+            yield case("ident_eq28", f"eq28,p={p}", {"p": p})
+        for p in primes_upto(ident_p_max, start=3):
+            yield case("ident_subst", f"subst,p={p}", {"p": p})
+
     config = {"p_max": p_max, "f_p": f_p, "f_degrees": list(f_degrees),
               "ident_p_max": ident_p_max, "eq28_p_max": eq28_p_max}
-    payloads = []
-    for n in f_degrees:
-        ctx = make_field(f_p, n)
-        for b in trace_class_reps(ctx):
-            payloads.append({"kind": "curve_f", "key": f"F,p={f_p},n={n},b={b.index}",
-                             "args": {"p": f_p, "n": n, "b_index": b.index}})
-    for p in primes_upto(p_max, start=5):
-        for tau in range(2, p - 1):
-            payloads.append({"kind": "curve_gh", "key": f"GH,p={p},tau={tau}",
-                             "args": {"p": p, "tau": tau}})
-    for p in primes_upto(eq28_p_max, start=3):
-        payloads.append({"kind": "ident_eq28", "key": f"eq28,p={p}", "args": {"p": p}})
-    for p in primes_upto(ident_p_max, start=3):
-        payloads.append({"kind": "ident_subst", "key": f"subst,p={p}", "args": {"p": p}})
-    results = run_cases("weil-audit", config, payloads, jobs, progress_path)
-    cases = [{"key": pl["key"], "kind": pl["kind"], "params": pl["args"], **res}
-             for pl, res in zip(payloads, results)]
-    return _finish("weil-audit", config, cases, t0)
+    return _campaign("weil-audit", config, grid(), jobs, progress_path)
 
 
 def conjugation_identity_mismatches(p: int, n: int, trials: int = 20,

@@ -65,6 +65,21 @@ def test_permcheck_reports_the_level_d_trace(capsys):
     assert json.loads(out)["b"] == {"index": 3, "coeffs": [3, 0, 0, 0], "trace": 2}
 
 
+def test_b_trace_names_a_level_d_trace_by_element_index(capsys):
+    # element 25 of F_{5^4} is the first with level-2 trace element 50
+    argv = ("permcheck", "--p", "5", "--n", "4", "--frob-level", "2", "--b-trace")
+    code, out, _ = run_cli(capsys, *argv, "50")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["b"]["index"] == 25 and doc["b"]["trace_index"] == 50
+    code, out, err = run_cli(capsys, *argv, "7")  # element 7 is not in F_{5^2}
+    assert code == 2 and out == ""
+    assert err == "error: trace target is not in the requested subfield\n"
+    code, out, err = run_cli(capsys, *argv, "625")
+    assert code == 2 and out == ""
+    assert err == "error: element index 625 out of range for F(5^4)\n"
+
+
 @pytest.mark.parametrize("cmd", [["permcheck", "--n", "2"], ["count", "--builtin", "F", "--n", "2"]])
 def test_b_index_and_b_trace_are_exclusive(capsys, cmd):
     code, out, err = run_cli(capsys, *cmd, "--p", "5", "--b-index", "1", "--b-trace", "1")
@@ -153,6 +168,27 @@ def test_conjecture_subcommand(capsys):
     doc = json.loads(out)
     assert doc["counterexamples"] == []
     assert all(c["witness"] for c in doc["cases"])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "lemma22", "--p-max", "7", "--q-list", "9"], "--q-list"),
+    (["verify", "thm11", "--primes", "5", "--p-max", "7"], "--p-max"),
+    (["verify", "baseline", "--full-primes", "3"], "--full-primes"),
+], ids=["lemma22", "thm11", "baseline"])
+def test_verify_rejects_flags_the_target_does_not_read(capsys, tmp_path, argv, flag):
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} does not apply to verify {argv[1]}\n"
+    assert not prog.exists()
+
+
+def test_conjecture_primes_and_p_max_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "conjecture", "--n", "3", "--primes", "7", "--p-max", "5")
+    assert code == 2 and out == ""
+    assert "argument --p-max: not allowed with argument --primes" in err
+    code, out, _ = run_cli(capsys, "conjecture", "--n", "3", "--p-max", "5")
+    assert code == 0 and json.loads(out)["config"]["primes"] == [5]
 
 
 def test_output_bytes_are_stable(capsys):

@@ -58,6 +58,20 @@ def test_prime_power_criterion_degenerate_prime_matches_class_mode():
     assert set(cq) == {frozenset((1, 4)), frozenset((2, 3))}
 
 
+@pytest.mark.parametrize("q,error", [
+    (1, "1 is not a prime power"), (6, "6 is not a prime power"),
+    (12, "12 is not a prime power"), (8, "odd characteristic required"), (9, None),
+])
+def test_prime_power_criterion_parses_q(q, error):
+    if error is None:
+        report = verify.verify_prime_power_trace_criterion((q,))
+        assert report.ok and {c["params"]["p"] for c in report.cases} == {3}
+        assert {c["params"]["d"] for c in report.cases} == {2}
+    else:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            verify.verify_prime_power_trace_criterion((q,))
+
+
 def test_conjecture_search_small():
     report = verify.conjecture_search(3, (5, 7))
     assert report.ok and not report.counterexamples
