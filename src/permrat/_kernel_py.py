@@ -27,8 +27,8 @@ representatives, with the same output stream:
   p = 2, 3 every map with a nonzero trace permutes, so these scans always
   run to the end.  The module is imported only by scans that use it.
 
-`perm_scan_reference` is the element-by-element full scan on digit tuples,
-kept for the tests.
+The element-by-element full scan that `perm_scan` must agree with lives
+in the tests (`tests/oracles.py`), so scanning processes do not compile it.
 
 `count_zeros` evaluates a polynomial at every y in F_q at once for each x,
 one slot per y, and counts the zero slots with a flag bit.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 
-from .field import pdivmod, pinvmod, pmul, prime_divisors, ptrim
+from .field import pdivmod, pmul, prime_divisors
 
 BACKEND = "pure"
 
@@ -157,50 +157,6 @@ class _Packed:
         raise RuntimeError("extended Euclid did not end (implementation bug)")
 
 
-def _invert_digits(w, modulus, p, n):
-    if n == 1:
-        return (pow(w[0], p - 2, p),)
-    iv = pinvmod(ptrim(list(w)), list(modulus), p)
-    return tuple(iv) + (0,) * (n - len(iv))
-
-
-def _image_index(p, n, modulus, frob_rows, b_digits):
-    """The map xd -> index of f(x) for f(x) = x + (phi(x) - x + b)^{-1}.
-
-    phi is the linear map given by frob_rows (row i = image of basis X^i);
-    xd is the digit vector of x.  Raises ValueError where the denominator
-    vanishes.
-    """
-
-    def f_index(xd):
-        t = [0] * n
-        for i, ci in enumerate(xd):
-            if ci:
-                row = frob_rows[i]
-                for j in range(n):
-                    t[j] = (t[j] + ci * row[j]) % p
-        w = tuple((t[j] - xd[j] + b_digits[j]) % p for j in range(n))
-        if not any(w):
-            raise ValueError("denominator vanished; trace hypothesis violated")
-        iv = _invert_digits(w, modulus, p, n)
-        yi = 0
-        for j in range(n - 1, -1, -1):
-            yi = yi * p + (xd[j] + iv[j]) % p
-        return yi
-
-    return f_index
-
-
-def _step(xd, p, first):
-    """Advance the digit vector xd by one unit in digit `first` (odometer)."""
-    for k in range(first, len(xd)):
-        xd[k] += 1
-        if xd[k] == p:
-            xd[k] = 0
-        else:
-            break
-
-
 def _image_blocks(p, n, modulus, frob_rows, b_digits):
     """(block, digit 0) of f(p*k) for the coset representatives p*k,
     k = 0 .. p^(n-1) - 1, in order; block is the index of f(p*k) divided by
@@ -300,10 +256,10 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     exactly.  Both generators yield the same (block, digit 0) stream.
 
     Returns the same (is_permutation, witness, evaluations) as the
-    index-order full scan `perm_scan_reference`.  The first representative
-    p*k2 whose image block repeats is the full scan's first repeating
-    argument i2; the earlier representative p*k1 with that image block
-    (found by a second pass) gives its smallest preimage
+    index-order full scan (`perm_scan_reference` in the tests).  The first
+    representative p*k2 whose image block repeats is the full scan's first
+    repeating argument i2; the earlier representative p*k1 with that image
+    block (found by a second pass) gives its smallest preimage
     i1 = p*k1 + (y2 - y1 mod p), from the digit 0 of both images.
     evaluations is the full scan's count: p^n for a permutation, else
     i1 + i2 + 2 (i2 + 1 in the first pass, i1 + 1 in the second).  A
@@ -329,46 +285,6 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
         if block == target:
             i1, i2 = p * k1 + (y2 - y1) % p, p * k2
             return False, (i1, i2), i1 + i2 + 2
-    raise RuntimeError("collision image lost between passes")
-
-
-def perm_scan_reference(p, n, modulus, frob_rows, b_digits):
-    """Exhaustive index-order image scan; the reference for `perm_scan`.
-
-    Elements are visited in index order 0 .. p^n - 1 with a bitset of seen
-    images.  Returns (is_permutation, witness, evaluations) where witness is
-    the index pair (i1, i2), i1 < i2, of the first collision in enumeration
-    order (i2 is the first repeating argument, i1 its smallest preimage,
-    recovered by a second pass) and evaluations counts every evaluation of
-    both passes.
-    """
-    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
-    q = p ** n
-    seen = bytearray((q >> 3) + 1)
-    evals = 0
-    collision = -1
-    target = -1
-
-    xd = [0] * n
-    for xi in range(q):
-        yi = f_index(xd)
-        evals += 1
-        byte, bit = yi >> 3, 1 << (yi & 7)
-        if seen[byte] & bit:
-            collision, target = xi, yi
-            break
-        seen[byte] |= bit
-        _step(xd, p, 0)
-    if collision < 0:
-        return True, None, evals
-
-    xd = [0] * n
-    for xj in range(collision):
-        yi = f_index(xd)
-        evals += 1
-        if yi == target:
-            return False, (xj, collision), evals
-        _step(xd, p, 0)
     raise RuntimeError("collision image lost between passes")
 
 

@@ -9,7 +9,13 @@ The modulus for F_{p^n} is the first monic irreducible polynomial of degree n
 found when candidates are enumerated by increasing index of their non-leading
 part, i.e. the constant coefficient varies fastest.  This makes every field,
 element index, and reported witness reproducible without a polynomial table.
-Fields are cached and immutable, so they are safe to share across threads.
+The search keeps that order and only sieves it: a candidate with a factor of
+degree at most n/2 is dropped by a distinct-degree test before Rabin's test
+confirms the first survivor.  Fields are cached and immutable, so they are
+safe to share across threads.
+
+Subfields and traces are F_p-linear, so they are found by row reduction over
+F_p (`_row_reduce`), never by walking the field's elements.
 """
 
 from __future__ import annotations
@@ -180,13 +186,54 @@ def is_irreducible(f, p: int) -> bool:
     return True
 
 
+def _no_factor_up_to_half(f, p: int) -> bool:
+    """Ben-Or's distinct-degree test for a monic f of degree m >= 2 over F_p.
+
+    True iff gcd(X^{p^i} - X, f) = 1 for every i <= m/2, i.e. f has no
+    irreducible factor of degree at most m/2, which for degree m means f is
+    irreducible.  X^{p^i} mod f is built by repeated p-th powering, and most
+    reducible candidates already fail at i = 1 (a root in F_p).
+    """
+    x = [0, 1]
+    h = x
+    for _ in range((len(f) - 1) // 2):
+        h = ppowmod(h, p, f, p)
+        if pgcd_monic(psub(h, x, p), f, p) != [1]:
+            return False
+    return True
+
+
+def _row_reduce(rows, p: int, width: int) -> list[int]:
+    """Reduce `rows` (lists over F_p) in place to reduced row echelon form on
+    their first `width` columns, pivots taken in column order; any further
+    columns ride along with the row operations.  Returns the pivot columns:
+    row r of the result has a 1 in column pivots[r] and 0 in every other
+    pivot column, and the rows from len(pivots) on are 0 on the first
+    `width` columns."""
+    pivots = []
+    for j in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][j]
+            if i != r and c:
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return pivots
+
+
 # ---------------------------------------------------------------------------
 # Field contexts and elements.
 
 class Field:
     """The finite field F_{p^n}.  Construct via make_field, not directly."""
 
-    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_frob_cache")
+    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_frob_cache", "_trace_cache")
 
     def __init__(self, p: int, n: int, modulus):
         self.p = p
@@ -196,6 +243,7 @@ class Field:
         self.zero = Elem(self, (0,) * n)
         self.one = Elem(self, (1,) + (0,) * (n - 1))
         self._frob_cache = {}
+        self._trace_cache = {}  # level d -> row-reduced trace system, see first_elem_with_trace
 
     def __repr__(self):
         if self.n == 1:
@@ -389,10 +437,12 @@ def make_field(p: int, n: int = 1) -> Field:
     """Construct (and cache) F_{p^n} with the canonical modulus.
 
     Rejects composite p and orders above 2^40.  The same (p, n) always yields
-    the identical modulus, so element indices are stable across runs.  Fields
-    are interned: every call for the same (p, n), positional, keyword or with
-    n defaulted, returns the same object, so elements compare fields by
-    identity.
+    the identical modulus, the first irreducible in the enumeration order of
+    the module docstring, so element indices are stable across runs; the
+    search sieves candidates by distinct degree and confirms the modulus by
+    Rabin's test.  Fields are interned: every call for the same (p, n),
+    positional, keyword or with n defaulted, returns the same object, so
+    elements compare fields by identity.
     """
     return _interned_field(p, n)
 
@@ -416,7 +466,9 @@ def _interned_field(p: int, n: int) -> Field:
             kk, c = divmod(kk, p)
             digits.append(c)
         cand = digits + [1]
-        if is_irreducible(cand, p):
+        if _no_factor_up_to_half(cand, p):
+            if not is_irreducible(cand, p):
+                raise RuntimeError("sieved modulus failed Rabin's test (implementation bug)")
             return Field(p, n, tuple(cand))
     raise RuntimeError("no irreducible modulus found")  # cannot happen
 
@@ -460,6 +512,24 @@ def absolute_trace(x: Elem) -> int:
     return trace_rel(x, 1).coeffs[0]
 
 
+def _trace_columns(ctx: Field, d: int) -> list[tuple]:
+    """Tr_d(X^j) for j = 0 .. n-1, as digit tuples.
+
+    At level 1 these are the power sums s_j of the roots of the modulus
+    X^n + c_{n-1} X^{n-1} + ... + c_0, from Newton's identities
+    s_0 = n, s_k = -(k c_{n-k} + sum_{i<k} c_{n-i} s_{k-i}); each lies in
+    F_p, so only digit 0 is nonzero.  Other levels sum the Frobenius orbit.
+    """
+    p, n = ctx.p, ctx.n
+    if d > 1:
+        return [trace_rel(ctx.element(p ** j), d).coeffs for j in range(n)]
+    c = ctx.modulus
+    s = [n % p]
+    for k in range(1, n):
+        s.append(-(k * c[n - k] + sum(c[n - i] * s[k - i] for i in range(1, k))) % p)
+    return [(sj,) + (0,) * (n - 1) for sj in s]
+
+
 def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     """The element of smallest index whose level-d trace equals t.
 
@@ -470,6 +540,9 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     That solution has the smallest index: two solutions differ by a kernel
     vector whose highest nonzero digit sits on a free column (a pivot column
     is independent of all earlier ones), where this solution has digit 0.
+    The reduction does not depend on t, so it runs once per field and level
+    on the trace matrix augmented by the identity, and each call only applies
+    the recorded row operations to t.
     """
     if isinstance(t, int):
         t = ctx.from_int(t)
@@ -478,26 +551,17 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     if frobenius(t, d) != t:
         raise ValueError("trace target is not in the requested subfield")
     p, n = ctx.p, ctx.n
-    cols = [trace_rel(ctx.element(p ** j), d).coeffs for j in range(n)]
-    # augmented system: one row per digit of the trace, last entry from t
-    rows = [[col[i] for col in cols] + [t.coeffs[i]] for i in range(n)]
-    pivots = []
-    for j in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][j], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(n):
-            c = rows[i][j]
-            if i != r and c:
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
+    system = ctx._trace_cache.get(d)
+    if system is None:
+        cols = _trace_columns(ctx, d)
+        # one row per digit of the trace: [Tr(X^0)_i .. Tr(X^{n-1})_i | e_i]
+        rows = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
+        pivots = _row_reduce(rows, p, n)
+        system = ctx._trace_cache[d] = (pivots, [row[n:] for row in rows[:len(pivots)]])
+    pivots, ops = system
     digits = [0] * n
-    for r, j in enumerate(pivots):
-        digits[j] = rows[r][n]
+    for j, op in zip(pivots, ops):
+        digits[j] = sum(a * b for a, b in zip(op, t.coeffs)) % p
     e = Elem(ctx, tuple(digits))
     if trace_rel(e, d) != t:
         raise RuntimeError("trace solve missed its target (implementation bug)")
@@ -505,10 +569,33 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
 
 
 def subfield_elements(ctx: Field, d: int) -> list[Elem]:
-    """All elements of the order-p^d subfield (fixed points of x -> x^{p^d}).
+    """All elements of the order-p^d subfield, in index order.
 
-    Scans the whole field, so intended for small contexts only.
+    The subfield is the kernel of the F_p-linear map x -> x^{p^d} - x, so
+    this row-reduces Frob^d - I (from `frobenius_rows`), takes one kernel
+    vector per free column and enumerates the p^d combinations of that
+    basis.  Each result is checked to be fixed by the p^d-Frobenius, and
+    there must be exactly p^d of them.
     """
     if d < 1 or ctx.n % d != 0:
         raise ValueError(f"no subfield of level {d} in {ctx!r}")
-    return [e for e in ctx if frobenius(e, d) == e]
+    p, n = ctx.p, ctx.n
+    frob = ctx.frobenius_rows(d)
+    # equation j: sum_i x_i * (Frob^d - I)[i][j] = 0, digit j of x^{p^d} - x
+    rows = [[(frob[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
+    pivots = _row_reduce(rows, p, n)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, j in enumerate(pivots):
+            v[j] = -rows[r][f] % p
+        basis.append(v)
+    elems = [ctx.zero.coeffs]
+    for v in basis:
+        elems = [tuple((a + c * b) % p for a, b in zip(x, v)) for c in range(p) for x in elems]
+    out = sorted((Elem(ctx, x) for x in elems), key=lambda e: e.index)
+    if (len({e.index for e in out}) != p ** d
+            or any(frobenius(e, d) != e for e in out)):
+        raise RuntimeError("subfield basis is not a basis of the fixed field (implementation bug)")
+    return out

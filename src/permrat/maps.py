@@ -128,7 +128,8 @@ def trace_class_reps(ctx: Field) -> list[Elem]:
 def subfield_trace_reps(ctx: Field, d: int) -> list[tuple[Elem, Elem]]:
     """(t, b) pairs: one trace target per sign pair {t, -t} in the order-p^d
     subfield's nonzero elements, with b the first element whose level-d trace
-    is t.  Scans the field, so intended for small contexts."""
+    is t.  The subfield comes from a kernel basis of Frob^d - I, so the work
+    grows with p^d, the number of targets, not with the field."""
     pairs = []
     for t in subfield_elements(ctx, d):
         if not t:

@@ -1,0 +1,128 @@
+"""Slow references that the fast paths of permrat are tested against.
+
+Each oracle walks candidates or field elements one at a time, so it is meant
+for small fields only.  None of this is imported by the package itself.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
+
+
+# ---------------------------------------------------------------------------
+# Field layer.
+
+def first_irreducible_modulus(p, n):
+    """The modulus convention without the distinct-degree sieve: Rabin's test
+    on every monic candidate of degree n, by increasing index of its
+    non-leading part, until the first irreducible one."""
+    for k in range(p ** n):
+        cand = [k // p ** i % p for i in range(n)] + [1]
+        if is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+def subfield_by_scan(ctx, d):
+    """The order-p^d subfield as the fixed points of x -> x^{p^d}, found by
+    applying that map to every element in index order."""
+    return [e for e in ctx if frobenius(e, d) == e]
+
+
+@functools.lru_cache(maxsize=None)
+def first_index_by_trace(p, n, d):
+    """{index of t: index of the first element whose level-d trace is t},
+    from one index-order walk of F_{p^n} with `trace_rel`."""
+    first = {}
+    for e in make_field(p, n):
+        first.setdefault(trace_rel(e, d).index, e.index)
+    return first
+
+
+# ---------------------------------------------------------------------------
+# The full index-order scan that `_kernel_py.perm_scan` must agree with.
+
+def _invert_digits(w, modulus, p, n):
+    if n == 1:
+        return (pow(w[0], p - 2, p),)
+    iv = pinvmod(ptrim(list(w)), list(modulus), p)
+    return tuple(iv) + (0,) * (n - len(iv))
+
+
+def _image_index(p, n, modulus, frob_rows, b_digits):
+    """The map xd -> index of f(x) for f(x) = x + (phi(x) - x + b)^{-1}.
+
+    phi is the linear map given by frob_rows (row i = image of basis X^i);
+    xd is the digit vector of x.  Raises ValueError where the denominator
+    vanishes.
+    """
+
+    def f_index(xd):
+        t = [0] * n
+        for i, ci in enumerate(xd):
+            if ci:
+                row = frob_rows[i]
+                for j in range(n):
+                    t[j] = (t[j] + ci * row[j]) % p
+        w = tuple((t[j] - xd[j] + b_digits[j]) % p for j in range(n))
+        if not any(w):
+            raise ValueError("denominator vanished; trace hypothesis violated")
+        iv = _invert_digits(w, modulus, p, n)
+        yi = 0
+        for j in range(n - 1, -1, -1):
+            yi = yi * p + (xd[j] + iv[j]) % p
+        return yi
+
+    return f_index
+
+
+def _step(xd, p, first):
+    """Advance the digit vector xd by one unit in digit `first` (odometer)."""
+    for k in range(first, len(xd)):
+        xd[k] += 1
+        if xd[k] == p:
+            xd[k] = 0
+        else:
+            break
+
+
+def perm_scan_reference(p, n, modulus, frob_rows, b_digits):
+    """Exhaustive index-order image scan; the reference for `perm_scan`.
+
+    Elements are visited in index order 0 .. p^n - 1 with a bitset of seen
+    images.  Returns (is_permutation, witness, evaluations) where witness is
+    the index pair (i1, i2), i1 < i2, of the first collision in enumeration
+    order (i2 is the first repeating argument, i1 its smallest preimage,
+    recovered by a second pass) and evaluations counts every evaluation of
+    both passes.
+    """
+    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
+    q = p ** n
+    seen = bytearray((q >> 3) + 1)
+    evals = 0
+    collision = -1
+    target = -1
+
+    xd = [0] * n
+    for xi in range(q):
+        yi = f_index(xd)
+        evals += 1
+        byte, bit = yi >> 3, 1 << (yi & 7)
+        if seen[byte] & bit:
+            collision, target = xi, yi
+            break
+        seen[byte] |= bit
+        _step(xd, p, 0)
+    if collision < 0:
+        return True, None, evals
+
+    xd = [0] * n
+    for xj in range(collision):
+        yi = f_index(xd)
+        evals += 1
+        if yi == target:
+            return False, (xj, collision), evals
+        _step(xd, p, 0)
+    raise RuntimeError("collision image lost between passes")

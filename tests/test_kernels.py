@@ -12,6 +12,8 @@ from permrat.field import (Elem, first_elem_with_trace, frobenius, is_prime, mak
                            trace_rel)
 from permrat.maps import MapSpec, is_permutation
 
+from oracles import perm_scan_reference
+
 
 @pytest.mark.parametrize("p,n,b_index,d", [
     (5, 2, 1, 1),
@@ -26,7 +28,7 @@ def test_is_permutation_matches_reference_scan(p, n, b_index, d):
     ctx = make_field(p, n)
     spec = MapSpec(ctx, ctx.element(b_index), d)
     report = is_permutation(spec)
-    ok, witness, evals = _kernel_py.perm_scan_reference(
+    ok, witness, evals = perm_scan_reference(
         p, n, ctx.modulus, ctx.frobenius_rows(d), spec.b.coeffs)
     assert report.is_permutation == ok
     assert report.evaluations == evals
@@ -69,7 +71,7 @@ def test_quotient_scan_matches_full_scan(data):
     d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
     fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    ref = _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    ref = _scan_outcome(perm_scan_reference, ctx, d, b)
     assert fast == ref
     if trace_rel(b, d):
         assert fast != "ValueError"
@@ -79,7 +81,7 @@ def test_quotient_scan_matches_full_scan(data):
 def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
     # b = 0 has trace 0 and the denominator vanishes at x = 0
     ctx = make_field(p, n)
-    for scan in (_kernel_py.perm_scan, _kernel_py.perm_scan_reference):
+    for scan in (_kernel_py.perm_scan, perm_scan_reference):
         with pytest.raises(ValueError):
             scan(p, n, ctx.modulus, ctx.frobenius_rows(d), ctx.zero.coeffs)
 
@@ -111,7 +113,7 @@ def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, 
     ctx = make_field(p, n)
     b = ctx.element(b_index)
     fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
     if (p, n, b_index) == (2, 3, 2):
         assert fast == (False, (0, 2), 4)  # f(0) = f(2) before the zero at x = 4
 
@@ -125,7 +127,7 @@ def test_vanishing_denominator_in_a_later_lane_chunk(monkeypatch, p, n, d, b_ind
     ctx = make_field(p, n)
     b = ctx.element(b_index)
     fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    assert fast == _scan_outcome(_kernel_py.perm_scan_reference, ctx, d, b)
+    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
     if (p, n, b_index) == (2, 3, 2):
         assert fast == (False, (0, 2), 4)
 
@@ -137,7 +139,7 @@ def test_full_scan_past_the_chunk_cap(monkeypatch, p, n):
     # the end
     ctx = make_field(p, n)
     b = first_elem_with_trace(ctx, 1)
-    ref = _scan_outcome(_kernel_py.perm_scan_reference, ctx, 1, b)
+    ref = _scan_outcome(perm_scan_reference, ctx, 1, b)
     _route(monkeypatch, "packed")
     assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
     fast = _scan_outcome(_kernel_py.perm_scan, ctx, 1, b)

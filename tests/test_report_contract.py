@@ -1,9 +1,10 @@
-"""The report contract: each campaign's stdout bytes and exit code, pinned.
+"""The report contract: stdout bytes and exit code of each command, pinned.
 
-The digests were recorded from the CLI before the campaigns shared one
-runner.  A campaign report is a pure function of its configuration, so a
-change to any of these bytes is a change to the contract and must be
-declared, not absorbed.
+The campaign digests were recorded from the CLI before the campaigns shared
+one runner; the `reps` and `permcheck` digests before the field layer moved
+to F_p linear algebra (every report prints the field's modulus).  A report
+is a pure function of its configuration, so a change to any of these bytes
+is a change to the contract and must be declared, not absorbed.
 """
 
 import hashlib
@@ -35,6 +36,24 @@ _PINNED = {
         "4d56ccb28520d63b6fe248122c21c0a3322f2a85ada532b4deb064f4d3629806",
     "weil-audit --p-max 7 --f-degrees 2 --ident-p-max 3 --eq28-p-max 7":
         "7b2725e517da1a721fa40cec27fe54707fccfa2febfe1fb90d1fc2eeb12cf543",
+    "reps --p 2 --n 18":
+        "e63500a3b6aa025a0ac3ff87761e3cd6a89bba399bebd2e4bb258bacc8506ef8",
+    "reps --p 2 --n 16":
+        "7fc9ace2ccec85fcd26dd471158e888f58ca00af36cb4e6bab1f118e8cd6ff87",
+    "reps --p 3 --n 9":
+        "d2b8e3ecebe42f4d8ba3336e8a7115862e793415949df3bed02e5dbf4e66d87a",
+    "reps --p 3 --n 8 --d 4":
+        "0f29ae044c72c1a01ccfa2998cd94ca627b09ee8d8072daae1773e3a98a4c61f",
+    "reps --p 5 --n 5":
+        "ce192897ad56149dc5a9928e6de099cd066e58ec29fd9949f152a4e6bb7ae6ec",
+    "reps --p 7 --n 6 --d 3":
+        "c2a64a79017d668264d5612222b7d9d80fae99138cfb6684bfcf5a140f0320c3",
+    "reps --p 2 --n 12 --d 6":
+        "aadcbf0c7f347efe6fe4b472234502659ba9ee0b79629b5279c17724d1683de9",
+    "reps --p 401 --n 2":
+        "1705904a9419056d34a226cd7027a35e6efa4bb6341ab94208c8623084f489e2",
+    "permcheck --p 5 --n 5 --b-trace 4":
+        "501ec48aa91961cb615a233e3ce5a70ad3008cba3ed1b2c01fb62dd90c33e210",
 }
 
 
