@@ -1,7 +1,9 @@
 """The scan and count kernels, in pure Python.
 
 `maps` and `curves` reach this module through `backend.select`; BACKEND is
-the name reports record for it.
+the name reports record for it.  Both kernels take (p, n) and read the
+interned `make_field(p, n)`, the one place that derives arithmetic from the
+modulus: its modulus, its cached matrix rows and its multiplication.
 
 Both kernels use Python ints as wide registers: a packed int holds one W-bit
 slot per value, and `_slot_barrett` reduces every slot mod p at once with
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import functools
 
-from .field import pdivmod, pmul, prime_divisors
+from .field import Elem, make_field, pdivmod, prime_divisors
 
 BACKEND = "pure"
 
@@ -107,8 +109,9 @@ class _Packed:
     min_bits.  For n = 1 (modulus None) the modulus is X: F_p = F_p[X]/(X).
     """
 
-    def __init__(self, p, n, modulus, bmax, min_bits=0):
-        modulus = modulus or (0, 1)
+    def __init__(self, field, bmax, min_bits=0):
+        p, n = field.p, field.n
+        modulus = field.modulus or (0, 1)
         bound = max(n * (p - 1) * bmax, (n - 1) ** 2 * (p - 1) ** 3 + 2 * (p - 1)) + 1
         w, _, self.reduce = _slot_barrett(p, bound, 2 * n, min_bits)
         self.p, self.n, self.w = p, n, w
@@ -157,18 +160,18 @@ class _Packed:
         raise RuntimeError("extended Euclid did not end (implementation bug)")
 
 
-def _image_blocks(p, n, modulus, frob_rows, b_digits):
+def _image_blocks(field, d, b_digits):
     """(block, digit 0) of f(p*k) for the coset representatives p*k,
     k = 0 .. p^(n-1) - 1, in order; block is the index of f(p*k) divided by
     p.  Raises ValueError on reaching a representative whose denominator
     vanishes, after yielding every earlier one.
 
-    The denominator D(x) = phi(x) - x + b is F_p-linear in the digits of x
+    The denominator D(x) = x^(p^d) - x + b is F_p-linear in the digits of x
     plus b, and each step of the odometer that walks the representatives
     raises one digit by 1 and resets the digits below it from p-1 to 0, so
-    D is kept as the exact integer sum b + sum_j x_j*col_j, with
-    col_j = phi(X^j) - X^j mod p: one packed add or subtract per changed
-    digit, slots below
+    D is kept as the exact integer sum b + sum_j x_j*col_j, with col_j the
+    digits of X^(j p^d) - X^j (row j of `Field.artin_schreier_rows`): one
+    packed add or subtract per changed digit, slots below
     bmax = (p-1)*(1 + (n-1)*(p-1)).  A chunk of consecutive
     representatives is inverted by Montgomery's trick: prefix products
     P_i = D_1*...*D_i, one inversion of P_m, then walking back
@@ -176,11 +179,12 @@ def _image_blocks(p, n, modulus, frob_rows, b_digits):
     makes every later prefix product 0, so the chunk is cut before the
     first zero prefix.
     """
+    p, n = field.p, field.n
     blocks = p ** (n - 1)
     bmax = (p - 1) * (1 + (n - 1) * (p - 1))
-    pk = _Packed(p, n, modulus, bmax, (blocks - 1).bit_length())
+    pk = _Packed(field, bmax, (blocks - 1).bit_length())
     w, smask, mul, inv = pk.w, pk.smask, pk.mul, pk.inv
-    cols = [pk.pack((r - (i == j)) % p for i, r in enumerate(frob_rows[j])) for j in range(n)]
+    cols = [pk.pack(row) for row in field.artin_schreier_rows(d)]
     wraps = [(p - 1) * c for c in cols]
     ones = [1 << (w * j) for j in range(n)]
     xwraps = [(p - 1) * u for u in ones]
@@ -231,12 +235,14 @@ def _image_blocks(p, n, modulus, frob_rows, b_digits):
         size = min(2 * size, _CHUNK_CAP)
 
 
-def perm_scan(p, n, modulus, frob_rows, b_digits):
-    """Bijectivity of f(x) = x + (phi(x) - x + b)^{-1} over F_{p^n} by a
+def perm_scan(p, n, d, b_digits):
+    """Bijectivity of f(x) = x + (x^(p^d) - x + b)^{-1} over F_{p^n} by a
     quotient scan over the cosets x + F_p.
 
-    phi fixes F_p, so the denominator is constant on each coset and
-    f(x + c) = f(x) + c for c in F_p.  In index order the coset of x = p*k
+    The generators read the denominator's rows (`Field.artin_schreier_rows`)
+    from the interned `make_field(p, n)`.  x^(p^d) fixes F_p, so the
+    denominator is constant on each coset and f(x + c) = f(x) + c for c in
+    F_p.  In index order the coset of x = p*k
     is the block p*k .. p*k + p - 1, and f maps it bijectively onto the
     block of f(p*k).  So only the p^{n-1} block representatives are
     evaluated, with a bitset of image blocks; f permutes iff no image block
@@ -271,8 +277,9 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
         from ._sliced import image_blocks
     else:
         image_blocks = _image_blocks
+    field = make_field(p, n)
     seen = bytearray((blocks >> 3) + 1)
-    for k2, (target, y2) in enumerate(image_blocks(p, n, modulus, frob_rows, b_digits)):
+    for k2, (target, y2) in enumerate(image_blocks(field, d, b_digits)):
         byte, bit = target >> 3, 1 << (target & 7)
         if seen[byte] & bit:
             break
@@ -280,7 +287,7 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     else:
         return True, None, p ** n
 
-    images = image_blocks(p, n, modulus, frob_rows, b_digits)
+    images = image_blocks(field, d, b_digits)
     for k1, (block, y1) in zip(range(k2), images):
         if block == target:
             i1, i2 = p * k1 + (y2 - y1) % p, p * k2
@@ -288,57 +295,29 @@ def perm_scan(p, n, modulus, frob_rows, b_digits):
     raise RuntimeError("collision image lost between passes")
 
 
-def _digit_pow(base, e, modulus, p, n):
-    """base^e for digit tuples (binary exponentiation mod the field modulus)."""
-    result = (1,) + (0,) * (n - 1)
-    while e:
-        if e & 1:
-            result = _mul_digits(result, base, modulus, p, n)
-        e >>= 1
-        if e:
-            base = _mul_digits(base, base, modulus, p, n)
-    return result
-
-
-def _mul_digits(a, b, modulus, p, n):
-    if n == 1:
-        return (a[0] * b[0] % p,)
-    prod = pmul(list(a), list(b), p)
-    red = pdivmod(prod, list(modulus), p)[1]
-    return tuple(red) + (0,) * (n - len(red))
-
-
-def _index(digits, p):
-    i = 0
-    for c in reversed(digits):
-        i = i * p + c
-    return i
-
-
 @functools.lru_cache(maxsize=4)
-def _field_tables(p, n, modulus):
+def _field_tables(p, n):
     """(ex, lg, zech) for F_{p^n}, with g the primitive element of smallest
     index: ex[k] is the digit tuple of g^k (k < q - 1), lg[i] the discrete
     log of the element of index i (None for 0), and zech[k] = lg(1 + g^k),
-    so that g^a + g^b = g^(a + zech[b - a])."""
-    q = p ** n
-    one = (1,) + (0,) * (n - 1)
+    so that g^a + g^b = g^(a + zech[b - a]).  Built with the arithmetic of
+    the interned field."""
+    field = make_field(p, n)
+    q, one = field.order, field.one.coeffs
     ells = prime_divisors(q - 1)
-    for gi in range(1, q):
-        g = tuple(gi // p ** k % p for k in range(n))
-        if all(_digit_pow(g, (q - 1) // ell, modulus, p, n) != one for ell in ells):
-            break
+    g = next(e.coeffs for e in field
+             if e and all(field._pow(e.coeffs, (q - 1) // ell) != one for ell in ells))
     ex, lg = [], [None] * q
     cur = one
     for k in range(q - 1):
         ex.append(cur)
-        lg[_index(cur, p)] = k
-        cur = _mul_digits(cur, g, modulus, p, n)
-    zech = tuple(lg[_index(((d[0] + 1) % p,) + d[1:], p)] for d in ex)
+        lg[Elem(field, cur).index] = k
+        cur = field._mul(cur, g)
+    zech = tuple(lg[Elem(field, field._add(d, one)).index] for d in ex)
     return tuple(ex), tuple(lg), zech
 
 
-def count_zeros(p, n, modulus, terms, collect=False):
+def count_zeros(p, n, terms, collect=False):
     """Exact zero count of a sparse bivariate polynomial over F_{p^n} x F_{p^n}.
 
     terms is a sequence of (i, j, coeff_digits).  Returns (count, zeros)
@@ -363,18 +342,19 @@ def count_zeros(p, n, modulus, terms, collect=False):
     rounded up to whole bytes, so `collect` reads the flags from every W/8-th
     byte in increasing y.  A row with every r_j = 0 vanishes at all q points.
 
-    Field arithmetic outside the planes runs on discrete logs (tables cached
-    per field): r_j is summed term by term with Zech logarithms, and column
-    k of M(r) is g^(log r + k log X).
+    Field arithmetic outside the planes runs on discrete logs (tables from
+    `_field_tables`): r_j is summed term by term with Zech logarithms, and
+    column k of M(r) is g^(log r + k log X).
     """
-    q = p ** n
-    ex, lg, zech = _field_tables(p, n, tuple(modulus) if modulus else None)
+    field = make_field(p, n)
+    q = field.order
+    ex, lg, zech = _field_tables(p, n)
     order = q - 1
     iexps = sorted({i for i, _, _ in terms})
     ipos = {i: k for k, i in enumerate(iexps)}
     by_j = {}
     for i, j, c in terms:
-        lc = lg[_index(tuple(d % p for d in c), p)]
+        lc = lg[Elem(field, tuple(d % p for d in c)).index]
         if lc is not None:
             by_j.setdefault(j, []).append((ipos[i], lc))
     jslots = sorted(by_j)

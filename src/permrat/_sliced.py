@@ -2,8 +2,10 @@
 
 `image_blocks` yields the same stream as `_kernel_py._image_blocks`: the
 (block, digit 0) of f(p*k) for the coset representatives p*k,
-k = 0 .. p^(n-1) - 1, in order, with f(x) = x + (phi(x) - x + b)^{-1}.  It
-evaluates a whole chunk of representatives at once.
+k = 0 .. p^(n-1) - 1, in order, with f(x) = x + (x^(p^d) - x + b)^{-1}.  It
+evaluates a whole chunk of representatives at once.  Every matrix it applies
+is a cached row set of the field it is given: `Field.artin_schreier_rows`
+for the denominator, `Field.frobenius_rows` for Itoh-Tsujii.
 
 Lane k of a chunk stands for one representative.  A plane is a Python int
 with one bit per lane, and an element of F_{p^n} is one plane per digit for
@@ -20,7 +22,7 @@ reduced by the low coefficients of the monic modulus.  The inverse is
 Itoh-Tsujii's: with g_k = a^((p^k - 1)/(p - 1)) and g_(k+l) = g_k^(p^l) g_l,
 an addition chain on n - 1 reaches g_(n-1) in about 2 log2(n) products and
 Frobenius powers (F_p-linear maps, so each is a matrix on the planes, with
-rows derived from the modulus); then t = g_(n-1)^p, the norm N = a*t lies
+the field's Frobenius rows); then t = g_(n-1)^p, the norm N = a*t lies
 in F_p, and 1/a = t*N because N^-1 = N in F_2 and F_3.  A zero lane stays
 0 throughout.
 
@@ -34,11 +36,8 @@ most one chunk.
 
 from __future__ import annotations
 
-import functools
 import sys
 from itertools import chain
-
-from .field import pdivmod, pmul, ppowmod
 
 # representatives per chunk, at most; at 2^16 an F_{2^20} scan's peak RSS
 # rose by 2.6 MB, at 2^14 by 0.2 MB, at no measurable cost in speed
@@ -52,19 +51,6 @@ _ORDER = sys.byteorder
 _TERNARY = bytes(sum(((v >> 2 * i) & 3) * 3 ** i for i in range(4)) for v in range(256))
 
 
-@functools.lru_cache(maxsize=64)
-def _frobenius_rows(p, n, modulus, l):
-    """Rows of x -> x^(p^l) on F_p[X]/(modulus): row i is the digit tuple
-    of X^(i p^l).  Cached: a campaign scans many maps over one field."""
-    m = list(modulus)
-    xp = ppowmod([0, 1], p ** l, m, p)
-    rows, row = [], [1]
-    for _ in range(n):
-        rows.append(tuple(row) + (0,) * (n - len(row)))
-        row = pdivmod(pmul(row, xp, p), m, p)[1]
-    return tuple(rows)
-
-
 class _Sliced:
     """F_{p^n} on the planes of `full` (all lanes set); the subclasses hold
     the digit arithmetic of F_2 and F_3.  For the way out of the planes,
@@ -72,16 +58,15 @@ class _Sliced:
     one transposed byte, `code` maps that byte to its value (None: the byte
     is its value) and radix is the weight of one byte group over the next."""
 
-    def __init__(self, n, modulus, full):
-        self.n, self.modulus, self.full = n, modulus, full
+    def __init__(self, field, full):
+        self.field, self.n, self.full = field, field.n, full
         self._frobs = {}
 
     def frobenius(self, a, l):
         """a^(p^l)."""
         lin = self._frobs.get(l)
         if lin is None:
-            rows = _frobenius_rows(self.p, self.n, self.modulus, l)
-            lin = self._frobs[l] = self.linear(rows)
+            lin = self._frobs[l] = self.linear(self.field.frobenius_rows(l))
         return self.apply(lin, a)
 
     def inverse(self, a):
@@ -103,10 +88,10 @@ class _F2(_Sliced):
 
     p, per_byte, radix, code = 2, 8, 256, None
 
-    def __init__(self, n, modulus, full):
-        super().__init__(n, modulus, full)
+    def __init__(self, field, full):
+        super().__init__(field, full)
         # X^n = sum of the X^i with m_i = 1
-        self.low = [i for i in range(n) if modulus[i]] if n > 1 else []
+        self.low = [i for i, c in enumerate(field.modulus[:self.n]) if c] if self.n > 1 else []
 
     def linear(self, rows):
         # output digit m is the sum of the input digits i with rows[i][m] = 1
@@ -158,10 +143,11 @@ class _F3(_Sliced):
 
     p, per_byte, radix, code = 3, 4, 81, _TERNARY
 
-    def __init__(self, n, modulus, full):
-        super().__init__(n, modulus, full)
+    def __init__(self, field, full):
+        super().__init__(field, full)
         # X^n = sum_i (-m_i) X^i: (i, True) adds twice the digit, (i, False) once
-        self.low = [(i, modulus[i] == 1) for i in range(n) if modulus[i]] if n > 1 else []
+        self.low = ([(i, c == 1) for i, c in enumerate(field.modulus[:self.n]) if c]
+                    if self.n > 1 else [])
 
     def linear(self, rows):
         return [[(i, rows[i][m] == 2) for i in range(self.n) if rows[i][m]]
@@ -253,24 +239,25 @@ def _digit_planes(p, lo, full):
     return planes
 
 
-def image_blocks(p, n, modulus, frob_rows, b_digits):
+def image_blocks(field, d, b_digits):
     """(block, digit 0) of f(p*k) for k = 0 .. p^(n-1) - 1, in order, for
     p = 2 or 3: the stream of `_kernel_py._image_blocks`, ValueError
     included.  The pairs of each chunk are chained in C, not yielded one
     by one from Python."""
-    return chain.from_iterable(_chunk_images(p, n, modulus, frob_rows, b_digits))
+    return chain.from_iterable(_chunk_images(field, d, b_digits))
 
 
-def _chunk_images(p, n, modulus, frob_rows, b_digits):
+def _chunk_images(field, d, b_digits):
     """One iterator of (block, digit 0) pairs per chunk; raises ValueError
     in place of the chunk holding the first vanishing denominator, after an
     iterator of the pairs before it.
 
-    The denominator is D = b + sum_(j>=1) x_j col_j with
-    col_j = phi(X^j) - X^j.  Its part from the periodic digits 1 .. lo is
-    the same in every chunk; the constant part from the digits above is
-    kept as a digit vector, and one step of their odometer adds col_j
-    mod p whether digit j rises by 1 or wraps from p-1 to 0.
+    The denominator is D = b + sum_(j>=1) x_j col_j, col_j the digits of
+    X^(j p^d) - X^j (`Field.artin_schreier_rows`).  Its part from the
+    periodic digits 1 .. lo is the same in every chunk; the constant part
+    from the digits above is kept as a digit vector, and one step of their
+    odometer adds col_j mod p whether digit j rises by 1 or wraps from p-1
+    to 0.
 
     The image y = x + 1/D leaves the planes by bit-matrix transposition:
     `lane_bytes` turns up to 8 planes into one byte per lane, and a group
@@ -279,15 +266,16 @@ def _chunk_images(p, n, modulus, frob_rows, b_digits):
     sum_(j>=1) y_j p^(j-1) is a Horner sum of group bytes placed in words
     (each block index is below p^(n-1), so words never carry).
     """
+    p, n = field.p, field.n
     blocks = p ** (n - 1)
     lo = 0
     while lo < n - 1 and p ** (lo + 1) <= _LANE_CAP:
         lo += 1
     lanes = p ** lo
     full = (1 << lanes) - 1
-    fld = (_F2 if p == 2 else _F3)(n, modulus, full)
+    fld = (_F2 if p == 2 else _F3)(field, full)
 
-    cols = [[(r - (i == j)) % p for i, r in enumerate(frob_rows[j])] for j in range(n)]
+    cols = field.artin_schreier_rows(d)
     xs = _digit_planes(p, lo, full)
     # the periodic part sum_(1<=j<=lo) x_j col_j of D, every digit plane
     zero = 0 if p == 2 else (0, 0)

@@ -16,7 +16,9 @@ the completed cases, refusing to resume under a changed configuration.
 PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND may name the
 one kernel, "pure", which every report records under "backend".  A bad value
 of either is a usage error (exit 2), as is a width below 1 from --jobs or
-PERMRAT_JOBS, or a campaign configuration that selects no cases.
+PERMRAT_JOBS, or a campaign configuration that selects no cases.  So are a
+count flag that the chosen curve does not read and a reps subfield order p^d
+above REPS_MAX_SUBFIELD.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ from .field import absolute_trace, first_elem_with_trace, make_field, trace_rel
 
 # Each _cmd_* imports the modules it runs, so a process compiles only what its
 # subcommand needs (reps and permcheck never load curves or verify).
+
+# The largest subfield order p^d that reps enumerates, p^d/2 parameters in all
+# (reps --p 131071 --n 1 takes 1.9 s and 93 MB on a 2-CPU x86-64 host).
+REPS_MAX_SUBFIELD = 1 << 17
+
+# count: the curves that read each curve flag; with any other, it is a usage error
+_COUNT_FLAGS = {"--b-index": ("F",), "--b-trace": ("F",), "--tau": ("G", "H"), "--t": ("A",)}
 
 
 def _int_list(text: str) -> list[int]:
@@ -140,6 +149,13 @@ def _cmd_count(args) -> tuple[dict, int]:
                          homogenization_quartic, parse_bipoly, symmetric_quartic)
 
     ctx = make_field(args.p, args.n)
+    if not (args.builtin or args.poly_file):
+        raise ValueError("provide --builtin or --poly-file")
+    for option, readers in _COUNT_FLAGS.items():
+        given = getattr(args, option[2:].replace("-", "_")) is not None
+        if given and args.builtin not in readers:
+            curve = f"--builtin {args.builtin}" if args.builtin else "--poly-file"
+            raise ValueError(f"{option} does not apply to count {curve}")
     params: dict = {}
     if args.poly_file:
         with open(args.poly_file, encoding="utf-8") as f:
@@ -150,7 +166,7 @@ def _cmd_count(args) -> tuple[dict, int]:
         b = _pick_b(ctx, args)
         poly = collision_curve(ctx, b)
         params["b"] = _elem_dict(b)
-    elif args.builtin in ("G", "H", "A"):
+    else:
         if args.n != 1:
             raise ValueError(f"builtin {args.builtin} lives over a prime field (use --n 1)")
         if args.builtin == "A":
@@ -164,8 +180,6 @@ def _cmd_count(args) -> tuple[dict, int]:
             build = criterion_sextic if args.builtin == "G" else symmetric_quartic
             poly = build(ctx, args.tau)
             params["tau"] = args.tau % args.p
-    else:
-        raise ValueError("provide --builtin or --poly-file")
     out = {
         "command": "count",
         "p": args.p, "n": args.n, "q": ctx.order,
@@ -184,6 +198,9 @@ def _cmd_reps(args) -> tuple[dict, int]:
 
     ctx = make_field(args.p, args.n)
     d = args.d
+    if d >= 1 and args.n % d == 0 and args.p ** d > REPS_MAX_SUBFIELD:
+        raise ValueError(f"reps lists about p^d/2 parameters, and p^d = {args.p}^{d} = "
+                         f"{args.p ** d} exceeds the bound {REPS_MAX_SUBFIELD} (2^17)")
     if d == 1:
         reps = [{"trace": absolute_trace(b), **_elem_dict(b)}
                 for b in trace_class_reps(ctx)]
@@ -303,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     ct = sub.add_parser("count", parents=[common], help="affine and infinity point counts")
     ct.add_argument("--p", type=int, required=True)
     ct.add_argument("--n", type=int, default=1)
-    ct.add_argument("--builtin", choices=("F", "G", "H", "A"), default=None)
-    ct.add_argument("--poly-file", default=None)
+    curve = ct.add_mutually_exclusive_group()
+    curve.add_argument("--builtin", choices=("F", "G", "H", "A"), default=None)
+    curve.add_argument("--poly-file", default=None)
     _add_b_choice(ct)
     ct.add_argument("--tau", type=int, default=None)
     ct.add_argument("--t", type=int, default=None)

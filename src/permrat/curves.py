@@ -291,7 +291,7 @@ def _kernel_zeros(poly: BiPoly, collect: bool):
     if f.order ** 2 > COUNT_BUDGET:
         raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
     kern = backend.select(f.p)
-    return kern.count_zeros(f.p, f.n, f.modulus, _term_list(poly), collect)
+    return kern.count_zeros(f.p, f.n, _term_list(poly), collect)
 
 
 def count_affine(poly: BiPoly) -> int:

@@ -233,7 +233,8 @@ def _row_reduce(rows, p: int, width: int) -> list[int]:
 class Field:
     """The finite field F_{p^n}.  Construct via make_field, not directly."""
 
-    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_frob_cache", "_trace_cache")
+    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_frob_cache", "_as_cache",
+                 "_trace_cache")
 
     def __init__(self, p: int, n: int, modulus):
         self.p = p
@@ -243,6 +244,7 @@ class Field:
         self.zero = Elem(self, (0,) * n)
         self.one = Elem(self, (1,) + (0,) * (n - 1))
         self._frob_cache = {}
+        self._as_cache = {}  # level d -> artin_schreier_rows(d)
         self._trace_cache = {}  # level d -> row-reduced trace system, see first_elem_with_trace
 
     def __repr__(self):
@@ -337,6 +339,19 @@ class Field:
                 row = pdivmod(pmul(row, xp, self.p), list(self.modulus), self.p)[1]
             rows = tuple(rows_l)
         self._frob_cache[k] = rows
+        return rows
+
+    def artin_schreier_rows(self, d: int):
+        """Matrix rows of the F_p-linear map L(x) = x^{p^d} - x: row i is the
+        digit tuple of X^{i p^d} - X^i.  For d | n its kernel is the order-p^d
+        subfield and its image the level-d trace-zero elements (additive
+        Hilbert 90); the scan kernels build the map's denominator from it."""
+        rows = self._as_cache.get(d)
+        if rows is None:
+            p = self.p
+            rows = self._as_cache[d] = tuple(
+                tuple((r - (i == j)) % p for j, r in enumerate(row))
+                for i, row in enumerate(self.frobenius_rows(d)))
         return rows
 
 
@@ -572,7 +587,7 @@ def subfield_elements(ctx: Field, d: int) -> list[Elem]:
     """All elements of the order-p^d subfield, in index order.
 
     The subfield is the kernel of the F_p-linear map x -> x^{p^d} - x, so
-    this row-reduces Frob^d - I (from `frobenius_rows`), takes one kernel
+    this row-reduces its matrix (`artin_schreier_rows`), takes one kernel
     vector per free column and enumerates the p^d combinations of that
     basis.  Each result is checked to be fixed by the p^d-Frobenius, and
     there must be exactly p^d of them.
@@ -580,9 +595,8 @@ def subfield_elements(ctx: Field, d: int) -> list[Elem]:
     if d < 1 or ctx.n % d != 0:
         raise ValueError(f"no subfield of level {d} in {ctx!r}")
     p, n = ctx.p, ctx.n
-    frob = ctx.frobenius_rows(d)
-    # equation j: sum_i x_i * (Frob^d - I)[i][j] = 0, digit j of x^{p^d} - x
-    rows = [[(frob[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
+    # equation j: sum_i x_i * L[i][j] = 0, digit j of x^{p^d} - x
+    rows = [list(col) for col in zip(*ctx.artin_schreier_rows(d))]
     pivots = _row_reduce(rows, p, n)
     basis = []
     for f in (j for j in range(n) if j not in pivots):

@@ -82,9 +82,7 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
     if f.order > cap:
         raise ValueError(f"field order {f.order} exceeds the scan cap {cap}")
     kern = backend.select(f.p)
-    ok, witness_idx, evals = kern.perm_scan(
-        f.p, f.n, f.modulus, f.frobenius_rows(spec.d), spec.b.coeffs
-    )
+    ok, witness_idx, evals = kern.perm_scan(f.p, f.n, spec.d, spec.b.coeffs)
     witness = None
     if witness_idx is not None:
         witness = (f.element(witness_idx[0]), f.element(witness_idx[1]))

@@ -88,7 +88,7 @@ def _step(xd, p, first):
             break
 
 
-def perm_scan_reference(p, n, modulus, frob_rows, b_digits):
+def perm_scan_reference(p, n, d, b_digits):
     """Exhaustive index-order image scan; the reference for `perm_scan`.
 
     Elements are visited in index order 0 .. p^n - 1 with a bitset of seen
@@ -98,7 +98,8 @@ def perm_scan_reference(p, n, modulus, frob_rows, b_digits):
     recovered by a second pass) and evaluations counts every evaluation of
     both passes.
     """
-    f_index = _image_index(p, n, modulus, frob_rows, b_digits)
+    ctx = make_field(p, n)
+    f_index = _image_index(p, n, ctx.modulus, ctx.frobenius_rows(d), b_digits)
     q = p ** n
     seen = bytearray((q >> 3) + 1)
     evals = 0

@@ -127,6 +127,47 @@ def test_count_missing_parameter_is_usage_error(capsys):
     assert code == 2 and "tau" in err
 
 
+def test_count_builtin_and_poly_file_are_exclusive(capsys, tmp_path):
+    path = tmp_path / "poly.txt"
+    path.write_text("X^2 + Y^2 - 1\n")
+    code, out, err = run_cli(capsys, "count", "--p", "7", "--builtin", "G", "--tau", "3",
+                             "--poly-file", str(path))
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
+# count: each curve with the flags it reads; --poly-file reads none
+_COUNT_CURVES = {"F": ["--builtin", "F", "--b-index", "1"],
+                 "G": ["--builtin", "G", "--tau", "2"],
+                 "H": ["--builtin", "H", "--tau", "2"],
+                 "A": ["--builtin", "A", "--t", "1"],
+                 "poly-file": ["--poly-file"]}
+
+
+@pytest.mark.parametrize("curve,flag", [
+    ("F", "--tau"), ("A", "--tau"), ("F", "--t"), ("G", "--t"), ("H", "--t"),
+    ("G", "--b-index"), ("H", "--b-trace"), ("A", "--b-index"),
+    ("poly-file", "--b-trace"), ("poly-file", "--tau"), ("poly-file", "--t")])
+def test_count_flag_the_curve_does_not_read_exits_two(capsys, tmp_path, curve, flag):
+    argv = _COUNT_CURVES[curve]
+    if curve == "poly-file":
+        path = tmp_path / "poly.txt"
+        path.write_text("X^2 + Y^2 - 1\n")
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, "count", "--p", "5", *argv, flag, "1")
+    assert code == 2 and out == ""
+    name = "--poly-file" if curve == "poly-file" else f"--builtin {curve}"
+    assert err == f"error: {flag} does not apply to count {name}\n"
+
+
+@pytest.mark.parametrize("argv,power", [(["--p", "1000003", "--n", "1"], "1000003^1 = 1000003"),
+                                        (["--p", "2", "--n", "40", "--d", "20"], "2^20 = 1048576")])
+def test_reps_refuses_a_subfield_above_the_bound(capsys, argv, power):
+    code, out, err = run_cli(capsys, "reps", *argv)
+    assert code == 2 and out == ""
+    assert f"p^d = {power} exceeds the bound 131072" in err
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["permcheck", "--p", "5"]) == 2          # missing --n
     assert main(["no-such-command"]) == 2

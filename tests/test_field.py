@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permrat.field import (
+    Elem,
     absolute_trace,
     first_elem_with_trace,
     frobenius,
@@ -285,6 +286,18 @@ def test_subfield_elements_match_fixed_point_scan(data):
     d = data.draw(st.sampled_from(_divisors(n)))
     f = make_field(p, n)
     assert subfield_elements(f, d) == subfield_by_scan(f, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_artin_schreier_rows_map_x_to_x_to_the_p_d_minus_x(data):
+    p, n = data.draw(_fields(3000))
+    d = data.draw(st.sampled_from(_divisors(n)))
+    f = make_field(p, n)
+    x = f.element(data.draw(st.integers(0, f.order - 1)))
+    rows = f.artin_schreier_rows(d)
+    image = [sum(c * row[j] for c, row in zip(x.coeffs, rows)) % p for j in range(n)]
+    assert Elem(f, tuple(image)) == frobenius(x, d) - x
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,8 +28,7 @@ def test_is_permutation_matches_reference_scan(p, n, b_index, d):
     ctx = make_field(p, n)
     spec = MapSpec(ctx, ctx.element(b_index), d)
     report = is_permutation(spec)
-    ok, witness, evals = perm_scan_reference(
-        p, n, ctx.modulus, ctx.frobenius_rows(d), spec.b.coeffs)
+    ok, witness, evals = perm_scan_reference(p, n, d, spec.b.coeffs)
     assert report.is_permutation == ok
     assert report.evaluations == evals
     if witness is None:
@@ -58,7 +57,7 @@ _SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 53)
 
 def _scan_outcome(scan, ctx, d, b):
     try:
-        return scan(ctx.p, ctx.n, ctx.modulus, ctx.frobenius_rows(d), b.coeffs)
+        return scan(ctx.p, ctx.n, d, b.coeffs)
     except ValueError:
         return "ValueError"
 
@@ -83,7 +82,7 @@ def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
     ctx = make_field(p, n)
     for scan in (_kernel_py.perm_scan, perm_scan_reference):
         with pytest.raises(ValueError):
-            scan(p, n, ctx.modulus, ctx.frobenius_rows(d), ctx.zero.coeffs)
+            scan(p, n, d, ctx.zero.coeffs)
 
 
 def _trace_zero_cases():
@@ -180,7 +179,7 @@ def test_sliced_stream_matches_packed(lanes, data):
     b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
     if data.draw(st.booleans()):
         b = frobenius(b, d) - b  # level-d trace 0 (Hilbert 90)
-    args = (p, n, ctx.modulus, ctx.frobenius_rows(d), b.coeffs)
+    args = (ctx, d, b.coeffs)
     with pytest.MonkeyPatch.context() as mp:
         if lanes:
             mp.setattr(_sliced, "_LANE_CAP", p * p)
@@ -216,7 +215,7 @@ def _lane_elems(fld, ctx, planes, lanes):
 def test_sliced_digit_ops_on_all_pairs(p):
     pairs = [(a, c) for a in range(p) for c in range(p)]
     ctx = make_field(p, 1)
-    fld = (_sliced._F2 if p == 2 else _sliced._F3)(1, None, (1 << len(pairs)) - 1)
+    fld = (_sliced._F2 if p == 2 else _sliced._F3)(ctx, (1 << len(pairs)) - 1)
     a = _lane_planes(ctx, [ctx.element(x) for x, _ in pairs])
     c = _lane_planes(ctx, [ctx.element(y) for _, y in pairs])
 
@@ -239,14 +238,13 @@ def test_sliced_arithmetic_matches_field(data):
     lanes = data.draw(st.integers(1, 40))
     xs = data.draw(st.lists(elems, min_size=lanes, max_size=lanes))
     ys = data.draw(st.lists(elems, min_size=lanes, max_size=lanes))
-    fld = (_sliced._F2 if p == 2 else _sliced._F3)(n, ctx.modulus, (1 << lanes) - 1)
+    fld = (_sliced._F2 if p == 2 else _sliced._F3)(ctx, (1 << lanes) - 1)
     a, c = _lane_planes(ctx, xs), _lane_planes(ctx, ys)
     assert _lane_elems(fld, ctx, fld.mul(a, c), lanes) == [x * y for x, y in zip(xs, ys)]
     assert _lane_elems(fld, ctx, fld.inverse(a), lanes) == [
         x.inverse() if x else ctx.zero for x in xs]
     if n > 1:
         l = data.draw(st.integers(1, n - 1))
-        assert _sliced._frobenius_rows(p, n, ctx.modulus, l) == ctx.frobenius_rows(l)
         assert _lane_elems(fld, ctx, fld.frobenius(a, l), lanes) == [frobenius(x, l) for x in xs]
 
 
@@ -261,7 +259,7 @@ def test_packed_arithmetic_matches_field(data):
     p, n = data.draw(st.sampled_from(_ALL_FIELDS))
     ctx = make_field(p, n)
     bmax = (p - 1) * (1 + (n - 1) * (p - 1))  # the scan's unreduced denominators
-    pk = _kernel_py._Packed(p, n, ctx.modulus, bmax)
+    pk = _kernel_py._Packed(ctx, bmax)
     digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
     a, add = data.draw(digits), data.draw(digits)
     b_raw = data.draw(st.lists(st.integers(0, bmax), min_size=n, max_size=n))
@@ -274,6 +272,32 @@ def test_packed_arithmetic_matches_field(data):
             assert pk.unpack(pk.inv(pk.pack(a))) == ctx._inv(a)
     with pytest.raises(ZeroDivisionError):
         pk.inv(0)
+
+
+def _multiplicative_order(e):
+    k, cur = 1, e
+    while cur != 1:
+        k, cur = k + 1, cur * e
+    return k
+
+
+def test_field_tables_match_elem_arithmetic():
+    # every F_{p^n} with q <= 729: ex and lg are inverse to each other, zech
+    # is the log of 1 + g^k, and g is the primitive element of smallest index
+    for p, n in [(p, n) for p, n in _ALL_FIELDS if p ** n <= 729]:
+        f = make_field(p, n)
+        q = f.order
+        ex, lg, zech = _kernel_py._field_tables(p, n)
+        g = Elem(f, ex[1] if q > 2 else ex[0])
+        assert len(ex) == q - 1 and len(lg) == q and lg[0] is None
+        cur = f.one
+        for k in range(q - 1):
+            assert ex[k] == cur.coeffs and lg[cur.index] == k
+            one_plus = cur + 1
+            assert (zech[k] is None if not one_plus else Elem(f, ex[zech[k]]) == one_plus)
+            cur = cur * g
+        assert cur == 1
+        assert all(_multiplicative_order(f.element(i)) < q - 1 for i in range(1, g.index))
 
 
 # Every F_{p^n} with q <= 49: the packed count_zeros against a BiPoly.eval census.
@@ -292,7 +316,7 @@ def _census(poly):
 def _kernel_count(poly, collect):
     f = poly.field
     terms = [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
-    return _kernel_py.count_zeros(f.p, f.n, f.modulus, terms, collect)
+    return _kernel_py.count_zeros(f.p, f.n, terms, collect)
 
 
 @settings(max_examples=40, deadline=None)
