@@ -1,7 +1,9 @@
-"""The scan and count kernels, in pure Python.
+"""The scan kernel, in pure Python, and the face of the count kernel.
 
 `maps` and `curves` reach this module through `backend.select`; BACKEND is
-the name reports record for it.  Both kernels take (p, n) and read the
+the name reports record for it.  `count_zeros` is read from it but lives in
+`_count`, which the first read of the attribute loads, so a scanning process
+never compiles the count kernel.  Both kernels take (p, n) and read the
 interned `make_field(p, n)`, the one place that derives arithmetic from the
 modulus: its modulus, its cached matrix rows and its multiplication.
 
@@ -17,39 +19,59 @@ canonical full scan's, not the work done.  Two generators evaluate the
 representatives, with the same output stream:
 
 * `_image_blocks`, for p >= 5 and for small fields: elements are packed
-  one slot per digit (`_Packed`), and the denominators of consecutive
-  representatives are inverted in chunks by Montgomery's batch inversion:
-  3 multiplications per element and one extended-Euclid inversion per
-  chunk.  Chunks start at _CHUNK_FIRST representatives and double up to
-  _CHUNK_CAP, so a scan that stops early does little extra work and memory
-  stays bounded.
+  one slot per digit (`_Packed`, built once per field), and the
+  denominators of consecutive representatives are inverted in chunks by
+  Montgomery's batch inversion: 3 multiplications per element and one
+  extended-Euclid inversion per chunk.  Chunks start at _CHUNK_FIRST
+  representatives and double up to _CHUNK_CAP, so a scan that stops early
+  does little extra work and memory stays bounded.
 * `_sliced.image_blocks`, for p = 2, 3 from _SLICED_MIN_BLOCKS
   representatives on: bit-sliced, one big-int operation per digit for a
   whole chunk of representatives, with Itoh-Tsujii inversion.  For
-  p = 2, 3 every map with a nonzero trace permutes, so these scans always
-  run to the end.  The module is imported only by scans that use it.
+  p = 2, 3 every map with a nonzero absolute trace permutes, so these scans
+  run to the end at d = 1.  The module is imported only by scans that use
+  it.
+
+A scan that collides finds the earlier representative with the same image
+in the pass that found the collision, from a trail of the first
+representatives' images whose memory is bounded by about twice the
+bitset's; only a collision past the trail takes a second pass over the
+generator.
 
 The element-by-element full scan that `perm_scan` must agree with lives
 in the tests (`tests/oracles.py`), so scanning processes do not compile it.
-
-`count_zeros` evaluates a polynomial at every y in F_q at once for each x,
-one slot per y, and counts the zero slots with a flag bit.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
+from itertools import islice
 
-from .field import Elem, make_field, pdivmod, prime_divisors
+from .field import make_field, pdivmod
 
 BACKEND = "pure"
 
 _CHUNK_FIRST = 8
 _CHUNK_CAP = 512
+# The first max(blocks >> _TRAIL_SHIFT, _TRAIL_FLOOR) representatives of a
+# scan keep their image in the trail: 2 words each, so 8 KB up to 2^15
+# blocks and about twice the bitset's blocks/8 bytes beyond.
+_TRAIL_SHIFT = 6
+_TRAIL_FLOOR = _CHUNK_CAP
 # p = 2, 3 scans of at least this many representatives run bit-sliced.  Below
 # it the generators are within ~15 us a scan, so a process that scans only
 # such fields is spared the ~5 ms it takes to compile _sliced.
 _SLICED_MIN_BLOCKS = 16
+
+
+def __getattr__(name):
+    """`count_zeros` from the count kernel, loaded on first use."""
+    if name == "count_zeros":
+        from ._count import count_zeros
+
+        return count_zeros
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _slot_barrett(p, bound, slots, min_bits=0):
@@ -160,6 +182,17 @@ class _Packed:
         raise RuntimeError("extended Euclid did not end (implementation bug)")
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_packing(field):
+    """The `_Packed` arithmetic of the scans over `field`, built once per
+    field: slots hold an unreduced denominator digit, up to
+    bmax = (p-1)*(1 + (n-1)*(p-1)) (see `_image_blocks`), and a block
+    index, below p^(n-1)."""
+    p, n = field.p, field.n
+    bmax = (p - 1) * (1 + (n - 1) * (p - 1))
+    return _Packed(field, bmax, (p ** (n - 1) - 1).bit_length())
+
+
 def _image_blocks(field, d, b_digits):
     """(block, digit 0) of f(p*k) for the coset representatives p*k,
     k = 0 .. p^(n-1) - 1, in order; block is the index of f(p*k) divided by
@@ -181,8 +214,7 @@ def _image_blocks(field, d, b_digits):
     """
     p, n = field.p, field.n
     blocks = p ** (n - 1)
-    bmax = (p - 1) * (1 + (n - 1) * (p - 1))
-    pk = _Packed(field, bmax, (blocks - 1).bit_length())
+    pk = _scan_packing(field)
     w, smask, mul, inv = pk.w, pk.smask, pk.mul, pk.inv
     cols = [pk.pack(row) for row in field.artin_schreier_rows(d)]
     wraps = [(p - 1) * c for c in cols]
@@ -265,12 +297,17 @@ def perm_scan(p, n, d, b_digits):
     index-order full scan (`perm_scan_reference` in the tests).  The first
     representative p*k2 whose image block repeats is the full scan's first
     repeating argument i2; the earlier representative p*k1 with that image
-    block (found by a second pass) gives its smallest preimage
-    i1 = p*k1 + (y2 - y1 mod p), from the digit 0 of both images.
-    evaluations is the full scan's count: p^n for a permutation, else
-    i1 + i2 + 2 (i2 + 1 in the first pass, i1 + 1 in the second).  A
-    vanishing denominator raises ValueError only when the scan reaches it,
-    as the full scan does: a collision before it is still returned.
+    block gives its smallest preimage i1 = p*k1 + (y2 - y1 mod p), from the
+    digit 0 of both images.  The first
+    max(p^(n-1) >> _TRAIL_SHIFT, _TRAIL_FLOOR) representatives append their
+    image block and digit 0 to a trail of two machine-word arrays, so a
+    repeat among them finds k1 by one `array.index` and the scan ends in
+    one pass; the trail's memory is about twice the bitset's.  Past the
+    trail the loop only tests and sets the bitset, and a repeat there finds
+    k1 by a second pass over the generator.  evaluations is the full scan's
+    count: p^n for a permutation, else i1 + i2 + 2.  A vanishing
+    denominator raises ValueError only when the scan reaches it, as the
+    full scan does: a collision before it is still returned.
     """
     blocks = p ** (n - 1)
     if p <= 3 and blocks >= _SLICED_MIN_BLOCKS:
@@ -279,7 +316,18 @@ def perm_scan(p, n, d, b_digits):
         image_blocks = _image_blocks
     field = make_field(p, n)
     seen = bytearray((blocks >> 3) + 1)
-    for k2, (target, y2) in enumerate(image_blocks(field, d, b_digits)):
+    images = image_blocks(field, d, b_digits)
+    trail, trail_y = array("L"), array("L")
+    length = max(blocks >> _TRAIL_SHIFT, _TRAIL_FLOOR)
+    for k2, (target, y2) in enumerate(islice(images, length)):
+        byte, bit = target >> 3, 1 << (target & 7)
+        if seen[byte] & bit:
+            k1 = trail.index(target)
+            return _collision(p, k1, trail_y[k1], k2, y2)
+        seen[byte] |= bit
+        trail.append(target)
+        trail_y.append(y2)
+    for k2, (target, y2) in enumerate(images, length):
         byte, bit = target >> 3, 1 << (target & 7)
         if seen[byte] & bit:
             break
@@ -290,140 +338,13 @@ def perm_scan(p, n, d, b_digits):
     images = image_blocks(field, d, b_digits)
     for k1, (block, y1) in zip(range(k2), images):
         if block == target:
-            i1, i2 = p * k1 + (y2 - y1) % p, p * k2
-            return False, (i1, i2), i1 + i2 + 2
+            return _collision(p, k1, y1, k2, y2)
     raise RuntimeError("collision image lost between passes")
 
 
-@functools.lru_cache(maxsize=4)
-def _field_tables(p, n):
-    """(ex, lg, zech) for F_{p^n}, with g the primitive element of smallest
-    index: ex[k] is the digit tuple of g^k (k < q - 1), lg[i] the discrete
-    log of the element of index i (None for 0), and zech[k] = lg(1 + g^k),
-    so that g^a + g^b = g^(a + zech[b - a]).  Built with the arithmetic of
-    the interned field."""
-    field = make_field(p, n)
-    q, one = field.order, field.one.coeffs
-    ells = prime_divisors(q - 1)
-    g = next(e.coeffs for e in field
-             if e and all(field._pow(e.coeffs, (q - 1) // ell) != one for ell in ells))
-    ex, lg = [], [None] * q
-    cur = one
-    for k in range(q - 1):
-        ex.append(cur)
-        lg[Elem(field, cur).index] = k
-        cur = field._mul(cur, g)
-    zech = tuple(lg[Elem(field, field._add(d, one)).index] for d in ex)
-    return tuple(ex), tuple(lg), zech
-
-
-def count_zeros(p, n, terms, collect=False):
-    """Exact zero count of a sparse bivariate polynomial over F_{p^n} x F_{p^n}.
-
-    terms is a sequence of (i, j, coeff_digits).  Returns (count, zeros)
-    where zeros lists the (x_index, y_index) pairs in x, then y, index order
-    when collect is true, else None.
-
-    One packed pass per x serves every n.  A Python int holds one W-bit slot
-    per y in F_q (slot y at bit y*W), and plane[j][k] packs digit k of y^j.
-    For fixed x the polynomial is sum_j r_j y^j with r_j = sum_i c_ij x^i,
-    and digit m of r*y^j is sum_k M(r)[m][k] * (digit k of y^j), where column
-    k of the F_p-matrix M(r) is the digit tuple of r*X^k (for n = 1, M(r) is
-    the scalar r).  So digit m of the value at every y at once is
-
-        S_m = sum_j sum_k M(r_j)[m][k] * plane[j][k],
-
-    rows*n products of entries below p, each slot below
-    B = rows*n*(p-1)^2 + 1, and one `_slot_barrett` step reduces every slot
-    mod p together, with no borrow.  With h = bitlen(p)
-    the remainders of the n digits are ORed and 2^h - 1 added per slot: bit h
-    of a slot is set exactly when some digit is nonzero (r + 2^h - 1 < 2^(h+1)
-    since r < p < 2^h), so the zeros of the row are the clear bits h.  W is
-    rounded up to whole bytes, so `collect` reads the flags from every W/8-th
-    byte in increasing y.  A row with every r_j = 0 vanishes at all q points.
-
-    Field arithmetic outside the planes runs on discrete logs (tables from
-    `_field_tables`): r_j is summed term by term with Zech logarithms, and
-    column k of M(r) is g^(log r + k log X).
-    """
-    field = make_field(p, n)
-    q = field.order
-    ex, lg, zech = _field_tables(p, n)
-    order = q - 1
-    iexps = sorted({i for i, _, _ in terms})
-    ipos = {i: k for k, i in enumerate(iexps)}
-    by_j = {}
-    for i, j, c in terms:
-        lc = lg[Elem(field, tuple(d % p for d in c)).index]
-        if lc is not None:
-            by_j.setdefault(j, []).append((ipos[i], lc))
-    jslots = sorted(by_j)
-
-    bound = len(jslots) * n * (p - 1) ** 2 + 1
-    width, unit, reduce = _slot_barrett(p, bound, q)
-    wb = width // 8
-    h = p.bit_length()
-    top = unit << h
-    ones = unit * ((1 << h) - 1)
-    flag_byte, flag = h // 8, bytes([1 << (h % 8)])
-
-    def log_powers(lx):
-        """log x^i for every i in iexps, from lx = log x (None: x = 0, 0^0 = 1)."""
-        if lx is None:
-            return [None if i else 0 for i in iexps]
-        return [lx * i % order for i in iexps]
-
-    rows = []
-    zero = (0,) * n
-    for j in jslots:
-        # digit tuples of y^j in y order (ex[0] is 1, for 0^0)
-        pw = [ex[ly * j % order] if ly is not None else (zero if j else ex[0]) for ly in lg]
-        plane = [int.from_bytes(b"".join(d[k].to_bytes(wb, "little") for d in pw), "little")
-                 for k in range(n)]
-        rows.append((plane, by_j[j]))
-    lx_step = lg[p] if n > 1 else 0  # log X, for the columns r*X^k of M(r)
-
-    count = 0
-    zeros = [] if collect else None
-    for x in range(q):
-        xl = log_powers(lg[x])
-        sums = [0] * n
-        live = False
-        for plane, row_terms in rows:
-            lr = None  # log r_j, summed with Zech logs; None while r_j = 0
-            for ip, lc in row_terms:
-                le = xl[ip]
-                if le is None:
-                    continue
-                le += lc
-                if lr is None:
-                    lr = le % order
-                else:
-                    z = zech[(le - lr) % order]
-                    lr = None if z is None else (lr + z) % order
-            if lr is None:
-                continue
-            live = True
-            for k in range(n):
-                pl = plane[k]
-                for m, d in enumerate(ex[(lr + k * lx_step) % order]):
-                    if d:
-                        sums[m] += d * pl
-        if not live:
-            count += q
-            if collect:
-                zeros.extend((x, y) for y in range(q))
-            continue
-        nz = 0
-        for s in sums:
-            nz |= reduce(s)
-        z = ((nz + ones) & top) ^ top
-        if z:
-            count += z.bit_count()
-            if collect:
-                flags = z.to_bytes(q * wb, "little")[flag_byte::wb]
-                y = flags.find(flag)
-                while y >= 0:
-                    zeros.append((x, y))
-                    y = flags.find(flag, y + 1)
-    return count, zeros
+def _collision(p, k1, y1, k2, y2):
+    """The full scan's verdict when the representatives p*k1 < p*k2 have one
+    image block, with y1 and y2 the digits 0 of their images: the witness
+    (i1, i2) and i1 + i2 + 2 evaluations."""
+    i1, i2 = p * k1 + (y2 - y1) % p, p * k2
+    return False, (i1, i2), i1 + i2 + 2

@@ -1,10 +1,10 @@
 """The kernel module that scans and counts run on.
 
-There is one kernel, the pure-Python `_kernel_py`.  PERMRAT_BACKEND may name
-it ("pure"); any other value is rejected.  `maps` and `curves` look the
-kernel up through `select` at call time, so a wrapper installed there sees
-every scan and count.  The kernel module is imported only when `select` is
-first called.
+There is one kernel, the pure-Python `_kernel_py`, whose `count_zeros` is
+loaded from `_count` on first use.  PERMRAT_BACKEND may name it ("pure");
+any other value is rejected.  `maps` and `curves` look the kernel up through
+`select` at call time, so a wrapper installed there sees every scan and
+count.  The kernel module is imported only when `select` is first called.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND may name the
 one kernel, "pure", which every report records under "backend".  A bad value
 of either is a usage error (exit 2), as is a width below 1 from --jobs or
 PERMRAT_JOBS, or a campaign configuration that selects no cases.  So are a
-count flag that the chosen curve does not read and a reps subfield order p^d
-above REPS_MAX_SUBFIELD.
+count flag that the chosen curve does not read and a reps report whose size
+p^d*n is above REPS_MAX_SIZE.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .field import absolute_trace, first_elem_with_trace, make_field, trace_rel
 # Each _cmd_* imports the modules it runs, so a process compiles only what its
 # subcommand needs (reps and permcheck never load curves or verify).
 
-# The largest subfield order p^d that reps enumerates, p^d/2 parameters in all
-# (reps --p 131071 --n 1 takes 1.9 s and 93 MB on a 2-CPU x86-64 host).
-REPS_MAX_SUBFIELD = 1 << 17
+# The largest p^d*n that reps runs at: it lists about p^d/2 parameters of n
+# digits each (reps --p 131071 --n 1 takes 1.9 s and 93 MB, and
+# reps --p 2 --n 24 --d 12 takes 1.1 s, on a 2-CPU x86-64 host).
+REPS_MAX_SIZE = 1 << 17
 
 # count: the curves that read each curve flag; with any other, it is a usage error
 _COUNT_FLAGS = {"--b-index": ("F",), "--b-trace": ("F",), "--tau": ("G", "H"), "--t": ("A",)}
@@ -198,9 +199,10 @@ def _cmd_reps(args) -> tuple[dict, int]:
 
     ctx = make_field(args.p, args.n)
     d = args.d
-    if d >= 1 and args.n % d == 0 and args.p ** d > REPS_MAX_SUBFIELD:
-        raise ValueError(f"reps lists about p^d/2 parameters, and p^d = {args.p}^{d} = "
-                         f"{args.p ** d} exceeds the bound {REPS_MAX_SUBFIELD} (2^17)")
+    if d >= 1 and args.n % d == 0 and args.p ** d * args.n > REPS_MAX_SIZE:
+        raise ValueError(f"reps prints about p^d*n/2 digits, and with p^d = {args.p}^{d} = "
+                         f"{args.p ** d} and n = {args.n}, p^d*n = {args.p ** d * args.n} "
+                         f"exceeds the bound {REPS_MAX_SIZE} (2^17)")
     if d == 1:
         reps = [{"trace": absolute_trace(b), **_elem_dict(b)}
                 for b in trace_class_reps(ctx)]

@@ -66,8 +66,9 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
     first collision in index-enumeration order, paired with the smallest
     earlier preimage of the repeated value, so reruns agree bit for bit.
     The kernel gets it from a quotient scan: f(x + c) = f(x) + c for c in
-    F_p, so it evaluates one representative per coset x + F_p.  For p = 2, 3 (where every map with a nonzero trace permutes,
-    so the scan runs to the end) it evaluates them bit-sliced: one big-int
+    F_p, so it evaluates one representative per coset x + F_p.  For p = 2, 3
+    (where every map with a nonzero absolute trace permutes, so the scan
+    runs to the end at d = 1) it evaluates them bit-sliced: one big-int
     operation per digit for a whole chunk of representatives, inverting by
     Itoh-Tsujii.  Very small fields, and every p >= 5, use packed ints (one
     slot per digit, reduced mod p by one Barrett step under a proven slot
@@ -75,7 +76,12 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
     chunks by Montgomery's batch inversion.  Either way chunks are bounded,
     so a scan that stops at an early collision does little extra work, and a
     vanishing denominator raises only where the index-order scan would meet
-    it.  The scan cap still applies to the field order.
+    it.  The first max(p^(n-1)/64, 512) representatives keep their image
+    in a trail of two machine words each (8 KB up to 2^15 representatives,
+    about twice the bitset of image blocks beyond), so a collision among
+    them yields its witness in the same pass; one past the trail takes a
+    second pass to find the earlier preimage.  The scan cap still applies
+    to the field order.
     """
     f = spec.field
     cap = min(scan_cap, HARD_SCAN_CAP)
@@ -89,10 +95,25 @@ def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
     return PermReport(bool(ok), witness, evals)
 
 
-def verify_witness(spec: MapSpec, witness: tuple[Elem, Elem]) -> bool:
-    """Re-evaluate a collision witness under eval_f."""
+def witness_image(spec: MapSpec, witness: tuple[Elem, Elem]) -> Elem:
+    """The common image f(x1) = f(x2) of a collision witness (x1, x2),
+    re-evaluated under eval_f, once at each point, independently of the
+    kernel.  Raises RuntimeError unless x1 != x2 and the images agree."""
     x1, x2 = witness
-    return x1 != x2 and eval_f(spec, x1) == eval_f(spec, x2)
+    if x1 != x2:
+        y = eval_f(spec, x1)
+        if y == eval_f(spec, x2):
+            return y
+    raise RuntimeError("witness failed re-verification")
+
+
+def verify_witness(spec: MapSpec, witness: tuple[Elem, Elem]) -> bool:
+    """Whether a collision witness re-verifies under eval_f (`witness_image`)."""
+    try:
+        witness_image(spec, witness)
+    except RuntimeError:
+        return False
+    return True
 
 
 def conjugate_b(b: Elem, eps: int, c: Elem) -> Elem:

@@ -34,7 +34,7 @@ from .maps import (
     is_permutation,
     subfield_trace_reps,
     trace_class_reps,
-    verify_witness,
+    witness_image,
 )
 
 
@@ -72,15 +72,14 @@ class CampaignReport(Record):
 def _witness_dict(spec: MapSpec, report) -> dict | None:
     if report.witness is None:
         return None
-    if not verify_witness(spec, report.witness):
-        raise RuntimeError("witness failed re-verification")
+    image = witness_image(spec, report.witness)
     x1, x2 = report.witness
     return {
         "i1": x1.index,
         "i2": x2.index,
         "coeffs1": list(x1.coeffs),
         "coeffs2": list(x2.coeffs),
-        "image_index": eval_f(spec, x1).index,
+        "image_index": image.index,
     }
 
 

@@ -161,11 +161,15 @@ def test_count_flag_the_curve_does_not_read_exits_two(capsys, tmp_path, curve, f
 
 
 @pytest.mark.parametrize("argv,power", [(["--p", "1000003", "--n", "1"], "1000003^1 = 1000003"),
-                                        (["--p", "2", "--n", "40", "--d", "20"], "2^20 = 1048576")])
+                                        (["--p", "2", "--n", "40", "--d", "20"], "2^20 = 1048576"),
+                                        (["--p", "2", "--n", "34", "--d", "17"], "2^17 = 131072")])
 def test_reps_refuses_a_subfield_above_the_bound(capsys, argv, power):
+    # the bound is on p^d*n, the size of the report, so even p^d = 2^17 is
+    # refused at n = 34
     code, out, err = run_cli(capsys, "reps", *argv)
+    n, order = int(argv[3]), int(power.split(" = ")[1])
     assert code == 2 and out == ""
-    assert f"p^d = {power} exceeds the bound 131072" in err
+    assert f"p^d = {power} and n = {n}, p^d*n = {order * n} exceeds the bound 131072" in err
 
 
 def test_bad_flags_exit_two(capsys):
@@ -411,10 +415,10 @@ def _fresh_process(*args, **env):
 
 
 _WATCHED = ("permrat.curves", "permrat.verify", "permrat.maps", "permrat.backend",
-            "permrat._kernel_py", "permrat._sliced", "dataclasses")
-_KERNELS = ("permrat._kernel_py", "permrat._sliced")
-_NOT_IN_SCANS = ("permrat.curves", "permrat.verify", "dataclasses")
-_NOT_IN_CAMPAIGNS = ("permrat.curves", "dataclasses")
+            "permrat._kernel_py", "permrat._sliced", "permrat._count", "dataclasses")
+_KERNELS = ("permrat._kernel_py", "permrat._sliced", "permrat._count")
+_NOT_IN_SCANS = ("permrat.curves", "permrat.verify", "permrat._count", "dataclasses")
+_NOT_IN_CAMPAIGNS = ("permrat.curves", "permrat._count", "dataclasses")
 _WEIL_SMALL = ["weil-audit", "--p-max", "11", "--f-degrees", "2", "--ident-p-max", "5",
                "--eq28-p-max", "7"]
 
@@ -433,7 +437,7 @@ def test_importing_the_cli_loads_no_command_module():
      ("permrat.maps", "permrat._kernel_py"), _NOT_IN_SCANS + ("permrat._sliced",)),
     # F_{2^5} has 16 coset representatives
     (["verify", "baseline", "--n2-max", "5", "--n3-max", "2"],
-     ("permrat.verify",) + _KERNELS, _NOT_IN_CAMPAIGNS),
+     ("permrat.verify", "permrat._kernel_py", "permrat._sliced"), _NOT_IN_CAMPAIGNS),
     (["verify", "thm11", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
     (["verify", "thm31", "--p-max", "7", "--full-primes", "3"], ("permrat.verify",),
@@ -443,18 +447,18 @@ def test_importing_the_cli_loads_no_command_module():
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
     (["conjecture", "--n", "4", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
-    (["count", "--p", "5", "--builtin", "G", "--tau", "2"], ("permrat.curves",),
-     ("dataclasses",)),
+    (["count", "--p", "5", "--builtin", "G", "--tau", "2"], ("permrat.curves", "permrat._count"),
+     ("dataclasses", "permrat._sliced")),
     (["verify", "lemma22", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
     (["verify", "lemmaL", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
-    (_WEIL_SMALL, ("permrat.curves",), ("dataclasses",)),
+    (_WEIL_SMALL, ("permrat.curves", "permrat._count"), ("dataclasses", "permrat._sliced")),
 ], ids=["reps", "reps-d2", "permcheck", "verify-baseline", "verify-thm11", "verify-thm31",
         "verify-remark43", "conjecture-n3", "conjecture-n4", "count", "verify-lemma22",
         "verify-lemmaL", "weil-audit"])
 def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
     # each process compiles only the modules its command runs; reps, lemma22
-    # and lemmaL run no kernel, and only p = 2, 3 scans of 16 or more coset
-    # representatives run the sliced one
+    # and lemmaL run no kernel, scans never load the count kernel, and only
+    # p = 2, 3 scans of 16 or more coset representatives run the sliced one
     probe = ("import json, sys; from permrat.cli import main; "
              f"code = main({argv!r}); "
              f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "

@@ -1,11 +1,11 @@
-"""Cross-checks: the quotient scan against the full-scan reference, the
-bit-sliced generator for p = 2, 3 against the packed one, and count_zeros
-against a BiPoly.eval census."""
+"""Cross-checks: the quotient scan against the full-scan reference, with
+and without its trail, the bit-sliced generator for p = 2, 3 against the
+packed one, and count_zeros against a BiPoly.eval census."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permrat import _kernel_py, _sliced, backend
+from permrat import _count, _kernel_py, _sliced, backend
 from permrat.cli import main
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
 from permrat.field import (Elem, first_elem_with_trace, frobenius, is_prime, make_field,
@@ -40,7 +40,10 @@ def test_is_permutation_matches_reference_scan(p, n, b_index, d):
 def test_select_returns_the_pure_kernel():
     for p in (2, 5, 1 << 32):
         assert backend.select(p).BACKEND == "pure"
+        assert backend.select(p).count_zeros is _count.count_zeros
     assert backend.have_compiled() is False
+    with pytest.raises(AttributeError, match="no_such_kernel"):
+        _kernel_py.no_such_kernel  # noqa: B018
 
 
 def test_unknown_backend_name_rejected(capsys, monkeypatch):
@@ -50,11 +53,6 @@ def test_unknown_backend_name_rejected(capsys, monkeypatch):
     assert out.out == "" and "unknown backend 'numpy'" in out.err
 
 
-# Every F_{p^n} with q <= 3000 for a spread of characteristics.
-_SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 53)
-                 for n in range(1, 12) if p ** n <= 3000]
-
-
 def _scan_outcome(scan, ctx, d, b):
     try:
         return scan(ctx.p, ctx.n, d, b.coeffs)
@@ -62,18 +60,69 @@ def _scan_outcome(scan, ctx, d, b):
         return "ValueError"
 
 
+# Every F_{p^n} with q <= 3^8: each with n > 1 is drawn as often as all the
+# prime fields together, whose scans have one representative.
+_SCAN_FIELDS = [(p, n) for p in range(2, 82) if is_prime(p)
+                for n in range(2, 13) if p ** n <= 3 ** 8]
+_SCAN_PRIMES = [p for p in range(2, 3 ** 8 + 1) if is_prime(p)]
+
+
+def _without_trail(mp):
+    """A trail of length 0: every collision takes the second pass."""
+    mp.setattr(_kernel_py, "_TRAIL_FLOOR", 0)
+    mp.setattr(_kernel_py, "_TRAIL_SHIFT", 64)
+
+
+def _check_scan_against_reference(data, trail=True):
+    # verdict, witness and evaluations; p = 3 at d > 1 collides in the
+    # sliced generator, at F_{3^8}, d = 4 also past the default trail
+    p, n = data.draw(st.sampled_from([*_SCAN_FIELDS, (None, 1)]))
+    if p is None:
+        p = data.draw(st.sampled_from(_SCAN_PRIMES))
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    ctx = make_field(p, n)
+    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        if not trail:
+            _without_trail(mp)
+        fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
+    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
+    if trace_rel(b, d):
+        assert fast != "ValueError"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_quotient_scan_matches_full_scan(data):
-    p, n = data.draw(st.sampled_from(_SMALL_FIELDS))
+    _check_scan_against_reference(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_scan_without_trail_matches_full_scan(data):
+    # every collision resolved by the second pass over the generator
+    _check_scan_against_reference(data, trail=False)
+
+
+@pytest.mark.parametrize("trail", [True, False], ids=["trail", "second-pass"])
+@pytest.mark.parametrize("p,n,d,b_index,k2", [(5, 3, 1, 1, 2), (3, 4, 2, 3, 5), (3, 8, 4, 9, 99),
+                                              (3, 8, 4, 729, 738)])
+def test_collision_in_the_trail_takes_one_pass(monkeypatch, trail, p, n, d, b_index, k2):
+    # a collision at representative k2 runs the generator once within the
+    # trail (512 representatives here) and twice past it
+    passes = []
+    owner, name = (_sliced, "image_blocks") if p <= 3 else (_kernel_py, "_image_blocks")
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: passes.append(args) or real(*args))
+    if not trail:
+        _without_trail(monkeypatch)
     ctx = make_field(p, n)
-    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
-    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    ref = _scan_outcome(perm_scan_reference, ctx, d, b)
-    assert fast == ref
-    if trace_rel(b, d):
-        assert fast != "ValueError"
+    b = ctx.element(b_index)
+    assert trace_rel(b, d)
+    ok, witness, evals = _kernel_py.perm_scan(p, n, d, b.coeffs)
+    assert (ok, witness, evals) == perm_scan_reference(p, n, d, b.coeffs)
+    assert witness[1] == p * k2
+    assert len(passes) == (1 if trail and k2 < 512 else 2)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 4, 1), (3, 4, 2), (5, 2, 1), (7, 1, 1)])
@@ -287,7 +336,7 @@ def test_field_tables_match_elem_arithmetic():
     for p, n in [(p, n) for p, n in _ALL_FIELDS if p ** n <= 729]:
         f = make_field(p, n)
         q = f.order
-        ex, lg, zech = _kernel_py._field_tables(p, n)
+        ex, lg, zech = _count._field_tables(p, n)
         g = Elem(f, ex[1] if q > 2 else ex[0])
         assert len(ex) == q - 1 and len(lg) == q and lg[0] is None
         cur = f.one
@@ -316,7 +365,7 @@ def _census(poly):
 def _kernel_count(poly, collect):
     f = poly.field
     terms = [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
-    return _kernel_py.count_zeros(f.p, f.n, terms, collect)
+    return _count.count_zeros(f.p, f.n, terms, collect)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,8 @@
 
 The campaign digests were recorded from the CLI before the campaigns shared
 one runner; the `reps` and `permcheck` digests before the field layer moved
-to F_p linear algebra (every report prints the field's modulus).  A report
+to F_p linear algebra (every report prints the field's modulus); the default
+collision-scan campaigns before the scan resolved collisions in one pass.  A report
 is a pure function of its configuration, so a change to any of these bytes
 is a change to the contract and must be declared, not absorbed.
 """
@@ -54,6 +55,17 @@ _PINNED = {
         "1705904a9419056d34a226cd7027a35e6efa4bb6341ab94208c8623084f489e2",
     "permcheck --p 5 --n 5 --b-trace 4":
         "501ec48aa91961cb615a233e3ce5a70ad3008cba3ed1b2c01fb62dd90c33e210",
+    # the collision scans at their default configurations
+    "verify thm11":
+        "5d872118a634230926be6d5c1c79bbe5edace1b74a06e488c57b578124c52b1c",
+    "verify thm31":
+        "62ad5c1a8e24774d08c0eb4363cae06aa2401f452800365c215212216949f3da",
+    "verify remark43":
+        "05f78af60572926a9a19c0d5636efe13b0fe8c6531f3a465c19d1d9d2cca8b9b",
+    "conjecture --n 3":
+        "58defeeda4b553a6acd01102507247ca50b52dfec9bd7a550574439732db1ade",
+    "conjecture --n 4":
+        "77612d78f6cf1b094ed97769d284c13b99e05100ce07152ad9669f2e677ade8e",
 }
 
 

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from permrat import verify
+from permrat import maps, verify
 from permrat.cli import emit_report
+from permrat.field import make_field
+from permrat.maps import MapSpec, PermReport, eval_f, is_permutation
 
 
 def test_baseline_small_grid():
@@ -160,3 +162,28 @@ def test_conjugation_identity_helper():
 def test_case_results_json_serializable():
     report = verify.verify_degree_five_nonpermutation((5,))
     json.dumps(report.to_dict())
+
+
+def test_witness_dict_evaluates_f_twice_per_witness(monkeypatch):
+    ctx = make_field(5, 3)
+    spec = MapSpec(ctx, ctx.element(1))
+    report = is_permutation(spec)
+    x1, x2 = report.witness
+    calls = []
+    for module in (maps, verify):
+        monkeypatch.setattr(module, "eval_f", lambda s, x: calls.append(x) or eval_f(s, x))
+    out = verify._witness_dict(spec, report)
+    assert calls == [x1, x2]
+    assert out == {"i1": x1.index, "i2": x2.index, "coeffs1": list(x1.coeffs),
+                   "coeffs2": list(x2.coeffs), "image_index": eval_f(spec, x2).index}
+
+
+def test_forged_witness_fails_reverification():
+    ctx = make_field(5, 3)
+    spec = MapSpec(ctx, ctx.element(1))
+    x, y = ctx.element(0), ctx.element(1)
+    assert eval_f(spec, x) != eval_f(spec, y)
+    for forged in ((x, x), (x, y)):
+        with pytest.raises(RuntimeError, match="^witness failed re-verification$"):
+            verify._witness_dict(spec, PermReport(False, forged, 10))
+        assert not maps.verify_witness(spec, forged)
