@@ -16,7 +16,6 @@ _EXPORTS = {
     "curves": (
         "BiPoly",
         "CurveReport",
-        "TriPoly",
         "UniPoly",
         "affine_zeros",
         "audit_curve",
@@ -25,7 +24,6 @@ _EXPORTS = {
         "count_infinity",
         "criterion_sextic",
         "homogenization_quartic",
-        "homogenize",
         "is_squarefree",
         "parse_bipoly",
         "phi_fibers",

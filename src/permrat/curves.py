@@ -10,8 +10,9 @@ Builders for the three curves attached to the map family:
 * symmetric_quartic(ctx, tau): its symmetric reduction H with
   criterion_sextic(X, Y) = H(X + Y, X*Y), halving the degree at the cost of
   the 2-to-1 cover (x, y) -> (x + y, x*y).
-* homogenization_quartic(ctx, t): the quartic A with
-  homogenize(criterion_sextic) = A * Z^2 - t * X^2 Y^2 (X - Y)^2, t = tau^2.
+* homogenization_quartic(ctx, t): the sextic's degree-4 part A, so that
+  criterion_sextic = A - t * X^2 Y^2 (X - Y)^2 with t = tau^2; the sextic
+  homogenizes to A * Z^2 - t * X^2 Y^2 (X - Y)^2.
 
 Point counts are exact; the Hasse-Weil-style bound audits are pure integer
 comparisons (squared inequalities, no floating point).  Since absolute
@@ -25,7 +26,7 @@ import re
 
 from . import backend
 from ._record import FrozenRecord
-from .field import Elem, Field, padd, pgcd_monic, pmul, psub, ptrim
+from .field import Elem, Field, padd, pgcd_monic, pmul, ppowmod, psub, ptrim
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
 
@@ -47,10 +48,6 @@ class BiPoly:
                 raise ValueError("coefficient from a different field context")
             if c:
                 self.terms[(i, j)] = c
-
-    @classmethod
-    def from_terms(cls, field: Field, mapping: dict) -> "BiPoly":
-        return cls(field, dict(mapping))
 
     @property
     def degree(self) -> int:
@@ -89,13 +86,15 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def pow_int(self, k: int) -> "BiPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = BiPoly(self.field, {(0, 0): self.field.one})
-        for _ in range(k):
-            result = result * self
-        return result
+    def int_terms(self, need: str = "this operation") -> dict:
+        """The terms with each coefficient as its integer in [0, p); raises
+        ValueError ("<need> requires ...") when one lies outside F_p."""
+        out = {}
+        for ij, c in self.terms.items():
+            if any(c.coeffs[1:]):
+                raise ValueError(f"{need} requires prime-subfield coefficients")
+            out[ij] = c.coeffs[0]
+        return out
 
     def _lift(self, target: Field) -> dict:
         """Coefficients pushed into `target` (identity, or the constant
@@ -103,7 +102,7 @@ class BiPoly:
         if target == self.field:
             return self.terms
         if self.field.n == 1 and target.p == self.field.p:
-            return {ij: target.from_int(c.coeffs[0]) for ij, c in self.terms.items()}
+            return {ij: target.from_int(c) for ij, c in self.int_terms().items()}
         raise ValueError("cannot evaluate at points of an unrelated field")
 
     def eval(self, x: Elem, y: Elem) -> Elem:
@@ -132,13 +131,11 @@ class BiPoly:
         """Render in the CLI text format (prime-subfield coefficients only)."""
         if not self.terms:
             return "0"
+        terms = self.int_terms("text format")
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda ij: (-(ij[0] + ij[1]), -ij[0])):
-            c = self.terms[(i, j)]
-            if any(c.coeffs[1:]):
-                raise ValueError("text format requires prime-subfield coefficients")
+        for (i, j) in sorted(terms, key=lambda ij: (-(ij[0] + ij[1]), -ij[0])):
             chunk = []
-            cval = c.coeffs[0]
+            cval = terms[(i, j)]
             if cval != 1 or (i == 0 and j == 0):
                 chunk.append(str(cval))
             if i:
@@ -150,51 +147,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.field!r}, {len(self.terms)} terms, degree {self.degree})"
-
-
-class TriPoly:
-    """Just enough trivariate support to state homogenization identities."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms: dict):
-        self.field = field
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def from_bipoly(cls, poly: BiPoly, z_power: int = 0) -> "TriPoly":
-        return cls(poly.field, {(i, j, z_power): c for (i, j), c in poly.terms.items()})
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, self.field.zero) - c
-        return TriPoly(self.field, out)
-
-    def scale(self, c) -> "TriPoly":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        return TriPoly(self.field, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def dehomogenize(self) -> BiPoly:
-        out = {}
-        zero = self.field.zero
-        for (i, j, _k), c in self.terms.items():
-            out[(i, j)] = out.get((i, j), zero) + c
-        return BiPoly(self.field, out)
-
-
-def homogenize(poly: BiPoly) -> TriPoly:
-    """Homogenize with a third variable Z up to the total degree."""
-    d = poly.degree
-    if d < 0:
-        raise ValueError("cannot homogenize the zero polynomial")
-    return TriPoly(poly.field, {(i, j, d - i - j): c for (i, j), c in poly.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +184,26 @@ def _check_tau(ctx: Field, tau: int, forbid_unit: bool = False) -> int:
     return tau
 
 
+def _sextic(ctx: Field, t: int) -> BiPoly:
+    """G at t = tau^2: the degree-4 part A, then -t * X^2 Y^2 (X - Y)^2."""
+    return BiPoly(ctx, {
+        (4, 0): 1,
+        (3, 1): -2 * t,
+        (2, 2): -2 + 4 * t + t * t,
+        (1, 3): -2 * t,
+        (0, 4): 1,
+        (4, 2): -t,
+        (3, 3): 2 * t,
+        (2, 4): -t,
+    })
+
+
 def criterion_sextic(ctx: Field, tau: int) -> BiPoly:
     """The degree-6 curve G with G(y, y^p) = 0 at solutions of the
     substituted collision equation on a quadratic extension; diagonal values
     G(x, x) = tau^4 x^4."""
     tau = _check_tau(ctx, tau)
-    t = tau * tau % ctx.p
-    return BiPoly(ctx, {
-        (4, 0): 1,
-        (0, 4): 1,
-        (3, 1): -2 * t,
-        (2, 2): -2 + 4 * t + t * t,
-        (4, 2): -t,
-        (1, 3): -2 * t,
-        (3, 3): 2 * t,
-        (2, 4): -t,
-    })
+    return _sextic(ctx, tau * tau % ctx.p)
 
 
 def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
@@ -264,18 +220,13 @@ def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
 
 
 def homogenization_quartic(ctx: Field, t: int) -> BiPoly:
-    """The symmetric quartic A(X, Y) appearing as the Z^2 coefficient when
-    the sextic is homogenized: homogenize(G) = A*Z^2 - t*X^2 Y^2 (X-Y)^2."""
+    """The symmetric quartic A(X, Y), the degree-4 part of the sextic at
+    t = tau^2: G = A - t*X^2 Y^2 (X-Y)^2, so G homogenizes to
+    A*Z^2 - t*X^2 Y^2 (X-Y)^2."""
     if ctx.n != 1:
         raise ValueError("defined over a prime field context")
-    t %= ctx.p
-    return BiPoly(ctx, {
-        (4, 0): 1,
-        (3, 1): -2 * t,
-        (2, 2): -2 + 4 * t + t * t,
-        (1, 3): -2 * t,
-        (0, 4): 1,
-    })
+    g = _sextic(ctx, t % ctx.p)
+    return BiPoly(ctx, {ij: c for ij, c in g.terms.items() if sum(ij) == 4})
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +259,36 @@ def affine_zeros(poly: BiPoly) -> list[tuple[Elem, Elem]]:
 
 def count_infinity(poly: BiPoly) -> int:
     """Rational projective zeros [x : y : 0] of the top-degree form,
-    counted without multiplicity over the base field."""
+    counted without multiplicity over the base field F_q.
+
+    [1 : 0 : 0] is one when the form has no X^d term; the rest are [x : 1 : 0]
+    for the distinct roots in F_q of u(x) = form(x, 1), which number
+    deg gcd(u, X^q - X).  The form must have F_p coefficients.
+    """
     if not poly.terms:
         raise ValueError("the zero polynomial has no leading form")
     f = poly.field
-    lf = poly.leading_form()
-    d = poly.degree
-    count = 0 if (d, 0) in lf else 1  # the point [1 : 0 : 0]
-    if f.n == 1:
-        p = f.p
-        form = [(i, c.coeffs[0]) for (i, _j), c in lf.items()]
-        return count + sum(1 for x in range(p)
-                           if not sum(c * pow(x, i, p) for i, c in form) % p)
-    for x in f:
-        acc = f.zero
-        for (i, _j), c in lf.items():
-            acc = acc + c * x ** i
-        if not acc:
-            count += 1
-    return count
+    p, d = f.p, poly.degree
+    form = BiPoly(f, poly.leading_form()).int_terms("the infinity count")
+    u = [0] * (d + 1)
+    for (i, _j), c in form.items():
+        u[i] = c
+    ptrim(u)
+    x_q = ppowmod([0, 1], f.order, u, p)
+    return (0 if (d, 0) in form else 1) + len(pgcd_monic(u, psub(x_q, [0, 1], p), p)) - 1
+
+
+def _weil_check(kind: str, sign: int, count: int, q: int, d: int, n_inf: int):
+    """The audit with slack = sign * (q + 1 - n_inf - count)."""
+    slack = sign * (q + 1 - n_inf - count)
+    bound_sq = (d - 1) ** 2 * (d - 2) ** 2 * q
+    ok = slack <= 0 or slack * slack <= bound_sq
+    audit = {
+        "kind": kind, "mode": "consistency", "count": count, "q": q,
+        "degree": d, "n_inf": n_inf, "slack": slack,
+        "slack_sq": slack * slack, "bound_sq": bound_sq, "ok": ok,
+    }
+    return ok, audit
 
 
 def weil_lower_check(count: int, q: int, d: int, n_inf: int):
@@ -335,28 +297,12 @@ def weil_lower_check(count: int, q: int, d: int, n_inf: int):
     Passes iff L = q + 1 - n_inf - count is <= 0 or L^2 <= (d-1)^2 (d-2)^2 q.
     Returns (ok, audit) with every compared integer recorded.
     """
-    slack = q + 1 - n_inf - count
-    bound_sq = (d - 1) ** 2 * (d - 2) ** 2 * q
-    ok = slack <= 0 or slack * slack <= bound_sq
-    audit = {
-        "kind": "lower", "mode": "consistency", "count": count, "q": q,
-        "degree": d, "n_inf": n_inf, "slack": slack,
-        "slack_sq": slack * slack, "bound_sq": bound_sq, "ok": ok,
-    }
-    return ok, audit
+    return _weil_check("lower", 1, count, q, d, n_inf)
 
 
 def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     """Mirror image: count <= q + 1 + (d-1)(d-2)*sqrt(q) - n_inf."""
-    slack = count - (q + 1 - n_inf)
-    bound_sq = (d - 1) ** 2 * (d - 2) ** 2 * q
-    ok = slack <= 0 or slack * slack <= bound_sq
-    audit = {
-        "kind": "upper", "mode": "consistency", "count": count, "q": q,
-        "degree": d, "n_inf": n_inf, "slack": slack,
-        "slack_sq": slack * slack, "bound_sq": bound_sq, "ok": ok,
-    }
-    return ok, audit
+    return _weil_check("upper", -1, count, q, d, n_inf)
 
 
 class CurveReport(FrozenRecord):

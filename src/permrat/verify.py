@@ -20,10 +20,10 @@ sweep into a resumable one (see run_cases).
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
+from math import comb
 
 from ._record import Record
 from .field import absolute_trace, frobenius, is_prime, make_field, prime_divisors
@@ -86,7 +86,7 @@ def _witness_dict(spec: MapSpec, report) -> dict | None:
 def _perm_case(args: dict) -> dict:
     ctx = make_field(args["p"], args["n"])
     spec = MapSpec(ctx, ctx.element(args["b_index"]), args.get("d", 1))
-    report = is_permutation(spec, scan_cap=args.get("scan_cap", 1 << 32))
+    report = is_permutation(spec)
     return {
         "is_permutation": report.is_permutation,
         "evaluations": report.evaluations,
@@ -118,27 +118,24 @@ def _curve_f_case(args: dict) -> dict:
     }
 
 
-def _compose_symmetric(h: BiPoly) -> BiPoly:
-    """h(X + Y, X*Y) expanded back into a bivariate polynomial."""
-    from .curves import BiPoly
-
-    ctx = h.field
-    s = BiPoly(ctx, {(1, 0): 1, (0, 1): 1})
-    prod = BiPoly(ctx, {(1, 1): 1})
-    acc = BiPoly(ctx, {})
-    for (a, b) in sorted(h.terms):
-        acc = acc + s.pow_int(a) * prod.pow_int(b) * h.terms[(a, b)]
-    return acc
+def _symmetric_expansion(h: dict, p: int) -> dict:
+    """The nonzero terms mod p of h(X + Y, X*Y), for integer terms h: each
+    c*X^a*Y^b expands to sum_k C(a, k)*c*X^(k+b)*Y^(a-k+b)."""
+    out: dict = {}
+    for (a, b), c in h.items():
+        for k in range(a + 1):
+            key = (k + b, a - k + b)
+            out[key] = (out.get(key, 0) + comb(a, k) * c) % p
+    return {ij: c for ij, c in out.items() if c}
 
 
-@functools.lru_cache(maxsize=None)
 def _symmetric_identity_ok(p: int, tau: int) -> bool:
-    """Whether H(X + Y, X*Y) = G over F_p, expanded once per (p, tau); only
-    the verdict is cached."""
+    """Whether H(X + Y, X*Y) = G over F_p, compared term by term."""
     from .curves import criterion_sextic, symmetric_quartic
 
     ctx = make_field(p, 1)
-    return _compose_symmetric(symmetric_quartic(ctx, tau)) == criterion_sextic(ctx, tau)
+    h = symmetric_quartic(ctx, tau).int_terms()
+    return _symmetric_expansion(h, p) == criterion_sextic(ctx, tau).int_terms()
 
 
 def _curve_gh_case(args: dict) -> dict:
@@ -173,8 +170,8 @@ def _ident_eq28_case(args: dict) -> dict:
     ctx = make_field(p, 1)
     symbolic_ok = all(_symmetric_identity_ok(p, tau) for tau in range(1, p))
     tau = 2 % p
-    g = {ij: c.coeffs[0] for ij, c in criterion_sextic(ctx, tau).terms.items()}
-    h = {ij: c.coeffs[0] for ij, c in symmetric_quartic(ctx, tau).terms.items()}
+    g = criterion_sextic(ctx, tau).int_terms()
+    h = symmetric_quartic(ctx, tau).int_terms()
     pw = [[pow(v, e, p) for e in range(7)] for v in range(p)]  # degrees <= 6
     mismatches = 0
     for x in range(p):
@@ -254,9 +251,8 @@ def _lemma22_case(args: dict) -> dict:
         eq10_ok = (1 - beta * beta) % p == 0
         residual = (-2 - alpha * alpha - 2 * beta + 4 * t + t * t) % p
         consistent = eq10_ok and residual == 0
-        quartic = homogenization_quartic(ctx, t)
-        a_x1 = UniPoly(p, [quartic.terms.get((i, 4 - i), ctx.zero).coeffs[0]
-                           for i in range(5)])
+        quartic = homogenization_quartic(ctx, t).int_terms()
+        a_x1 = UniPoly(p, [quartic.get((i, 4 - i), 0) for i in range(5)])
         root = uni_square_root(a_x1)
         expected_consistent = t == 1
         if consistent != expected_consistent or (root is not None) != expected_consistent:
@@ -396,26 +392,24 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
             fh = open(progress_path, "w", encoding="utf-8")
             fh.write(header)
             fh.flush()
+    pool = None
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]
         if jobs > 1 and len(todo) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(_case_worker, todo)
-                for pl, res in zip(todo, results):
-                    done[pl["key"]] = res
-                    if fh:
-                        fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
-                        fh.flush()
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            results = pool.map(_case_worker, todo)
         else:
-            for pl in todo:
-                res = _case_worker(pl)
-                done[pl["key"]] = res
-                if fh:
-                    fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
-                    fh.flush()
+            results = map(_case_worker, todo)
+        for pl, res in zip(todo, results):
+            done[pl["key"]] = res
+            if fh:
+                fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
+                fh.flush()
     finally:
+        if pool is not None:
+            pool.shutdown()
         if fh:
             fh.close()
     return [done[pl["key"]] for pl in payloads]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 
+from permrat.curves import BiPoly
 from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
 
 
@@ -127,3 +128,38 @@ def perm_scan_reference(p, n, d, b_digits):
             return False, (xj, collision), evals
         _step(xd, p, 0)
     raise RuntimeError("collision image lost between passes")
+
+
+# ---------------------------------------------------------------------------
+# Curve layer.
+
+def count_infinity_walk(poly):
+    """`curves.count_infinity` by walking F_q: [1 : 0 : 0] when the top form
+    has no X^d term, plus every x in F_q with form(x, 1) = 0, evaluated with
+    field elements."""
+    f = poly.field
+    lf = poly.leading_form()
+    count = 0 if (poly.degree, 0) in lf else 1
+    for x in f:
+        acc = f.zero
+        for (i, _j), c in lf.items():
+            acc = acc + c * x ** i
+        if not acc:
+            count += 1
+    return count
+
+
+def compose_symmetric(h):
+    """h(X + Y, X*Y) expanded back into a BiPoly by repeated multiplication."""
+    ctx = h.field
+    s = BiPoly(ctx, {(1, 0): 1, (0, 1): 1})
+    prod = BiPoly(ctx, {(1, 1): 1})
+    acc = BiPoly(ctx, {})
+    for (a, b), c in h.terms.items():
+        term = BiPoly(ctx, {(0, 0): c})
+        for _ in range(a):
+            term = term * s
+        for _ in range(b):
+            term = term * prod
+        acc = acc + term
+    return acc

@@ -14,9 +14,9 @@ from permrat.verify import CampaignReport
 
 EXPORTS = {
     backend: ["backend_name", "have_compiled"],
-    curves: ["BiPoly", "CurveReport", "TriPoly", "UniPoly", "affine_zeros", "audit_curve",
+    curves: ["BiPoly", "CurveReport", "UniPoly", "affine_zeros", "audit_curve",
              "collision_curve", "count_affine", "count_infinity", "criterion_sextic",
-             "homogenization_quartic", "homogenize", "is_squarefree", "parse_bipoly",
+             "homogenization_quartic", "is_squarefree", "parse_bipoly",
              "phi_fibers", "symmetric_quartic", "uni_derivative", "uni_gcd",
              "uni_square_root", "weil_lower_check", "weil_upper_check"],
     field: ["Elem", "Field", "absolute_trace", "first_elem_with_trace", "frobenius",

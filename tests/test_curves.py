@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from permrat.curves import (
     BiPoly,
-    TriPoly,
     UniPoly,
     affine_zeros,
     audit_curve,
@@ -14,7 +13,6 @@ from permrat.curves import (
     count_infinity,
     criterion_sextic,
     homogenization_quartic,
-    homogenize,
     is_squarefree,
     parse_bipoly,
     phi_fibers,
@@ -25,7 +23,10 @@ from permrat.curves import (
     weil_lower_check,
     weil_upper_check,
 )
-from permrat.field import first_elem_with_trace, frobenius, make_field
+from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
+from permrat.verify import _symmetric_expansion
+
+from oracles import compose_symmetric, count_infinity_walk
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,16 @@ def test_quartic_axis_and_two_to_one_diagonal():
         assert h.eval(2 * y, y * y) == f.from_int(tau) ** 4 * y ** 4
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_symmetric_expansion_matches_bipoly_composition(data):
+    p = data.draw(st.sampled_from([p for p in range(2, 32) if is_prime(p)]))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 4))
+    h = data.draw(st.dictionaries(exps, st.integers(0, 3 * p), max_size=6))
+    expected = compose_symmetric(BiPoly(make_field(p, 1), h)).int_terms()
+    assert _symmetric_expansion(h, p) == expected
+
+
 def test_symmetric_reduction_identity_pointwise():
     for p in (3, 5, 13):
         f = make_field(p, 1)
@@ -127,26 +138,18 @@ def test_homogenization_quartic_values_and_symmetry():
 
 
 def test_homogenization_identity():
-    # homogenize(G) = A*Z^2 - t*X^2*Y^2*(X-Y)^2 as trivariate polynomials
+    # G = A - t*X^2*Y^2*(X-Y)^2 with A homogeneous of degree 4, so G
+    # homogenizes to A*Z^2 - t*X^2*Y^2*(X-Y)^2
     for p in (5, 7, 13):
         f = make_field(p, 1)
         for tau in range(1, p):
             t = tau * tau % p
             g = criterion_sextic(f, tau)
             a = homogenization_quartic(f, t)
+            assert a.terms and all(i + j == 4 for i, j in a.terms)
             xy_diff = BiPoly(f, {(1, 0): 1, (0, 1): -1})
             lump = BiPoly(f, {(2, 2): 1}) * xy_diff * xy_diff
-            rhs = TriPoly.from_bipoly(a, 2) - TriPoly.from_bipoly(lump * t, 0)
-            assert homogenize(g) == rhs
-
-
-def test_homogenize_dehomogenize_roundtrip():
-    f = make_field(7, 1)
-    poly = criterion_sextic(f, 3)
-    assert homogenize(poly).dehomogenize() == poly
-    fb = make_field(5, 2)
-    fpoly = collision_curve(fb, fb.from_int(3))
-    assert homogenize(fpoly).dehomogenize() == fpoly
+            assert g == a - lump * t
 
 
 def test_builders_reject_bad_parameters():
@@ -224,6 +227,48 @@ def test_infinity_counts_match_expected_constants():
 def test_infinity_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         count_infinity(BiPoly(make_field(5, 1), {}))
+
+
+def test_infinity_rejects_extension_top_coefficient():
+    f = make_field(5, 2)
+    gen = f.element(5)  # outside F_5
+    with pytest.raises(ValueError, match="prime-subfield"):
+        count_infinity(BiPoly(f, {(2, 0): gen, (0, 0): 1}))
+    # below the top form any coefficient is allowed
+    assert count_infinity(BiPoly(f, {(1, 1): 1, (1, 0): gen})) == 2  # [1:0:0], [0:1:0]
+
+
+# every F_{p^n} with q <= 729, extension fields drawn as often as prime ones
+_SMALL_FIELDS = [(p, n) for p in range(2, 730) if is_prime(p)
+                 for n in range(1, 10) if p ** n <= 729]
+_FIELD_DRAW = (st.sampled_from([pn for pn in _SMALL_FIELDS if pn[1] > 1])
+               | st.sampled_from([pn for pn in _SMALL_FIELDS if pn[1] == 1]))
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (3, 6), (5, 4), (7, 3), (13, 2), (727, 1)])
+def test_infinity_gcd_matches_walk_on_edge_forms(p, n):
+    f = make_field(p, n)
+    for terms in (
+        {(0, 3): 1, (1, 0): 1},          # top form Y^3: no X^3 term, u constant
+        {(2, 1): 1, (1, 2): p - 1},      # no X^3 term, u = X^2 - X
+        {(4, 0): 1, (0, 0): 1},          # top form X^4 only
+        {(2, 0): 1, (0, 2): 1},          # u = X^2 + 1
+        {(3, 0): 1, (1, 2): 1, (0, 3): 1},  # u = X^3 + X + 1
+        {(0, 0): 1},                     # constant curve, u = 1
+    ):
+        poly = BiPoly(f, terms)
+        assert count_infinity(poly) == count_infinity_walk(poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_infinity_gcd_matches_walk(data):
+    p, n = data.draw(_FIELD_DRAW)
+    f = make_field(p, n)
+    exps = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    terms = data.draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=8))
+    poly = BiPoly(f, terms)
+    assert count_infinity(poly) == count_infinity_walk(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +377,11 @@ def test_uni_square_root():
     assert uni_square_root(UniPoly(p, [1, 1, 0, 0, 1])) is None
     # the t = 1 quartic is a perfect square, t = 4 is not
     f = make_field(p, 1)
-    a1 = homogenization_quartic(f, 1)
-    coeffs1 = [a1.terms.get((i, 4 - i), f.zero).coeffs[0] for i in range(5)]
+    a1 = homogenization_quartic(f, 1).int_terms()
+    coeffs1 = [a1.get((i, 4 - i), 0) for i in range(5)]
     assert uni_square_root(UniPoly(p, coeffs1)) == UniPoly(p, [1, -1, 1])
-    a4 = homogenization_quartic(f, 4)
-    coeffs4 = [a4.terms.get((i, 4 - i), f.zero).coeffs[0] for i in range(5)]
+    a4 = homogenization_quartic(f, 4).int_terms()
+    coeffs4 = [a4.get((i, 4 - i), 0) for i in range(5)]
     assert uni_square_root(UniPoly(p, coeffs4)) is None
 
 

@@ -3,7 +3,9 @@
 The campaign digests were recorded from the CLI before the campaigns shared
 one runner; the `reps` and `permcheck` digests before the field layer moved
 to F_p linear algebra (every report prints the field's modulus); the default
-collision-scan campaigns before the scan resolved collisions in one pass.  A report
+collision-scan campaigns before the scan resolved collisions in one pass; the
+curve-pencil `count` and `weil-audit` digests before the pencil's identity
+check and infinity counts moved to F_p integer work.  A report
 is a pure function of its configuration, so a change to any of these bytes
 is a change to the contract and must be declared, not absorbed.
 """
@@ -66,6 +68,20 @@ _PINNED = {
         "58defeeda4b553a6acd01102507247ca50b52dfec9bd7a550574439732db1ade",
     "conjecture --n 4":
         "77612d78f6cf1b094ed97769d284c13b99e05100ce07152ad9669f2e677ade8e",
+    # the curve pencil: G, H, A at t = 0 and at a non-square t, the collision
+    # curve over F_{7^3}, and a weil-audit running every case kind
+    "count --p 97 --builtin G --tau 5":
+        "15e58fa9c6caff7c273ee1458f45be7b6cdf8a05e5cdc1a37f1af2a3a762129f",
+    "count --p 97 --builtin H --tau 5":
+        "3998eba41a7a20f036478e4c9fbb13c60910d686bc62dbacdcc744e5c4283f0a",
+    "count --p 97 --builtin A --t 0":
+        "31cd463440f86ac7f335efce7099624f55257d1c1ba90e9d9695c0952311baf7",
+    "count --p 97 --builtin A --t 5":
+        "ba39ba11bd0246c357495979811aac97b8c8e68b2854780bd64dda697a6aac5a",
+    "count --p 7 --n 3 --builtin F --b-index 5":
+        "82290692af0f595de834b616a8a869bccb917b78d5a0680d95bd5de19ecd41b9",
+    "weil-audit --p-max 31 --f-degrees 2,3,4 --ident-p-max 5 --eq28-p-max 31":
+        "53f39871457e9145201a18c5675da52dd5c935f8f22d636a3f119298dd3583cc",
 }
 
 
