@@ -14,8 +14,10 @@ Builders for the three curves attached to the map family:
   criterion_sextic = A - t * X^2 Y^2 (X - Y)^2 with t = tau^2; the sextic
   homogenizes to A * Z^2 - t * X^2 Y^2 (X - Y)^2.
 
-Point counts are exact; the Hasse-Weil-style bound audits are pure integer
-comparisons (squared inequalities, no floating point).  Since absolute
+Point counts are exact; graph_zeros counts the x in F_q with P(x, x^k) = 0
+by one gcd with X^q - X, for the points at infinity (k = 0) and verify's
+substitution identity (k = p).  The Hasse-Weil-style bound audits are pure
+integer comparisons (squared inequalities, no floating point).  Since absolute
 irreducibility is not certified here, the audits are consistency checks, not
 proofs, and are labeled as such in reports.
 """
@@ -96,23 +98,13 @@ class BiPoly:
             out[ij] = c.coeffs[0]
         return out
 
-    def _lift(self, target: Field) -> dict:
-        """Coefficients pushed into `target` (identity, or the constant
-        embedding when this polynomial has prime-field coefficients)."""
-        if target == self.field:
-            return self.terms
-        if self.field.n == 1 and target.p == self.field.p:
-            return {ij: target.from_int(c) for ij, c in self.int_terms().items()}
-        raise ValueError("cannot evaluate at points of an unrelated field")
-
     def eval(self, x: Elem, y: Elem) -> Elem:
-        if x.field != y.field:
-            raise ValueError("evaluation point coordinates disagree")
-        f = x.field
-        terms = self._lift(f)
+        f = self.field
+        if x.field != f or y.field != f:
+            raise ValueError("evaluation point outside the polynomial's field")
         powx, powy = {}, {}
         acc = f.zero
-        for (i, j), c in terms.items():
+        for (i, j), c in self.terms.items():
             if i not in powx:
                 powx[i] = x ** i
             if j not in powy:
@@ -262,20 +254,27 @@ def count_infinity(poly: BiPoly) -> int:
     counted without multiplicity over the base field F_q.
 
     [1 : 0 : 0] is one when the form has no X^d term; the rest are [x : 1 : 0]
-    for the distinct roots in F_q of u(x) = form(x, 1), which number
-    deg gcd(u, X^q - X).  The form must have F_p coefficients.
+    for the distinct roots in F_q of form(x, 1), which graph_zeros counts
+    with k = 0.  The form must have F_p coefficients.
     """
     if not poly.terms:
         raise ValueError("the zero polynomial has no leading form")
     f = poly.field
-    p, d = f.p, poly.degree
     form = BiPoly(f, poly.leading_form()).int_terms("the infinity count")
-    u = [0] * (d + 1)
-    for (i, _j), c in form.items():
-        u[i] = c
-    ptrim(u)
-    x_q = ppowmod([0, 1], f.order, u, p)
-    return (0 if (d, 0) in form else 1) + len(pgcd_monic(u, psub(x_q, [0, 1], p), p)) - 1
+    return (0 if (poly.degree, 0) in form else 1) + graph_zeros(form, 0, f.order, f.p)
+
+
+def graph_zeros(terms: dict, k: int, q: int, p: int) -> int:
+    """|{x in F_q : P(x, x^k) = 0}| for the integer terms P of a polynomial
+    over F_p, q a power of p: deg gcd(u, X^q - X) with u(X) = P(X, X^k), or
+    q when u = 0."""
+    u = [0] * (max((i + k * j for i, j in terms), default=0) + 1)
+    for (i, j), c in terms.items():
+        u[i + k * j] += c
+    u = ptrim([c % p for c in u])
+    if not u:
+        return q
+    return len(pgcd_monic(u, psub(ppowmod([0, 1], q, u, p), [0, 1], p), p)) - 1
 
 
 def _weil_check(kind: str, sign: int, count: int, q: int, d: int, n_inf: int):

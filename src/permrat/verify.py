@@ -26,7 +26,7 @@ import time
 from math import comb
 
 from ._record import Record
-from .field import absolute_trace, frobenius, is_prime, make_field, prime_divisors
+from .field import absolute_trace, is_prime, make_field, prime_divisors
 from .maps import (
     MapSpec,
     conjugate_b,
@@ -191,44 +191,39 @@ def _ident_eq28_case(args: dict) -> dict:
 
 
 def _ident_subst_case(args: dict) -> dict:
-    """Substitution identity on the quadratic extension, every tau in F_p^*
-    and every y != 0; plus the two-factor split of G(y, y^p) when tau^2 = 1."""
-    from .curves import criterion_sextic
+    """Substitution identity over F_{p^2} at every tau in F_p^* and y != 0,
+    and the split G(y, y^p) = -a*b at tau = +-1 and every y.
+
+    With Y = y^p (so y^(p-1) = Y/y, y^(2+2p) = y^2 Y^2) and
+    2z = tau + y - Y + (Y/y - y/Y)/tau, the identity
+    z^2 + (Y - y)z + 1 - Y/y = G(y, Y) / (4 tau^2 y^2 Y^2), times the nonzero
+    4 tau^2 y^2 Y^2, fails exactly where E(y, y^p) != 0 for the F_p polynomial
+    E = W^2 + 2 tau yY(Y - y) W + 4 tau^2 yY^2 (y - Y) - G, where
+    W = 2 tau yY z = tau^2 yY + tau yY(y - Y) + Y^2 - y^2.  The split fails
+    where (G + a*b)(y, y^p) != 0; curves.graph_zeros counts both exactly.
+    """
+    from .curves import BiPoly, criterion_sextic, graph_zeros
 
     p = args["p"]
+    q = p * p
     base = make_field(p, 1)
-    ctx = make_field(p, 2)
-    inv2 = ctx.from_int(2).inverse()
+    y, yp = BiPoly(base, {(1, 0): 1}), BiPoly(base, {(0, 1): 1})
+    yyp = y * yp
     mismatches = 0
-    checked = 0
-    for tau_i in range(1, p):
-        tau = ctx.from_int(tau_i)
-        tau_inv = tau.inverse()
-        g = criterion_sextic(base, tau_i)
-        scale_const = (4 * tau * tau).inverse()
-        for yi in range(1, ctx.order):
-            y = ctx.element(yi)
-            yp = frobenius(y, 1)
-            y_pm1 = yp * y.inverse()          # y^{p-1}
-            y_1mp = y_pm1.inverse()           # y^{1-p}
-            z = inv2 * (tau + y - yp + tau_inv * y_pm1 - tau_inv * y_1mp)
-            lhs = z * z + (yp - y) * z + 1 - y_pm1
-            rhs = g.eval(y, yp) * scale_const * (y ** (2 + 2 * p)).inverse()
-            checked += 1
-            if lhs != rhs:
-                mismatches += 1
-    factor_mismatches = 0
-    for tau_i in (1, p - 1):
-        g = criterion_sextic(base, tau_i)
-        for y in ctx:
-            yp = frobenius(y, 1)
-            a = y * y + yp * yp - y * yp - y * y * yp + y * yp * yp
-            bb = -(y * y) - yp * yp + y * yp - y * y * yp + y * yp * yp
-            factor_mismatches += g.eval(y, yp) != -(a * bb)
+    for tau in range(1, p):
+        w = yyp * (tau * tau) + yyp * (y - yp) * tau + yp * yp - y * y
+        e = (w * w + yyp * (yp - y) * w * (2 * tau) + yyp * yp * (y - yp) * (4 * tau * tau)
+             - criterion_sextic(base, tau)).int_terms()
+        mismatches += q - 1 - graph_zeros(e, p, q, p) + ((0, 0) not in e)  # y = 0 is not checked
+    a = y * y + yp * yp - yyp - yyp * y + yyp * yp
+    bb = yyp - y * y - yp * yp - yyp * y + yyp * yp
+    factor_mismatches = sum(
+        q - graph_zeros((criterion_sextic(base, tau) + a * bb).int_terms(), p, q, p)
+        for tau in (1, p - 1))
     return {
-        "substitution_points": checked,
+        "substitution_points": (p - 1) * (q - 1),
         "substitution_mismatches": mismatches,
-        "factorization_mismatches": int(factor_mismatches),
+        "factorization_mismatches": factor_mismatches,
         "pass": mismatches == 0 and factor_mismatches == 0,
     }
 
@@ -376,11 +371,16 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
     report does not depend on jobs or on interruptions.  A configuration
-    that selects no cases is refused: a campaign that checked nothing must
-    not read as a pass.
+    that selects no cases or repeats a case key is refused: a campaign must
+    not read as a pass having checked nothing, or count a case twice.
     """
     if not payloads:
         raise ValueError("configuration selects no cases")
+    seen = set()
+    for pl in payloads:
+        if pl["key"] in seen:
+            raise ValueError(f"configuration repeats case {pl['key']}")
+        seen.add(pl["key"])
     done: dict[str, dict] = {}
     fh = None
     if progress_path:

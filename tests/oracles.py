@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 
+from permrat import curves
 from permrat.curves import BiPoly
 from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
 
@@ -147,6 +148,49 @@ def count_infinity_walk(poly):
         if not acc:
             count += 1
     return count
+
+
+def ident_subst_walk(p):
+    """`verify._ident_subst_case`'s counts by walking F_{p^2} with field
+    elements: the substitution identity at every tau in F_p^* and y != 0,
+    and G(y, y^p) = -a*b at tau = +-1 and every y.  G is read from
+    `curves.criterion_sextic` at call time and rebuilt over F_{p^2} from its
+    integer terms.  Returns (points, mismatches, factorization mismatches)."""
+    base = make_field(p, 1)
+    ctx = make_field(p, 2)
+
+    def sextic(tau):
+        g = curves.criterion_sextic(base, tau).int_terms()
+        return BiPoly(ctx, g)
+
+    inv2 = ctx.from_int(2).inverse()
+    mismatches = 0
+    checked = 0
+    for tau_i in range(1, p):
+        tau = ctx.from_int(tau_i)
+        tau_inv = tau.inverse()
+        g = sextic(tau_i)
+        scale_const = (4 * tau * tau).inverse()
+        for yi in range(1, ctx.order):
+            y = ctx.element(yi)
+            yp = frobenius(y, 1)
+            y_pm1 = yp * y.inverse()          # y^{p-1}
+            y_1mp = y_pm1.inverse()           # y^{1-p}
+            z = inv2 * (tau + y - yp + tau_inv * y_pm1 - tau_inv * y_1mp)
+            lhs = z * z + (yp - y) * z + 1 - y_pm1
+            rhs = g.eval(y, yp) * scale_const * (y ** (2 + 2 * p)).inverse()
+            checked += 1
+            if lhs != rhs:
+                mismatches += 1
+    factor_mismatches = 0
+    for tau_i in (1, p - 1):
+        g = sextic(tau_i)
+        for y in ctx:
+            yp = frobenius(y, 1)
+            a = y * y + yp * yp - y * yp - y * y * yp + y * yp * yp
+            bb = -(y * y) - yp * yp + y * yp - y * y * yp + y * yp * yp
+            factor_mismatches += g.eval(y, yp) != -(a * bb)
+    return checked, mismatches, factor_mismatches
 
 
 def compose_symmetric(h):

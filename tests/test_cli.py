@@ -381,6 +381,24 @@ def test_vacuous_configuration_exits_two(capsys, tmp_path, argv):
     assert not prog.exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "thm11", "--primes", "5,5"], "p=5,t=1,b=2500"),
+    (["verify", "thm31", "--p-max", "3", "--full-primes", "3,3"], "full,p=3,b_index=1"),
+    (["verify", "remark43", "--q-list", "9,9"], "q=9,t=1,b=2"),
+    (["conjecture", "--n", "3", "--primes", "5,5"], "p=5,n=3,b=1"),
+    (["weil-audit", "--p-max", "3", "--f-degrees", "2,2", "--eq28-p-max", "2",
+      "--ident-p-max", "2"], "F,p=5,n=2,b=3"),
+], ids=["thm11-primes", "thm31-full-primes", "remark43-q-list", "conjecture-primes",
+        "weil-audit-f-degrees"])
+def test_repeated_case_exits_two(capsys, tmp_path, argv, key):
+    # a repeated case would be counted twice in totals and in the progress file
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == f"error: configuration repeats case {key}\n"
+    assert not prog.exists()
+
+
 @pytest.mark.parametrize("primes", ["3", "2,5"])
 def test_thm11_rejects_primes_below_five(capsys, tmp_path, primes):
     # the theorem is about p >= 5; for p = 2, 3 every such map permutes

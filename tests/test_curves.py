@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permrat import curves
 from permrat.curves import (
     BiPoly,
     UniPoly,
@@ -12,6 +13,7 @@ from permrat.curves import (
     count_affine,
     count_infinity,
     criterion_sextic,
+    graph_zeros,
     homogenization_quartic,
     is_squarefree,
     parse_bipoly,
@@ -24,9 +26,9 @@ from permrat.curves import (
     weil_upper_check,
 )
 from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
-from permrat.verify import _symmetric_expansion
+from permrat.verify import _ident_subst_case, _symmetric_expansion
 
-from oracles import compose_symmetric, count_infinity_walk
+from oracles import compose_symmetric, count_infinity_walk, ident_subst_walk
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,84 @@ def test_infinity_gcd_matches_walk(data):
 
 
 # ---------------------------------------------------------------------------
+# graph_zeros: points of the graph x -> x^k on a curve, by one gcd
+
+
+def _graph_zeros_brute(terms, k, p, n):
+    f = make_field(p, n)
+    return sum(1 for x in f
+               if not sum((c * x ** i * x ** (k * j) for (i, j), c in terms.items()), f.zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph_zeros_matches_brute_force(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.sampled_from((1, 2)))
+    k = data.draw(st.sampled_from((0, 1, p)))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    terms = data.draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=6))
+    assert graph_zeros(terms, k, p ** n, p) == _graph_zeros_brute(terms, k, p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 1), (5, 2), (7, 2)])
+def test_graph_zeros_edge_polynomials(p, n):
+    q = p ** n
+    frob_graph = {(p, 0): 1, (0, 1): p - 1}     # X^p - Y: u = 0 at k = p
+    assert graph_zeros(frob_graph, p, q, p) == q == _graph_zeros_brute(frob_graph, p, p, n)
+    assert graph_zeros(frob_graph, 1, q, p) == p == _graph_zeros_brute(frob_graph, 1, p, n)
+    assert graph_zeros({}, 0, q, p) == q
+    for k in (0, 1, p):
+        assert graph_zeros({(0, 0): 1}, k, q, p) == 0      # a nonzero constant
+        assert graph_zeros({(0, 0): p}, k, q, p) == q      # p reduces to 0
+    # X^2 + 1 has roots in F_{p^2} for every p, in F_p only when p = 2 or 1 mod 4
+    assert graph_zeros({(2, 0): 1, (0, 0): 1}, 0, q, p) == _graph_zeros_brute(
+        {(2, 0): 1, (0, 0): 1}, 0, p, n)
+
+
+# ---------------------------------------------------------------------------
+# the substitution identity: graph_zeros counts against the element walk
+
+
+def _perturbed_sextic(extra):
+    sextic = curves.criterion_sextic
+
+    def perturbed(ctx, tau):
+        return sextic(ctx, tau) + BiPoly(ctx, extra)
+
+    return perturbed
+
+
+def _subst_counts(p):
+    res = _ident_subst_case({"p": p})
+    return (res["substitution_points"], res["substitution_mismatches"],
+            res["factorization_mismatches"])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_ident_subst_counts_match_walk(p):
+    assert _subst_counts(p) == ident_subst_walk(p) == ((p - 1) * (p * p - 1), 0, 0)
+
+
+def test_ident_subst_counts_perturbed_example(monkeypatch):
+    # G + 2X^3 Y + 7X^3 at p = 11 breaks both identities at many points
+    monkeypatch.setattr(curves, "criterion_sextic",
+                        _perturbed_sextic({(3, 1): 2, (3, 0): 7}))
+    assert _subst_counts(11) == ident_subst_walk(11) == (1200, 1190, 238)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_ident_subst_counts_match_walk_on_perturbed_sextics(data):
+    p = data.draw(st.sampled_from((3, 5, 7, 11)))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    extra = data.draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "criterion_sextic", _perturbed_sextic(extra))
+        assert _subst_counts(p) == ident_subst_walk(p)
+
+
+# ---------------------------------------------------------------------------
 # bound audits
 
 
@@ -428,12 +508,15 @@ def test_parse_bipoly_star_only_between_factors():
     assert parse_bipoly("3*Y", f) == BiPoly(f, {(0, 1): 3})
 
 
-def test_eval_embeds_prime_coefficients_into_extension():
+def test_eval_rejects_points_of_another_field():
     base = make_field(5, 1)
     ext = make_field(5, 2)
     g = criterion_sextic(base, 2)
     y = ext.element(7)
-    assert g.eval(y, frobenius(y, 1)).field == ext
+    for point in ((y, frobenius(y, 1)), (base.one, y), (y, base.one)):
+        with pytest.raises(ValueError, match="outside the polynomial's field"):
+            g.eval(*point)
+    assert g.eval(base.one, base.one) == base.from_int(2) ** 4
 
 
 _TEXT_PRIMES = (2, 3, 5, 7, 13, 97)

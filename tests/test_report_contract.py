@@ -5,9 +5,12 @@ one runner; the `reps` and `permcheck` digests before the field layer moved
 to F_p linear algebra (every report prints the field's modulus); the default
 collision-scan campaigns before the scan resolved collisions in one pass; the
 curve-pencil `count` and `weil-audit` digests before the pencil's identity
-check and infinity counts moved to F_p integer work.  A report
-is a pure function of its configuration, so a change to any of these bytes
-is a change to the contract and must be declared, not absorbed.
+check and infinity counts moved to F_p integer work; the `weil-audit` running
+the substitution identity for every p <= 13, and the progress files, before
+that identity was counted by one gcd instead of an element walk.  A report
+or progress file is a pure function of its configuration, so a change to any
+of these bytes is a change to the contract and must be declared, not
+absorbed.
 """
 
 import hashlib
@@ -82,6 +85,18 @@ _PINNED = {
         "82290692af0f595de834b616a8a869bccb917b78d5a0680d95bd5de19ecd41b9",
     "weil-audit --p-max 31 --f-degrees 2,3,4 --ident-p-max 5 --eq28-p-max 31":
         "53f39871457e9145201a18c5675da52dd5c935f8f22d636a3f119298dd3583cc",
+    # the substitution identity at every p <= 13
+    "weil-audit --p-max 5 --f-degrees 2 --ident-p-max 13 --eq28-p-max 3":
+        "47abbc84f2cf9fe1b4ea5638ab9cf1f038ff8ce4178edee7ebaf33df86beb47e",
+}
+
+_PINNED_PROGRESS = {
+    "weil-audit --p-max 5 --f-degrees 2 --ident-p-max 13 --eq28-p-max 3":
+        "b34e59560b344d9410406ab40d69faad7c0601e52924b65061d495f4568d9a21",
+    "verify thm31 --p-max 13 --full-primes 3":
+        "34c055233c873b8838f68513e53223f6a520397670fb23612341842f46975f71",
+    "weil-audit --p-max 31 --f-degrees 2,3,4 --ident-p-max 5 --eq28-p-max 31":
+        "da240061d6f3d15af39affc47bbc5bc714eaffb49def12c267bf75947fb3f541",
 }
 
 
@@ -93,3 +108,16 @@ def test_campaign_report_bytes_are_pinned(capsys, monkeypatch, command):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command]
+
+
+@pytest.mark.parametrize("command", list(_PINNED_PROGRESS))
+def test_progress_file_bytes_are_pinned(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.delenv("PERMRAT_BACKEND", raising=False)
+    monkeypatch.delenv("PERMRAT_JOBS", raising=False)
+    prog = tmp_path / "progress"
+    code = main(command.split() + ["--progress-file", str(prog)])
+    out = capsys.readouterr().out
+    assert code == 0
+    if command in _PINNED:
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command]
+    assert hashlib.sha256(prog.read_bytes()).hexdigest() == _PINNED_PROGRESS[command]
