@@ -15,8 +15,10 @@ docstring).
 `perm_scan` decides bijectivity from one representative per coset x + F_p
 (p^{n-1} evaluations instead of p^n) and returns exactly what the
 index-order full scan returns, `evaluations` included: that count is the
-canonical full scan's, not the work done.  Two generators evaluate the
-representatives, with the same output stream:
+canonical full scan's, not the work done.  It takes admissible b only, with
+a nonzero level-d trace, and checks that once at entry, so no denominator
+it evaluates vanishes.  Two generators evaluate the representatives, with
+the same output stream:
 
 * `_image_blocks`, for p >= 5 and for small fields: elements are packed
   one slot per digit (`_Packed`, built once per field), and the
@@ -48,7 +50,7 @@ import functools
 from array import array
 from itertools import islice
 
-from .field import make_field, pdivmod
+from .field import Elem, make_field, pdivmod, trace_rel
 
 BACKEND = "pure"
 
@@ -196,8 +198,8 @@ def _scan_packing(field):
 def _image_blocks(field, d, b_digits):
     """(block, digit 0) of f(p*k) for the coset representatives p*k,
     k = 0 .. p^(n-1) - 1, in order; block is the index of f(p*k) divided by
-    p.  Raises ValueError on reaching a representative whose denominator
-    vanishes, after yielding every earlier one.
+    p.  b must be admissible (`perm_scan` checks it), so no denominator
+    vanishes.
 
     The denominator D(x) = x^(p^d) - x + b is F_p-linear in the digits of x
     plus b, and each step of the odometer that walks the representatives
@@ -208,9 +210,7 @@ def _image_blocks(field, d, b_digits):
     bmax = (p-1)*(1 + (n-1)*(p-1)).  A chunk of consecutive
     representatives is inverted by Montgomery's trick: prefix products
     P_i = D_1*...*D_i, one inversion of P_m, then walking back
-    1/D_i = (1/P_i)*P_{i-1} and 1/P_{i-1} = (1/P_i)*D_i.  A vanishing D
-    makes every later prefix product 0, so the chunk is cut before the
-    first zero prefix.
+    1/D_i = (1/P_i)*P_{i-1} and 1/P_{i-1} = (1/P_i)*D_i.
     """
     p, n = field.p, field.n
     blocks = p ** (n - 1)
@@ -247,29 +247,28 @@ def _image_blocks(field, d, b_digits):
                     break
         prefix = [1]
         acc = 1
-        for d in dens:
-            acc = mul(acc, d)
+        for den_i in dens:
+            acc = mul(acc, den_i)
             prefix.append(acc)
-        vanished = not acc
-        if vanished:
-            size = prefix.index(0) - 1
-        if size:
-            ys = [0] * size
-            acc = inv(prefix[size])
-            for i in range(size - 1, 0, -1):
-                ys[i] = mul(acc, prefix[i], xs[i])
-                acc = mul(acc, dens[i])
-            ys[0] = mul(acc, prefix[0], xs[0])
-            for y in ys:
-                yield ((y * to_block) >> bshift) & smask, y & smask
-        if vanished:
-            raise ValueError("denominator vanished; trace hypothesis violated")
+        ys = [0] * size
+        acc = inv(acc)
+        for i in range(size - 1, 0, -1):
+            ys[i] = mul(acc, prefix[i], xs[i])
+            acc = mul(acc, dens[i])
+        ys[0] = mul(acc, 1, xs[0])
+        for y in ys:
+            yield ((y * to_block) >> bshift) & smask, y & smask
         size = min(2 * size, _CHUNK_CAP)
 
 
 def perm_scan(p, n, d, b_digits):
     """Bijectivity of f(x) = x + (x^(p^d) - x + b)^{-1} over F_{p^n} by a
-    quotient scan over the cosets x + F_p.
+    quotient scan over the cosets x + F_p, for admissible b only.
+
+    b is admissible when d | n and its level-d trace is nonzero, so that
+    (additive Hilbert 90) the denominator never vanishes; `maps.MapSpec`
+    admits no other b.  Any other b raises ValueError here, before a
+    generator runs.
 
     The generators read the denominator's rows (`Field.artin_schreier_rows`)
     from the interned `make_field(p, n)`.  x^(p^d) fixes F_p, so the
@@ -305,16 +304,16 @@ def perm_scan(p, n, d, b_digits):
     one pass; the trail's memory is about twice the bitset's.  Past the
     trail the loop only tests and sets the bitset, and a repeat there finds
     k1 by a second pass over the generator.  evaluations is the full scan's
-    count: p^n for a permutation, else i1 + i2 + 2.  A vanishing
-    denominator raises ValueError only when the scan reaches it, as the
-    full scan does: a collision before it is still returned.
+    count: p^n for a permutation, else i1 + i2 + 2.
     """
+    field = make_field(p, n)
+    if not trace_rel(Elem(field, tuple(c % p for c in b_digits)), d):
+        raise ValueError("trace hypothesis violated: the level-%d trace of b is zero" % d)
     blocks = p ** (n - 1)
     if p <= 3 and blocks >= _SLICED_MIN_BLOCKS:
         from ._sliced import image_blocks
     else:
         image_blocks = _image_blocks
-    field = make_field(p, n)
     seen = bytearray((blocks >> 3) + 1)
     images = image_blocks(field, d, b_digits)
     trail, trail_y = array("L"), array("L")

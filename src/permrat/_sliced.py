@@ -2,10 +2,12 @@
 
 `image_blocks` yields the same stream as `_kernel_py._image_blocks`: the
 (block, digit 0) of f(p*k) for the coset representatives p*k,
-k = 0 .. p^(n-1) - 1, in order, with f(x) = x + (x^(p^d) - x + b)^{-1}.  It
-evaluates a whole chunk of representatives at once.  Every matrix it applies
-is a cached row set of the field it is given: `Field.artin_schreier_rows`
-for the denominator, `Field.frobenius_rows` for Itoh-Tsujii.
+k = 0 .. p^(n-1) - 1, in order, with f(x) = x + (x^(p^d) - x + b)^{-1} for
+an admissible b (`_kernel_py.perm_scan` checks it), so no denominator
+vanishes.  It evaluates a whole chunk of representatives at once.  Every
+matrix it applies is a cached row set of the field it is given:
+`Field.artin_schreier_rows` for the denominator, `Field.frobenius_rows` for
+Itoh-Tsujii.
 
 Lane k of a chunk stands for one representative.  A plane is a Python int
 with one bit per lane, and an element of F_{p^n} is one plane per digit for
@@ -241,16 +243,14 @@ def _digit_planes(p, lo, full):
 
 def image_blocks(field, d, b_digits):
     """(block, digit 0) of f(p*k) for k = 0 .. p^(n-1) - 1, in order, for
-    p = 2 or 3: the stream of `_kernel_py._image_blocks`, ValueError
-    included.  The pairs of each chunk are chained in C, not yielded one
-    by one from Python."""
+    p = 2 or 3 and an admissible b: the stream of `_kernel_py._image_blocks`.
+    The pairs of each chunk are chained in C, not yielded one by one from
+    Python."""
     return chain.from_iterable(_chunk_images(field, d, b_digits))
 
 
 def _chunk_images(field, d, b_digits):
-    """One iterator of (block, digit 0) pairs per chunk; raises ValueError
-    in place of the chunk holding the first vanishing denominator, after an
-    iterator of the pairs before it.
+    """One iterator of (block, digit 0) pairs per chunk.
 
     The denominator is D = b + sum_(j>=1) x_j col_j, col_j the digits of
     X^(j p^d) - X^j (`Field.artin_schreier_rows`).  Its part from the
@@ -319,19 +319,10 @@ def _chunk_images(field, d, b_digits):
     const = [c % p for c in b_digits]
     high = [0] * n  # the odometer on digits lo+1 .. n-1
     for _ in range(blocks // lanes):
-        den = fld.add_const(var, const)
-        zeros = full
-        for digit in den:
-            for plane in fld.bits(digit):
-                zeros &= ~plane
-        count = (zeros & -zeros).bit_length() - 1 if zeros else lanes
-        if count:
-            inv = fld.inverse(den)
-            ys = fld.add(inv[1:lo + 1], xs) + fld.add_const(inv[lo + 1:], high[lo + 1:])
-            d0 = lane_bytes(fld.bits(inv[0]))  # P + 2M for p = 3
-            yield zip(lane_words(ys)[:count], memoryview(d0)[:count])
-        if zeros:
-            raise ValueError("denominator vanished; trace hypothesis violated")
+        inv = fld.inverse(fld.add_const(var, const))
+        ys = fld.add(inv[1:lo + 1], xs) + fld.add_const(inv[lo + 1:], high[lo + 1:])
+        d0 = lane_bytes(fld.bits(inv[0]))  # P + 2M for p = 3
+        yield zip(lane_words(ys)[:lanes], memoryview(d0)[:lanes])
         for j in range(lo + 1, n):
             const = [(c + d) % p for c, d in zip(const, cols[j])]
             high[j] = (high[j] + 1) % p

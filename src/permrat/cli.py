@@ -10,15 +10,16 @@ resource errors.
 The campaign subcommands (verify TARGET, weil-audit, conjecture) take their
 flags from one table, _CAMPAIGNS.  Flags are per target: a flag the target
 does not read is a usage error, as are both of conjecture's --primes and
---p-max.  Long sweeps accept --progress-file; an interrupted run resumes from
+--p-max.  Only they accept --progress-file: an interrupted run resumes from
 the completed cases, refusing to resume under a changed configuration.
 
 PERMRAT_JOBS sets the default parallelism width; PERMRAT_BACKEND may name the
 one kernel, "pure", which every report records under "backend".  A bad value
 of either is a usage error (exit 2), as is a width below 1 from --jobs or
 PERMRAT_JOBS, or a campaign configuration that selects no cases.  So are a
-count flag that the chosen curve does not read and a reps report whose size
-p^d*n is above REPS_MAX_SIZE.
+count flag that the chosen curve does not read, a reps report whose size
+p^d*n is above REPS_MAX_SIZE and a permcheck field of order above
+maps.HARD_SCAN_CAP (2^32).
 """
 
 from __future__ import annotations
@@ -116,16 +117,13 @@ def _pick_b(ctx, args, d: int = 1):
 
 
 def _cmd_permcheck(args) -> tuple[dict, int]:
-    from .maps import HARD_SCAN_CAP, MapSpec, is_permutation
+    from .maps import MapSpec, is_permutation
 
-    scan_cap = HARD_SCAN_CAP if args.scan_cap is None else args.scan_cap
-    if scan_cap > HARD_SCAN_CAP:
-        raise ValueError("--scan-cap exceeds the hard limit 2^32")
     ctx = make_field(args.p, args.n)
     d = args.frob_level
     b = _pick_b(ctx, args, d)
     spec = MapSpec(ctx, b, d)
-    report = is_permutation(spec, scan_cap=scan_cap)
+    report = is_permutation(spec)
     # the level-d trace, which the hypothesis and --b-trace are about
     trace = ({"trace": absolute_trace(b)} if d == 1
              else {"trace_index": trace_rel(b, d).index})
@@ -305,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=None,
                         help="parallel worker processes for campaign cases "
                              "(default: PERMRAT_JOBS, else 1)")
-    common.add_argument("--progress-file", default=None,
-                        help="resumable progress record for long campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("permcheck", parents=[common],
@@ -315,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True)
     _add_b_choice(pc)
     pc.add_argument("--frob-level", type=int, default=1, metavar="D")
-    pc.add_argument("--scan-cap", type=int, default=None,
-                    help="largest field order to scan (default and limit: 2^32)")
     pc.set_defaults(func=_cmd_permcheck)
 
     ct = sub.add_parser("count", parents=[common], help="affine and infinity point counts")
@@ -335,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                                ("conjecture", "search the open cases n = 3, 4")):
         cp = sub.add_parser(command, parents=[common], help=help_text)
         cp.set_defaults(func=_cmd_campaign, target=command)
+        cp.add_argument("--progress-file", default=None,
+                        help="resumable progress record for long campaigns")
         targets = [t for t, (cmd, _, _) in _CAMPAIGNS.items() if cmd == command]
         if targets != [command]:
             cp.add_argument("target", choices=targets)

@@ -59,34 +59,17 @@ def eval_f(spec: MapSpec, x: Elem) -> Elem:
     return x + denominator(spec, x).inverse()
 
 
-def is_permutation(spec: MapSpec, scan_cap: int = HARD_SCAN_CAP) -> PermReport:
-    """Exact bijectivity verdict by an image scan over element indices.
+def is_permutation(spec: MapSpec) -> PermReport:
+    """Exact bijectivity verdict by the kernel's `perm_scan`.
 
-    The verdict is that of a serial index-order scan: the witness is the
-    first collision in index-enumeration order, paired with the smallest
-    earlier preimage of the repeated value, so reruns agree bit for bit.
-    The kernel gets it from a quotient scan: f(x + c) = f(x) + c for c in
-    F_p, so it evaluates one representative per coset x + F_p.  For p = 2, 3
-    (where every map with a nonzero absolute trace permutes, so the scan
-    runs to the end at d = 1) it evaluates them bit-sliced: one big-int
-    operation per digit for a whole chunk of representatives, inverting by
-    Itoh-Tsujii.  Very small fields, and every p >= 5, use packed ints (one
-    slot per digit, reduced mod p by one Barrett step under a proven slot
-    bound), inverting the denominators of consecutive representatives in
-    chunks by Montgomery's batch inversion.  Either way chunks are bounded,
-    so a scan that stops at an early collision does little extra work, and a
-    vanishing denominator raises only where the index-order scan would meet
-    it.  The first max(p^(n-1)/64, 512) representatives keep their image
-    in a trail of two machine words each (8 KB up to 2^15 representatives,
-    about twice the bitset of image blocks beyond), so a collision among
-    them yields its witness in the same pass; one past the trail takes a
-    second pass to find the earlier preimage.  The scan cap still applies
-    to the field order.
+    Verdict, witness and evaluations are those of the serial index-order
+    scan: the witness is the first collision in index order, paired with the
+    smallest earlier preimage of the repeated value, so reruns agree bit for
+    bit.  Fields of order above HARD_SCAN_CAP are refused with ValueError.
     """
     f = spec.field
-    cap = min(scan_cap, HARD_SCAN_CAP)
-    if f.order > cap:
-        raise ValueError(f"field order {f.order} exceeds the scan cap {cap}")
+    if f.order > HARD_SCAN_CAP:
+        raise ValueError(f"field order {f.order} exceeds the scan cap {HARD_SCAN_CAP}")
     kern = backend.select(f.p)
     ok, witness_idx, evals = kern.perm_scan(f.p, f.n, spec.d, spec.b.coeffs)
     witness = None

@@ -162,26 +162,25 @@ def _curve_gh_case(args: dict) -> dict:
 
 
 def _ident_eq28_case(args: dict) -> dict:
-    """Symmetric-reduction identity: symbolic for every tau, pointwise for
-    one tau over all of F_p^2."""
-    from .curves import criterion_sextic, symmetric_quartic
+    """Symmetric-reduction identity: symbolic for every tau (by binomials),
+    and for one tau by a second algorithm: H(X + Y, X*Y) is composed from
+    `BiPoly` products of s = X + Y and t = X*Y, and the points of F_p^2
+    where G(x, y) != H(x + y, x*y) are those off the zero set of the
+    difference, counted exactly."""
+    from .curves import BiPoly, count_affine, criterion_sextic, symmetric_quartic
 
     p = args["p"]
     ctx = make_field(p, 1)
     symbolic_ok = all(_symmetric_identity_ok(p, tau) for tau in range(1, p))
     tau = 2 % p
-    g = criterion_sextic(ctx, tau).int_terms()
-    h = symmetric_quartic(ctx, tau).int_terms()
-    pw = [[pow(v, e, p) for e in range(7)] for v in range(p)]  # degrees <= 6
-    mismatches = 0
-    for x in range(p):
-        px = pw[x]
-        for y in range(p):
-            py, ps, pt = pw[y], pw[(x + y) % p], pw[x * y % p]
-            gv = sum(c * px[i] * py[j] for (i, j), c in g.items())
-            hv = sum(c * ps[a] * pt[b] for (a, b), c in h.items())
-            if (gv - hv) % p:
-                mismatches += 1
+    h = symmetric_quartic(ctx, tau)
+    s, t = BiPoly(ctx, {(1, 0): 1, (0, 1): 1}), BiPoly(ctx, {(1, 1): 1})
+    s_pow, t_pow = [BiPoly(ctx, {(0, 0): 1})], [BiPoly(ctx, {(0, 0): 1})]
+    for _ in range(h.degree):
+        s_pow.append(s_pow[-1] * s)
+        t_pow.append(t_pow[-1] * t)
+    h_phi = sum((s_pow[a] * t_pow[b] * c for (a, b), c in h.terms.items()), BiPoly(ctx, {}))
+    mismatches = p * p - count_affine(criterion_sextic(ctx, tau) - h_phi)
     return {
         "symbolic_taus": p - 1,
         "pointwise_tau": tau,

@@ -193,6 +193,29 @@ def ident_subst_walk(p):
     return checked, mismatches, factor_mismatches
 
 
+def eq28_pointwise_walk(p, tau=2):
+    """`verify._ident_eq28_case`'s mismatches by a double loop over F_p^2:
+    the points where G(x, y) != H(x + y, x*y), with G and H read from
+    `curves.criterion_sextic` and `curves.symmetric_quartic` at call time
+    and evaluated on integer terms from tables of powers."""
+    ctx = make_field(p, 1)
+    tau %= p
+    g = curves.criterion_sextic(ctx, tau).int_terms()
+    h = curves.symmetric_quartic(ctx, tau).int_terms()
+    top = max(max(i, j) for i, j in (*g, *h))
+    pw = [[pow(v, e, p) for e in range(top + 1)] for v in range(p)]
+    mismatches = 0
+    for x in range(p):
+        px = pw[x]
+        for y in range(p):
+            py, ps, pt = pw[y], pw[(x + y) % p], pw[x * y % p]
+            gv = sum(c * px[i] * py[j] for (i, j), c in g.items())
+            hv = sum(c * ps[a] * pt[b] for (a, b), c in h.items())
+            if (gv - hv) % p:
+                mismatches += 1
+    return mismatches
+
+
 def compose_symmetric(h):
     """h(X + Y, X*Y) expanded back into a BiPoly by repeated multiplication."""
     ctx = h.field

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, resume."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from permrat import cli
 from permrat.cli import main
 
 
@@ -43,12 +45,11 @@ def test_permcheck_requires_valid_parameter(capsys):
 
 
 def test_permcheck_scan_cap(capsys):
-    code, _out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "2",
-                              "--b-trace", "1", "--scan-cap", "10")
-    assert code == 2 and "cap" in err
-    code, _out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "2",
-                              "--b-trace", "1", "--scan-cap", str(1 << 40))
-    assert code == 2 and "hard limit" in err
+    # the scan cap is maps.HARD_SCAN_CAP alone: --scan-cap is no option
+    code, out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "2",
+                             "--b-trace", "1", "--scan-cap", "10")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --scan-cap 10" in err
 
 
 def test_permcheck_reports_the_level_d_trace(capsys):
@@ -175,6 +176,83 @@ def test_reps_refuses_a_subfield_above_the_bound(capsys, argv, power):
 def test_bad_flags_exit_two(capsys):
     assert main(["permcheck", "--p", "5"]) == 2          # missing --n
     assert main(["no-such-command"]) == 2
+
+
+# The options each subcommand accepts; a new flag is added here on purpose.
+_OPTIONS = {
+    "permcheck": {"--p", "--n", "--b-index", "--b-trace", "--frob-level"},
+    "count": {"--p", "--n", "--builtin", "--poly-file", "--b-index", "--b-trace", "--tau", "--t"},
+    "weil-audit": {"--progress-file", "--p-max", "--f-p", "--f-degrees", "--ident-p-max",
+                   "--eq28-p-max"},
+    "verify": {"--progress-file", "--n2-max", "--n3-max", "--primes", "--p-max",
+               "--full-primes", "--q-list"},
+    "conjecture": {"--progress-file", "--n", "--primes", "--p-max"},
+    "reps": {"--p", "--n", "--d"},
+}
+_COMMON_OPTIONS = {"-h", "--help", "--format", "--jobs"}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    accepted = {name: {opt for action in sub._actions for opt in action.option_strings}
+                for name, sub in _subparsers().items()}
+    assert accepted == {name: own | _COMMON_OPTIONS for name, own in _OPTIONS.items()}
+
+
+class _ReadLog(argparse.Namespace):
+    """A parsed namespace that records the name of every attribute read."""
+
+    def __init__(self, reads, **values):
+        super().__init__(**values)
+        self._reads = reads
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["permcheck", "--p", "5", "--n", "2", "--b-trace", "1"],
+    ["count", "--p", "5", "--builtin", "G", "--tau", "2"],
+    ["weil-audit", "--p-max", "3", "--f-degrees", "2", "--eq28-p-max", "3", "--ident-p-max", "3"],
+    ["verify", "thm11", "--primes", "5"],
+    ["conjecture", "--n", "3", "--primes", "5"],
+    ["reps", "--p", "3", "--n", "4"],
+], ids=lambda argv: argv[0])
+def test_every_option_is_read_by_its_command(capsys, monkeypatch, argv):
+    # an option that its command never reads would be accepted and ignored
+    reads = set()
+    build = cli.build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+        parser.parse_args = lambda args: _ReadLog(reads, **vars(parse(args)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    assert main(argv) == 0
+    sub = _subparsers()[argv[0]]
+    assert {a.dest for a in sub._actions if a.option_strings} - {"help"} <= reads
+
+
+@pytest.mark.parametrize("argv", [
+    ["permcheck", "--p", "5", "--n", "2", "--b-trace", "1"],
+    ["count", "--p", "5", "--builtin", "G", "--tau", "2"],
+    ["reps", "--p", "5", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_progress_file_outside_campaigns_exits_two(capsys, tmp_path, argv):
+    # only campaigns resume; elsewhere the flag would be silently ignored
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: --progress-file {prog}" in err
+    assert not prog.exists()
 
 
 def test_reps_output(capsys):

@@ -26,9 +26,10 @@ from permrat.curves import (
     weil_upper_check,
 )
 from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
-from permrat.verify import _ident_subst_case, _symmetric_expansion
+from permrat.verify import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
-from oracles import compose_symmetric, count_infinity_walk, ident_subst_walk
+from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
+                     ident_subst_walk)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,37 @@ def test_ident_subst_counts_match_walk_on_perturbed_sextics(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "criterion_sextic", _perturbed_sextic(extra))
         assert _subst_counts(p) == ident_subst_walk(p)
+
+
+# ---------------------------------------------------------------------------
+# the pointwise eq. (28) check: a zero count against the double loop
+
+
+def _eq28_mismatches(p):
+    return _ident_eq28_case({"p": p})["mismatches"]
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+def test_eq28_mismatches_match_walk(p):
+    assert _eq28_mismatches(p) == eq28_pointwise_walk(p) == 0
+
+
+@pytest.mark.parametrize("p,mismatches", [(3, 4), (5, 16), (7, 36), (11, 100), (13, 144)])
+def test_eq28_mismatches_perturbed_example(monkeypatch, p, mismatches):
+    # G + X^3 Y + 2Y^5 differs from H(X + Y, XY) off the zeros of X^3 Y + 2Y^5
+    monkeypatch.setattr(curves, "criterion_sextic", _perturbed_sextic({(3, 1): 1, (0, 5): 2}))
+    assert _eq28_mismatches(p) == eq28_pointwise_walk(p) == mismatches
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_eq28_mismatches_match_walk_on_perturbed_sextics(data):
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    extra = data.draw(st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "criterion_sextic", _perturbed_sextic(extra))
+        assert _eq28_mismatches(p) == eq28_pointwise_walk(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cross-checks: the quotient scan against the full-scan reference, with
-and without its trail, the bit-sliced generator for p = 2, 3 against the
-packed one, and count_zeros against a BiPoly.eval census."""
+and without its trail, on admissible parameters (a trace-zero one is
+refused before any generator runs), the bit-sliced generator for p = 2, 3
+against the packed one, and count_zeros against a BiPoly.eval census."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,11 +54,14 @@ def test_unknown_backend_name_rejected(capsys, monkeypatch):
     assert out.out == "" and "unknown backend 'numpy'" in out.err
 
 
-def _scan_outcome(scan, ctx, d, b):
-    try:
-        return scan(ctx.p, ctx.n, d, b.coeffs)
-    except ValueError:
-        return "ValueError"
+def _scan(scan, ctx, d, b):
+    return scan(ctx.p, ctx.n, d, b.coeffs)
+
+
+def _admissible(ctx, b, d):
+    """b, or b + (the first element of level-d trace 1) when b has level-d
+    trace 0: either way an admissible parameter."""
+    return b if trace_rel(b, d) else b + first_elem_with_trace(ctx, 1, d)
 
 
 # Every F_{p^n} with q <= 3^8: each with n > 1 is drawn as often as all the
@@ -81,14 +85,12 @@ def _check_scan_against_reference(data, trail=True):
         p = data.draw(st.sampled_from(_SCAN_PRIMES))
     d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     ctx = make_field(p, n)
-    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
+    b = _admissible(ctx, ctx.element(data.draw(st.integers(0, ctx.order - 1))), d)
     with pytest.MonkeyPatch.context() as mp:
         if not trail:
             _without_trail(mp)
-        fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
-    if trace_rel(b, d):
-        assert fast != "ValueError"
+        fast = _scan(_kernel_py.perm_scan, ctx, d, b)
+    assert fast == _scan(perm_scan_reference, ctx, d, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,6 +136,32 @@ def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
             scan(p, n, d, ctx.zero.coeffs)
 
 
+def _route(monkeypatch, path):
+    """Send perm_scan at p = 2, 3 through one generator at every field size."""
+    monkeypatch.setattr(_kernel_py, "_SLICED_MIN_BLOCKS", 1 if path == "sliced" else 1 << 64)
+
+
+def _spy_generators(monkeypatch):
+    """Replace both generators by stubs; returns the list their calls go to."""
+    calls = []
+    for owner, name in ((_kernel_py, "_image_blocks"), (_sliced, "image_blocks")):
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or iter(()))
+    return calls
+
+
+def _entry_error(p, n, d, b_digits):
+    with pytest.raises(ValueError) as err:
+        _kernel_py.perm_scan(p, n, d, b_digits)
+    return str(err.value)
+
+
+def _assert_refused(p, n, d, b):
+    # the message is MapSpec's, the one refusal of a trace-zero b
+    with pytest.raises(ValueError) as spec_err:
+        MapSpec(b.field, b, d)
+    assert _entry_error(p, n, d, b.coeffs) == str(spec_err.value)
+
+
 def _trace_zero_cases():
     cases = []
     for p, n, d in [(2, 3, 1), (2, 4, 1), (3, 3, 1), (5, 2, 1), (3, 4, 2)]:
@@ -142,42 +170,50 @@ def _trace_zero_cases():
     return cases
 
 
-def _route(monkeypatch, path):
-    """Send perm_scan at p = 2, 3 through one generator at every field size."""
-    monkeypatch.setattr(_kernel_py, "_SLICED_MIN_BLOCKS", 1 if path == "sliced" else 1 << 64)
-
-
 @pytest.mark.parametrize("chunks", [None, (1, 2)], ids=["default-chunks", "tiny-chunks"])
 @pytest.mark.parametrize("p,n,d,b_index", _trace_zero_cases())
 def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, d, b_index):
-    # a batch holding a zero denominator must still return a collision that
-    # comes before it in index order, and raise only when the scan reaches
-    # it; tiny chunks put the collision and the zero in different batches
-    # of the packed generator, which they drive at every p
+    # a trace-zero b, whose denominator the index-order reference meets
+    # somewhere, is refused at perm_scan's entry at any chunk size, so no
+    # chunk of the packed generator ever holds a zero denominator
     if chunks:
         _route(monkeypatch, "packed")
         monkeypatch.setattr(_kernel_py, "_CHUNK_FIRST", chunks[0])
         monkeypatch.setattr(_kernel_py, "_CHUNK_CAP", chunks[1])
-    ctx = make_field(p, n)
-    b = ctx.element(b_index)
-    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
-    if (p, n, b_index) == (2, 3, 2):
-        assert fast == (False, (0, 2), 4)  # f(0) = f(2) before the zero at x = 4
+    calls = _spy_generators(monkeypatch)
+    _assert_refused(p, n, d, make_field(p, n).element(b_index))
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,n,d,b_index", [c for c in _trace_zero_cases() if c[0] <= 3])
 def test_vanishing_denominator_in_a_later_lane_chunk(monkeypatch, p, n, d, b_index):
-    # the same through the sliced generator with chunks of p lanes, so the
-    # collision, the zero and the chunk borders fall apart
+    # the same with the sliced generator at chunks of p lanes: no lane
+    # chunk ever holds a zero denominator
     _route(monkeypatch, "sliced")
     monkeypatch.setattr(_sliced, "_LANE_CAP", p)
-    ctx = make_field(p, n)
-    b = ctx.element(b_index)
-    fast = _scan_outcome(_kernel_py.perm_scan, ctx, d, b)
-    assert fast == _scan_outcome(perm_scan_reference, ctx, d, b)
-    if (p, n, b_index) == (2, 3, 2):
-        assert fast == (False, (0, 2), 4)
+    calls = _spy_generators(monkeypatch)
+    _assert_refused(p, n, d, make_field(p, n).element(b_index))
+    assert calls == []
+
+
+def test_every_trace_zero_parameter_is_refused_at_entry(monkeypatch):
+    # every F_{p^n} with q <= 3^6, every level d | n, every b of level-d
+    # trace 0; and a level that does not divide n
+    fields = [(p, n) for p in range(2, 3 ** 6 + 1) if is_prime(p)
+              for n in range(1, 10) if p ** n <= 3 ** 6]
+    calls = _spy_generators(monkeypatch)
+    refused = 0
+    for p, n in fields:
+        ctx = make_field(p, n)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for b in ctx:
+                if not trace_rel(b, d):
+                    _assert_refused(p, n, d, b)
+                    refused += 1
+    b = first_elem_with_trace(make_field(3, 3), 1)
+    assert "does not divide" in _entry_error(3, 3, 2, b.coeffs)
+    assert calls == []
+    assert refused == sum(p ** (n - d) for p, n in fields for d in range(1, n + 1) if n % d == 0)
 
 
 @pytest.mark.parametrize("p,n", [(2, 13), (3, 8)])
@@ -187,16 +223,16 @@ def test_full_scan_past_the_chunk_cap(monkeypatch, p, n):
     # the end
     ctx = make_field(p, n)
     b = first_elem_with_trace(ctx, 1)
-    ref = _scan_outcome(perm_scan_reference, ctx, 1, b)
+    ref = _scan(perm_scan_reference, ctx, 1, b)
     _route(monkeypatch, "packed")
     assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
-    fast = _scan_outcome(_kernel_py.perm_scan, ctx, 1, b)
+    fast = _scan(_kernel_py.perm_scan, ctx, 1, b)
     assert fast == (True, None, ctx.order)
     assert fast == ref
     _route(monkeypatch, "sliced")
     monkeypatch.setattr(_sliced, "_LANE_CAP", 256)
     assert p ** (n - 1) > 2 * _sliced._LANE_CAP
-    assert _scan_outcome(_kernel_py.perm_scan, ctx, 1, b) == ref
+    assert _scan(_kernel_py.perm_scan, ctx, 1, b) == ref
 
 
 # p = 2, 3: every n with q <= 2^13 or q <= 3^8, every level d | n.
@@ -204,38 +240,22 @@ _SLICED_FIELDS = [(p, n, d) for p, top in ((2, 13), (3, 8)) for n in range(1, to
                   for d in range(1, n + 1) if n % d == 0]
 
 
-def _stream(blocks):
-    """Every (block, digit 0) pair of a generator, then "ValueError" if it raised."""
-    out = []
-    try:
-        for block, d0 in blocks:
-            out.append((block, d0))
-    except ValueError:
-        out.append("ValueError")
-    return out
-
-
 @pytest.mark.parametrize("lanes", [None, "p^2"], ids=["default-lanes", "p2-lanes"])
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sliced_stream_matches_packed(lanes, data):
-    # item for item, including where a vanishing denominator raises; p^2
-    # lanes put chunk borders, the high-digit odometer and zeros in later
-    # chunks into small fields
+    # item for item, for admissible b; p^2 lanes put chunk borders and the
+    # high-digit odometer into small fields
     fields = [f for f in _SLICED_FIELDS if f[1] <= 9] if lanes else _SLICED_FIELDS
     p, n, d = data.draw(st.sampled_from(fields))  # p^2 lanes: p^(n-3) chunks
     ctx = make_field(p, n)
-    b = ctx.element(data.draw(st.integers(0, ctx.order - 1)))
-    if data.draw(st.booleans()):
-        b = frobenius(b, d) - b  # level-d trace 0 (Hilbert 90)
+    b = _admissible(ctx, ctx.element(data.draw(st.integers(0, ctx.order - 1))), d)
     args = (ctx, d, b.coeffs)
     with pytest.MonkeyPatch.context() as mp:
         if lanes:
             mp.setattr(_sliced, "_LANE_CAP", p * p)
-        sliced = _stream(_sliced.image_blocks(*args))
-    assert sliced == _stream(_kernel_py._image_blocks(*args))
-    if not trace_rel(b, d):
-        assert sliced[-1] == "ValueError"
+        sliced = list(_sliced.image_blocks(*args))
+    assert sliced == list(_kernel_py._image_blocks(*args))
 
 
 def _lane_planes(ctx, elems):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from permrat import _kernel_py
 from permrat.field import absolute_trace, first_elem_with_trace, frobenius, make_field
 from permrat.maps import (
     MapSpec,
@@ -87,10 +88,15 @@ def test_witness_shape_and_determinism():
     assert r1.evaluations == r2.evaluations == 13
 
 
-def test_scan_cap_enforced():
-    f = make_field(5, 2)
-    with pytest.raises(ValueError):
-        is_permutation(MapSpec(f, f.from_int(3)), scan_cap=10)
+def test_scan_cap_enforced(monkeypatch):
+    # HARD_SCAN_CAP = 2^32 is the one bound on a scan's field order; the
+    # refusal comes before the kernel, which must not start a 2^33 scan
+    monkeypatch.setattr(_kernel_py, "perm_scan", lambda *args: pytest.fail("scan started"))
+    f = make_field(2, 33)
+    spec = MapSpec(f, first_elem_with_trace(f, 1))
+    with pytest.raises(ValueError, match=r"^field order 8589934592 exceeds the scan cap "
+                                         r"4294967296$"):
+        is_permutation(spec)
 
 
 def test_totality_full_scan():
