@@ -1,17 +1,17 @@
-"""Small value classes without `dataclasses`.
+"""A small frozen value class without `dataclasses`.
 
 Importing `dataclasses` pulls in `inspect` and costs every CLI process
-several milliseconds, so the package's report classes derive from these
-bases instead.  A subclass lists its fields in `__slots__`, in constructor
-order, and assigns them in `__init__` with `_set`.  It gets value equality
-(same class, equal fields) and a repr naming the fields; a FrozenRecord also
-refuses assignment and hashes by its fields, as a frozen dataclass does.
+several milliseconds, so the package's report classes derive from
+FrozenRecord instead.  A subclass lists its fields in `__slots__`, in
+constructor order, and assigns them in `__init__` with `_set`.  It gets value
+equality (same class, equal fields), a repr naming the fields, hashing by its
+fields, and refuses assignment, as a frozen dataclass does.
 """
 
 from __future__ import annotations
 
 
-class Record:
+class FrozenRecord:
     __slots__ = ()
 
     def _set(self, **values) -> None:
@@ -26,7 +26,8 @@ class Record:
             return NotImplemented
         return self._fields() == other._fields()
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self._fields())
 
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -35,10 +36,6 @@ class Record:
     def __reduce__(self):
         return self.__class__, self._fields()
 
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen "
                              f"{type(self).__name__}")
@@ -46,6 +43,3 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen "
                              f"{type(self).__name__}")
-
-    def __hash__(self):
-        return hash(self._fields())

@@ -8,7 +8,9 @@ mathematical claim was violated (the report carries the witness), 2 usage or
 resource errors.
 
 The campaign subcommands (verify TARGET, weil-audit, conjecture) take their
-flags from one table, _CAMPAIGNS.  Flags are per target: a flag the target
+flags from one table, _CAMPAIGNS, and pass on only the flags given: a flag
+left out takes the default of the `verify` function that the target names,
+so each default lives in one place.  Flags are per target: a flag the target
 does not read is a usage error, as are both of conjecture's --primes and
 --p-max.  Only they accept --progress-file: an interrupted run resumes from
 the completed cases, refusing to resume under a changed configuration.
@@ -224,30 +226,30 @@ def _primes_from_five(text: str) -> list[int]:
 
 # The campaign targets: target -> (subcommand, function in `verify`, flags).
 # Each flag is (option, argparse keywords); its dest is the function's
-# keyword and its default the CLI default.  Options of one subcommand that
-# share a dest are alternatives.  A verify target reads only its own flags.
+# keyword, and a flag the user leaves out takes the function's default.
+# Options of one subcommand that share a dest are alternatives.  A verify
+# target reads only its own flags.
 _CAMPAIGNS = {
     "baseline": ("verify", "verify_small_characteristic_baseline", (
-        ("--n2-max", dict(dest="n_max_2", type=int, default=12)),
-        ("--n3-max", dict(dest="n_max_3", type=int, default=8)))),
+        ("--n2-max", dict(dest="n_max_2", type=int)),
+        ("--n3-max", dict(dest="n_max_3", type=int)))),
     "thm11": ("verify", "verify_degree_five_nonpermutation", (
-        ("--primes", dict(dest="primes", type=_int_list, default=(5, 7, 11, 13))),)),
+        ("--primes", dict(dest="primes", type=_int_list)),)),
     "thm31": ("verify", "verify_quadratic_trace_criterion", (
-        ("--p-max", dict(dest="p_max", type=int, default=100)),
-        ("--full-primes", dict(dest="full_primes", type=_int_list, default=(3, 5, 7))))),
+        ("--p-max", dict(dest="p_max", type=int)),
+        ("--full-primes", dict(dest="full_primes", type=_int_list)))),
     "remark43": ("verify", "verify_prime_power_trace_criterion", (
-        ("--q-list", dict(dest="q_list", type=_int_list, default=(9, 25, 27, 49))),)),
+        ("--q-list", dict(dest="q_list", type=_int_list)),)),
     "lemma22": ("verify", "verify_square_obstruction", (
-        ("--p-max", dict(dest="p_max", type=int, default=100)),)),
-    # 100, not the API's 97: the config, and so old progress files, say 100
+        ("--p-max", dict(dest="p_max", type=int)),)),
     "lemmaL": ("verify", "verify_squarefree_gcd_chain", (
-        ("--p-max", dict(dest="p_max", type=int, default=100)),)),
+        ("--p-max", dict(dest="p_max", type=int)),)),
     "weil-audit": ("weil-audit", "verify_curve_bounds", (
-        ("--p-max", dict(dest="p_max", type=int, default=97)),
-        ("--f-p", dict(dest="f_p", type=int, default=5)),
-        ("--f-degrees", dict(dest="f_degrees", type=_int_list, default=(2, 3))),
-        ("--ident-p-max", dict(dest="ident_p_max", type=int, default=13)),
-        ("--eq28-p-max", dict(dest="eq28_p_max", type=int, default=97)))),
+        ("--p-max", dict(dest="p_max", type=int)),
+        ("--f-p", dict(dest="f_p", type=int)),
+        ("--f-degrees", dict(dest="f_degrees", type=_int_list)),
+        ("--ident-p-max", dict(dest="ident_p_max", type=int)),
+        ("--eq28-p-max", dict(dest="eq28_p_max", type=int)))),
     "conjecture": ("conjecture", "conjecture_search", (
         ("--n", dict(dest="n", type=int, choices=(3, 4), required=True)),
         ("--primes", dict(dest="primes", type=_int_list)),
@@ -268,8 +270,7 @@ def _cmd_campaign(args) -> tuple[dict, int]:
     for option, kw in _campaign_flags(args.command).items():
         if kw["dest"] not in dests and getattr(args, kw["dest"]) is not None:
             raise ValueError(f"{option} does not apply to {args.command} {args.target}")
-    kwargs = {kw["dest"]: kw.get("default") for _, kw in own}
-    kwargs.update((d, getattr(args, d)) for d in dests if getattr(args, d) is not None)
+    kwargs = {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
     # looked up by name, so a wrapper installed over the module attribute runs
     report = getattr(verify, name)(**kwargs, jobs=args.jobs, progress_path=args.progress_file)
     return report.to_dict(), 0 if report.ok else 1
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         groups = {d: cp.add_mutually_exclusive_group()
                   for d in dict.fromkeys(dests) if dests.count(d) > 1}
         for option, kw in flags.items():
-            groups.get(kw["dest"], cp).add_argument(option, **{**kw, "default": None})
+            groups.get(kw["dest"], cp).add_argument(option, **kw)
 
     rp = sub.add_parser("reps", parents=[common], help="print the trace-class representatives")
     rp.add_argument("--p", type=int, required=True)

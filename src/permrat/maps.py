@@ -99,22 +99,6 @@ def verify_witness(spec: MapSpec, witness: tuple[Elem, Elem]) -> bool:
     return True
 
 
-def conjugate_b(b: Elem, eps: int, c: Elem) -> Elem:
-    """The parameter b1 = eps*(b + c^p - c) with eps = +-1.
-
-    This is the change of parameter under which the map family is equivariant:
-    f_b(eps*x + c) = eps * f_{b1}(x) + c pointwise.  The trace transforms as
-    Tr(b1) = eps * Tr(b), so permutation behavior only depends on the trace
-    value up to sign.
-    """
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if c.field != b.field:
-        raise ValueError("b and c must share a field context")
-    b1 = b + frobenius(c, 1) - c
-    return b1 if eps == 1 else -b1
-
-
 def trace_class_reps(ctx: Field) -> list[Elem]:
     """One parameter per trace class {t, -t}, t in F_p^*.
 
@@ -140,22 +124,3 @@ def subfield_trace_reps(ctx: Field, d: int) -> list[tuple[Elem, Elem]]:
             continue
         pairs.append((t, first_elem_with_trace(ctx, t, d)))
     return pairs
-
-
-def difference_value(spec: MapSpec, x: Elem, y: Elem) -> Elem:
-    """f_b(x + y) - f_b(x), cross-checked against its closed form.
-
-    With q = p^d and z = x^q - x + b the difference equals
-    y * (z^2 + (y^q - y) z + 1 - y^{q-1}) / (z * ((x+y)^q - (x+y) + b)),
-    and this routine asserts the two evaluations agree before returning.
-    """
-    lhs = eval_f(spec, x + y) - eval_f(spec, x)
-    z = denominator(spec, x)
-    q = spec.field.p ** spec.d
-    yq = frobenius(y, spec.d)
-    num = y * (z * z + (yq - y) * z + 1 - y ** (q - 1))
-    den = z * denominator(spec, x + y)
-    rhs = num * den.inverse()
-    if lhs != rhs:
-        raise RuntimeError("difference identity mismatch (implementation bug)")
-    return lhs

@@ -7,10 +7,12 @@ for small fields only.  None of this is imported by the package itself.
 from __future__ import annotations
 
 import functools
+import random
 
 from permrat import curves
 from permrat.curves import BiPoly
 from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
+from permrat.maps import MapSpec, denominator, eval_f, trace_class_reps
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,71 @@ def perm_scan_reference(p, n, d, b_digits):
             return False, (xj, collision), evals
         _step(xd, p, 0)
     raise RuntimeError("collision image lost between passes")
+
+
+# ---------------------------------------------------------------------------
+# The paper's identities for the map family, pointwise.
+
+def conjugate_b(b, eps, c):
+    """The parameter b1 = eps*(b + c^p - c) with eps = +-1.
+
+    This is the change of parameter under which the map family is equivariant:
+    f_b(eps*x + c) = eps * f_{b1}(x) + c pointwise.  The trace transforms as
+    Tr(b1) = eps * Tr(b), so permutation behavior only depends on the trace
+    value up to sign (the reduction behind `maps.trace_class_reps`).
+    """
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if c.field != b.field:
+        raise ValueError("b and c must share a field context")
+    b1 = b + frobenius(c, 1) - c
+    return b1 if eps == 1 else -b1
+
+
+def conjugation_identity_mismatches(p, n, trials=20, seed=None):
+    """Exhaustive check of f_b(eps*x + c) = eps*f_{b1}(x) + c over F_{p^n}.
+
+    Runs `trials` seeded random (eps, c) pairs for every trace-class
+    representative b; returns the number of pointwise mismatches (zero unless
+    something is broken) plus bookkeeping totals.
+    """
+    ctx = make_field(p, n)
+    rng = random.Random(seed if seed is not None else f"conjugation:{p}^{n}")
+    mismatches = 0
+    points = 0
+    for b in trace_class_reps(ctx):
+        spec = MapSpec(ctx, b)
+        for _ in range(trials):
+            eps = rng.choice((1, -1))
+            c = ctx.element(rng.randrange(ctx.order))
+            spec1 = MapSpec(ctx, conjugate_b(b, eps, c))
+            eps_e = ctx.from_int(eps)
+            for x in ctx:
+                points += 1
+                if eval_f(spec, eps_e * x + c) != eps_e * eval_f(spec1, x) + c:
+                    mismatches += 1
+    return {"p": p, "n": n, "trials": trials, "points": points,
+            "mismatches": mismatches}
+
+
+def difference_value(spec, x, y):
+    """f_b(x + y) - f_b(x), cross-checked against its closed form.
+
+    With q = p^d and z = x^q - x + b the difference equals
+    y * (z^2 + (y^q - y) z + 1 - y^{q-1}) / (z * ((x+y)^q - (x+y) + b)),
+    whose numerator over y is the collision curve; this routine raises
+    unless the two evaluations agree.
+    """
+    lhs = eval_f(spec, x + y) - eval_f(spec, x)
+    z = denominator(spec, x)
+    q = spec.field.p ** spec.d
+    yq = frobenius(y, spec.d)
+    num = y * (z * z + (yq - y) * z + 1 - y ** (q - 1))
+    den = z * denominator(spec, x + y)
+    rhs = num * den.inverse()
+    if lhs != rhs:
+        raise RuntimeError("difference identity mismatch (implementation bug)")
+    return lhs
 
 
 # ---------------------------------------------------------------------------

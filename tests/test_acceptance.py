@@ -11,6 +11,8 @@ from permrat import verify
 from permrat.field import make_field
 from permrat.maps import MapSpec, eval_f
 
+from oracles import conjugation_identity_mismatches
+
 
 def _verdict(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -97,8 +99,8 @@ def test_criterion_7_identity_suites(curve_suite_report):
         and c["factorization_mismatches"] == 0
         for c in subst
     )
-    conj_53 = verify.conjugation_identity_mismatches(5, 3, trials=20)
-    conj_72 = verify.conjugation_identity_mismatches(7, 2, trials=20)
+    conj_53 = conjugation_identity_mismatches(5, 3, trials=20)
+    conj_72 = conjugation_identity_mismatches(7, 2, trials=20)
     ok = ok and conj_53["mismatches"] == 0 and conj_72["mismatches"] == 0
     _verdict(7, "identity suites: zero mismatches", ok,
              f"conjugation points {conj_53['points']} + {conj_72['points']}")

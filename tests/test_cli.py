@@ -114,6 +114,17 @@ def test_count_poly_file(capsys, tmp_path):
     assert doc["affine"] == expected
 
 
+def test_count_poly_file_with_a_huge_exponent(capsys, tmp_path):
+    # on F_9, x^e is x^((e - 1) mod 8 + 1): y = -x^e has one point per x, and
+    # the top form X^e vanishes only at x = 0
+    path = tmp_path / "poly.txt"
+    path.write_text("Y + X^99999999999999999999\n")
+    code, out, _ = run_cli(capsys, "count", "--p", "3", "--n", "2", "--poly-file", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["affine"], doc["infinity"], doc["degree"]) == (9, 1, 10 ** 20 - 1)
+
+
 def test_count_poly_file_rejects_leading_star(capsys, tmp_path):
     path = tmp_path / "poly.txt"
     path.write_text("X^2 + * Y\n")
@@ -239,6 +250,25 @@ def test_every_option_is_read_by_its_command(capsys, monkeypatch, argv):
     assert main(argv) == 0
     sub = _subparsers()[argv[0]]
     assert {a.dest for a in sub._actions if a.option_strings} - {"help"} <= reads
+
+
+def test_campaign_flags_left_out_take_the_verify_defaults(capsys, monkeypatch):
+    # the CLI passes only the flags given, so each default lives in `verify`
+    from permrat import verify
+
+    monkeypatch.delenv("PERMRAT_JOBS", raising=False)
+    assert verify.verify_squarefree_gcd_chain.__defaults__[0] == 100  # as the CLI always ran
+    for target, (command, name, flags) in cli._CAMPAIGNS.items():
+        assert all("default" not in kw for _, kw in flags), target
+        seen = {}
+        monkeypatch.setattr(verify, name, lambda **kwargs: seen.update(kwargs) or
+                            verify.CampaignReport(target, {}, [], {}, True))
+        argv = {"verify": ["verify", target], "weil-audit": ["weil-audit"],
+                "conjecture": ["conjecture", "--n", "3"]}[command]
+        assert main(argv) == 0
+        given = {"n": 3} if command == "conjecture" else {}
+        assert seen == {**given, "jobs": 1, "progress_path": None}, target
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,15 +8,15 @@ from permrat import _kernel_py
 from permrat.field import absolute_trace, first_elem_with_trace, frobenius, make_field
 from permrat.maps import (
     MapSpec,
-    conjugate_b,
     denominator,
-    difference_value,
     eval_f,
     is_permutation,
     subfield_trace_reps,
     trace_class_reps,
     verify_witness,
 )
+
+from oracles import conjugate_b, difference_value
 
 
 def test_subfield_inputs_shift_by_inverse_of_b():

@@ -6,9 +6,11 @@ import os
 import pytest
 
 from permrat import maps, verify
-from permrat.cli import emit_report
+from permrat.cli import emit_report, main
 from permrat.field import make_field
 from permrat.maps import MapSpec, PermReport, eval_f, is_permutation
+
+from oracles import conjugation_identity_mismatches
 
 
 def test_baseline_small_grid():
@@ -72,6 +74,22 @@ def test_prime_power_criterion_parses_q(q, error):
     else:
         with pytest.raises(ValueError, match=f"^{error}$"):
             verify.verify_prime_power_trace_criterion((q,))
+
+
+def test_prime_power_criterion_checks_the_field_size_before_factoring(monkeypatch, capsys):
+    # q = (2^31 - 1)^2: trial division of q would take minutes, and F_{q^2} is
+    # far above the 2^40 cap anyway
+    q = (2 ** 31 - 1) ** 2
+
+    def refuse(m):
+        raise AssertionError(f"prime_divisors({m}) called")
+
+    monkeypatch.setattr(verify, "prime_divisors", refuse)
+    with pytest.raises(ValueError, match=rf"^field order {q}\^2 exceeds the 2\^40 cap$"):
+        verify.verify_prime_power_trace_criterion((q,))
+    assert main(["verify", "remark43", "--q-list", str(q)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the 2^40 cap" in captured.err
 
 
 def test_conjecture_search_small():
@@ -154,7 +172,7 @@ def test_progress_file_is_append_only_json_lines(tmp_path):
 
 
 def test_conjugation_identity_helper():
-    out = verify.conjugation_identity_mismatches(5, 2, trials=4)
+    out = conjugation_identity_mismatches(5, 2, trials=4)
     assert out["mismatches"] == 0
     assert out["points"] == 4 * 2 * 25  # trials * classes * field size
 
@@ -170,8 +188,9 @@ def test_witness_dict_evaluates_f_twice_per_witness(monkeypatch):
     report = is_permutation(spec)
     x1, x2 = report.witness
     calls = []
-    for module in (maps, verify):
-        monkeypatch.setattr(module, "eval_f", lambda s, x: calls.append(x) or eval_f(s, x))
+    for module in (maps, verify):  # verify binds no eval_f today; a future import is counted
+        monkeypatch.setattr(module, "eval_f", lambda s, x: calls.append(x) or eval_f(s, x),
+                            raising=False)
     out = verify._witness_dict(spec, report)
     assert calls == [x1, x2]
     assert out == {"i1": x1.index, "i2": x2.index, "coeffs1": list(x1.coeffs),
