@@ -21,7 +21,8 @@ of either is a usage error (exit 2), as is a width below 1 from --jobs or
 PERMRAT_JOBS, or a campaign configuration that selects no cases.  So are a
 count flag that the chosen curve does not read, a reps report whose size
 p^d*n is above REPS_MAX_SIZE and a permcheck field of order above
-maps.HARD_SCAN_CAP (2^32).
+maps.HARD_SCAN_CAP (2^32); a scan campaign checks its largest field against
+that cap before it builds its grid.
 """
 
 from __future__ import annotations

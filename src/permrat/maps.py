@@ -59,6 +59,12 @@ def eval_f(spec: MapSpec, x: Elem) -> Elem:
     return x + denominator(spec, x).inverse()
 
 
+def check_scan_order(order: int) -> None:
+    """Refuse a scan of a field of order above HARD_SCAN_CAP (ValueError)."""
+    if order > HARD_SCAN_CAP:
+        raise ValueError(f"field order {order} exceeds the scan cap {HARD_SCAN_CAP}")
+
+
 def is_permutation(spec: MapSpec) -> PermReport:
     """Exact bijectivity verdict by the kernel's `perm_scan`.
 
@@ -68,8 +74,7 @@ def is_permutation(spec: MapSpec) -> PermReport:
     bit.  Fields of order above HARD_SCAN_CAP are refused with ValueError.
     """
     f = spec.field
-    if f.order > HARD_SCAN_CAP:
-        raise ValueError(f"field order {f.order} exceeds the scan cap {HARD_SCAN_CAP}")
+    check_scan_order(f.order)
     kern = backend.select(f.p)
     ok, witness_idx, evals = kern.perm_scan(f.p, f.n, spec.d, spec.b.coeffs)
     witness = None

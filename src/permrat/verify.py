@@ -27,7 +27,8 @@ from math import comb
 
 from ._record import FrozenRecord
 from .field import MAX_FIELD_ORDER, absolute_trace, is_prime, make_field, prime_divisors
-from .maps import MapSpec, is_permutation, subfield_trace_reps, trace_class_reps, witness_image
+from .maps import (MapSpec, check_scan_order, is_permutation, subfield_trace_reps,
+                   trace_class_reps, witness_image)
 
 
 def primes_upto(n: int, start: int = 2) -> list[int]:
@@ -121,36 +122,67 @@ def _symmetric_expansion(h: dict, p: int) -> dict:
     return {ij: c for ij, c in out.items() if c}
 
 
-def _symmetric_identity_ok(p: int, tau: int) -> bool:
-    """Whether H(X + Y, X*Y) = G over F_p, compared term by term."""
-    from .curves import criterion_sextic, symmetric_quartic
+# The curve pair of a run: G and H depend on tau only through t = tau^2, so
+# tau and p - tau share one entry, keyed by (p, t).  run_cases sets it to a
+# dict for the span of one run, in this process and in each pool worker;
+# outside a run (None) every case builds its own pair.
+_PAIRS: dict | None = None
+
+
+def _share_pairs(on: bool = True) -> None:
+    global _PAIRS
+    _PAIRS = {} if on else None
+
+
+def _pair(p: int, tau: int):
+    """(G, H, entry): this tau's sextic and quartic, and the entry of the
+    pair (p, tau^2) that caches what is computed on them.  Each call builds
+    its own G and H, and a difference from the entry's terms raises
+    RuntimeError, so a result is reused only for the very same curves."""
+    from . import curves
 
     ctx = make_field(p, 1)
-    h = symmetric_quartic(ctx, tau).int_terms()
-    return _symmetric_expansion(h, p) == criterion_sextic(ctx, tau).int_terms()
+    g, h = curves.criterion_sextic(ctx, tau), curves.symmetric_quartic(ctx, tau)
+    terms = (g.int_terms(), h.int_terms())
+    if _PAIRS is None:
+        return g, h, {"terms": terms}
+    entry = _PAIRS.setdefault((p, tau * tau % p), {"terms": terms})
+    if entry["terms"] != terms:
+        raise RuntimeError(f"the curves at p={p}, tau={tau} differ from those of "
+                           f"t = {tau * tau % p} already audited")
+    return g, h, entry
+
+
+def _identity_ok(entry: dict, p: int) -> bool:
+    """Whether H(X + Y, X*Y) = G over F_p for the pair `entry`, compared
+    term by term."""
+    if "identity" not in entry:
+        g, h = entry["terms"]
+        entry["identity"] = _symmetric_expansion(h, p) == g
+    return entry["identity"]
 
 
 def _curve_gh_case(args: dict) -> dict:
-    from .curves import (count_infinity, criterion_sextic, phi_fibers, symmetric_quartic,
-                         weil_lower_check, weil_upper_check)
+    from . import curves
 
     p, tau = args["p"], args["tau"]
-    ctx = make_field(p, 1)
-    g = criterion_sextic(ctx, tau)
-    h = symmetric_quartic(ctx, tau)
-    census = phi_fibers(p, tau)  # counts each curve's zeros once
-    g_affine, h_affine = census["v_g_size"], census["v_h_size"]
-    g_inf, h_inf = count_infinity(g), count_infinity(h)
-    g_ok, g_audit = weil_upper_check(g_affine, p, 6, 3)
-    h_ok, h_audit = weil_lower_check(h_affine, p, 4, 3)
-    sym_ok = _symmetric_identity_ok(p, tau)
-    return {
-        "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
-        "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
-        "phi": census,
-        "symmetric_identity_ok": sym_ok,
-        "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
-    }
+    g, h, entry = _pair(p, tau)
+    if "gh" not in entry:
+        census = curves.phi_fibers(p, tau)  # counts each curve's zeros once
+        g_affine, h_affine = census["v_g_size"], census["v_h_size"]
+        g_inf, h_inf = curves.count_infinity(g), curves.count_infinity(h)
+        g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
+        h_ok, h_audit = curves.weil_lower_check(h_affine, p, 4, 3)
+        sym_ok = _identity_ok(entry, p)
+        entry["gh"] = {
+            "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
+            "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
+            "phi": census,
+            "symmetric_identity_ok": sym_ok,
+            "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
+        }
+    res = entry["gh"]
+    return {**res, "phi": {**res["phi"], "tau": tau}}
 
 
 def _ident_eq28_case(args: dict) -> dict:
@@ -163,7 +195,7 @@ def _ident_eq28_case(args: dict) -> dict:
 
     p = args["p"]
     ctx = make_field(p, 1)
-    symbolic_ok = all(_symmetric_identity_ok(p, tau) for tau in range(1, p))
+    symbolic_ok = all(_identity_ok(_pair(p, tau)[2], p) for tau in range(1, p))
     tau = 2 % p
     h = symmetric_quartic(ctx, tau)
     s, t = BiPoly(ctx, {(1, 0): 1, (0, 1): 1}), BiPoly(ctx, {(1, 1): 1})
@@ -361,7 +393,9 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     fingerprint, then one line per completed case.  Resuming with a different
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
-    report does not depend on jobs or on interruptions.  A configuration
+    report does not depend on jobs or on interruptions.  For the span of the
+    run, curve cases share the work on each curve pair through _PAIRS, here
+    and in each pool worker.  A configuration
     that selects no cases or repeats a case key is refused: a campaign must
     not read as a pass having checked nothing, or count a case twice.
     """
@@ -384,12 +418,13 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
             fh.write(header)
             fh.flush()
     pool = None
+    _share_pairs()
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]
         if jobs > 1 and len(todo) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=jobs, initializer=_share_pairs)
             results = pool.map(_case_worker, todo)
         else:
             results = map(_case_worker, todo)
@@ -399,6 +434,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
                 fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
                 fh.flush()
     finally:
+        _share_pairs(False)
         if pool is not None:
             pool.shutdown()
         if fh:
@@ -462,6 +498,7 @@ def verify_small_characteristic_baseline(n_max_2: int = 12, n_max_3: int = 8,
                                          jobs: int = 1,
                                          progress_path: str | None = None) -> CampaignReport:
     """Every trace-class representative permutes F_{2^n} and F_{3^n}."""
+    check_scan_order(max(2 ** n_max_2, 3 ** n_max_3))
     grid = (_perm(f"p={p},n={n},b={b.index}", {"p": p, "n": n, "b_index": b.index}, True)
             for p, n_max in ((2, n_max_2), (3, n_max_3)) for n in range(1, n_max + 1)
             for b in trace_class_reps(make_field(p, n)))
@@ -476,6 +513,7 @@ def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
     The theorem is about p >= 5: for p = 2, 3 every such map permutes."""
     if any(p < 5 for p in primes):
         raise ValueError("thm11 requires p >= 5")
+    check_scan_order(max(primes, default=0) ** 5)
     grid = (_perm(f"p={p},t={t},b={b.index}",
                   {"p": p, "n": 5, "trace": t, "b_index": b.index}, False)
             for p in primes
@@ -491,6 +529,9 @@ def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
     Class mode runs b = 1 .. (p-1)/2 (trace 2b) for every odd prime up to
     p_max; full mode runs every b with nonzero trace for the listed primes.
     """
+    top = next((p for p in range(p_max, 2, -1) if is_prime(p)), 0)  # the largest class prime
+    check_scan_order(max((top, *full_primes)) ** 2)
+
     def grid():
         for p in primes_upto(p_max, start=3):
             for b in range(1, (p - 1) // 2 + 1):
@@ -517,10 +558,13 @@ def verify_prime_power_trace_criterion(q_list=(9, 25, 27, 49), jobs: int = 1,
     exactly when the trace down to F_q is +-1; one representative b is
     scanned per sign pair of nonzero trace values.
     """
+    for q in q_list:  # every field before any grid, and before factoring q
+        if q * q > MAX_FIELD_ORDER:
+            raise ValueError(f"field order {q}^2 exceeds the 2^40 cap")
+        check_scan_order(q * q)
+
     def grid():
         for q in q_list:
-            if q * q > MAX_FIELD_ORDER:  # before factoring q, which may be slow
-                raise ValueError(f"field order {q}^2 exceeds the 2^40 cap")
             facs = prime_divisors(q)
             if len(facs) != 1:
                 raise ValueError(f"{q} is not a prime power")
@@ -550,6 +594,7 @@ def conjecture_search(n: int, primes=None, jobs: int = 1,
         raise ValueError("conjecture search covers n = 3 and n = 4 only")
     if primes is None:
         primes = (5, 7, 11, 13, 17, 19) if n == 3 else (5, 7, 11)
+    check_scan_order(max(primes, default=0) ** n)
 
     def grid():
         for p in primes:
@@ -596,6 +641,11 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     every tau outside {0, +-1} (counts, infinity points, bound audits, cover
     census), the symmetric-reduction identity, the substitution identity, and
     the tau^2 = 1 factorization.  Each case records its kind.
+
+    G and H depend on tau only through t = tau^2, so tau and p - tau share
+    one pair: within a run, its census, infinity counts, bound audits and
+    symmetric identity are computed once (see _pair), while the cases, their
+    keys and their records stay one per (p, tau).
     """
     def case(kind, key, params):
         return _checked(kind, {"key": key, "kind": kind}, params)

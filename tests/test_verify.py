@@ -1,16 +1,20 @@
 """Campaign behavior: determinism, resume, cross-checks between campaigns."""
 
+import hashlib
 import json
 import os
+import time
 
 import pytest
 
-from permrat import maps, verify
+from permrat import _kernel_py, curves, maps, verify
 from permrat.cli import emit_report, main
+from permrat.curves import BiPoly
 from permrat.field import make_field
 from permrat.maps import MapSpec, PermReport, eval_f, is_permutation
 
 from oracles import conjugation_identity_mismatches
+from test_report_contract import _PINNED, _PINNED_PROGRESS
 
 
 def test_baseline_small_grid():
@@ -206,3 +210,144 @@ def test_forged_witness_fails_reverification():
         with pytest.raises(RuntimeError, match="^witness failed re-verification$"):
             verify._witness_dict(spec, PermReport(False, forged, 10))
         assert not maps.verify_witness(spec, forged)
+
+
+# ---------------------------------------------------------------------------
+# the curve pair of (p, tau^2), shared by tau and p - tau within a run
+
+_SMALL_AUDIT = ["weil-audit", "--p-max", "31", "--f-degrees", "2", "--ident-p-max", "3",
+                "--eq28-p-max", "7"]
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
+    zeros, infinity, census = [], [], []
+    _counting(monkeypatch, _kernel_py, "count_zeros", zeros)
+    _counting(monkeypatch, curves, "count_infinity", infinity)
+    _counting(monkeypatch, curves, "phi_fibers", census)
+    assert main(_SMALL_AUDIT) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    kinds = [c["kind"] for c in cases]
+    pairs = sum((p - 3) // 2 for p in verify.primes_upto(31, start=5))
+    assert kinds.count("curve_gh") == 2 * pairs == 128
+    # one census (two zero counts) and two infinity counts per pair, plus one
+    # count of each kind per curve_f case and one zero count per eq28 case
+    assert len(census) == pairs
+    assert sorted({(p, tau * tau % p) for p, tau in census}) == sorted(
+        {(p, tau * tau % p) for p in verify.primes_upto(31, start=5) for tau in range(2, p - 1)})
+    assert len(infinity) == 2 * pairs + kinds.count("curve_f")
+    assert len(zeros) == 2 * pairs + kinds.count("curve_f") + kinds.count("ident_eq28")
+
+
+def _perturb_one_tau(monkeypatch, p, tau):
+    sextic = curves.criterion_sextic
+
+    def perturbed(ctx, t):
+        g = sextic(ctx, t)
+        return g + BiPoly(ctx, {(1, 0): 1}) if (ctx.p, t) == (p, tau) else g
+
+    monkeypatch.setattr(curves, "criterion_sextic", perturbed)
+
+
+def test_a_curve_that_differs_at_p_minus_tau_fails_the_run(capsys, monkeypatch):
+    census, returned = [], []
+    _counting(monkeypatch, curves, "phi_fibers", census)
+    real_case = verify._CASE_FUNCS["curve_gh"]
+    monkeypatch.setitem(verify._CASE_FUNCS, "curve_gh",
+                        lambda args: returned.append((args["p"], args["tau"]))
+                        or real_case(args))
+    _perturb_one_tau(monkeypatch, 7, 5)  # 5 > 7/2 shares t = 4 with tau = 2
+    with pytest.raises(RuntimeError, match=r"^the curves at p=7, tau=5 differ"):
+        main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
+              "--eq28-p-max", "3"])
+    assert capsys.readouterr().out == ""
+    # tau = 2 built the pair; tau = 5 raised before it could read the census
+    assert census == [(5, 2), (7, 2), (7, 3)]
+    assert returned == [(5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (7, 5)]
+    # outside a run nothing is shared: the case censuses its own curves, and
+    # the census finds the perturbation itself
+    assert verify._PAIRS is None
+    with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+        verify._curve_gh_case({"p": 7, "tau": 5})
+
+
+def test_resume_between_tau_and_p_minus_tau_keeps_the_pinned_bytes(capsys, tmp_path,
+                                                                   monkeypatch):
+    command = "weil-audit --p-max 31 --f-degrees 2,3,4 --ident-p-max 5 --eq28-p-max 31"
+    prog = tmp_path / "progress"
+    assert main(command.split() + ["--progress-file", str(prog)]) == 0
+    capsys.readouterr()
+    data = prog.read_bytes()
+    cut = data.index(b"\n", data.index(b'"key": "GH,p=7,tau=2"')) + 1
+    assert b'"GH,p=7,tau=5"' in data[cut:]
+    prog.write_bytes(data[:cut])
+    census = []
+    _counting(monkeypatch, curves, "phi_fibers", census)
+    assert main(command.split() + ["--progress-file", str(prog)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command]
+    assert hashlib.sha256(prog.read_bytes()).hexdigest() == _PINNED_PROGRESS[command]
+    assert census[0] == (7, 3) and (7, 5) in census  # tau = 5 builds its pair anew
+
+
+def test_tau_and_p_minus_tau_in_different_workers_match_serial(capsys, tmp_path,
+                                                                monkeypatch):
+    argv = ["weil-audit", "--p-max", "13", "--f-degrees", "2", "--ident-p-max", "3",
+            "--eq28-p-max", "3"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    real_case = verify._CASE_FUNCS["curve_gh"]
+
+    def case(args):
+        # pool workers inherit this table by fork; the worker holding tau = 2
+        # waits until another worker has started tau = 11
+        key = tmp_path / f"{args['p']}-{args['tau']}"
+        key.write_text(str(os.getpid()))
+        if (args["p"], args["tau"]) == (13, 2):
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "13-11").exists():
+                assert time.monotonic() < deadline, "tau = 11 never started"
+                time.sleep(0.01)
+        return real_case(args)
+
+    monkeypatch.setitem(verify._CASE_FUNCS, "curve_gh", case)
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert (tmp_path / "13-2").read_text() != (tmp_path / "13-11").read_text()
+    assert (tmp_path / "13-2").read_text() != str(os.getpid())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "baseline", "--n2-max", "33"],
+    ["verify", "baseline", "--n3-max", "21"],
+    ["verify", "remark43", "--q-list", "65537"],
+    ["verify", "remark43", "--q-list", "9,65537"],
+    ["verify", "thm31", "--p-max", "65537", "--full-primes", "3"],
+    ["verify", "thm31", "--p-max", "7", "--full-primes", "3,65537"],
+    ["verify", "thm11", "--primes", "5,89"],
+    ["conjecture", "--n", "3", "--primes", "5,1627"],
+    ["conjecture", "--n", "4", "--primes", "5,257"],
+], ids=["baseline-2", "baseline-3", "remark43", "remark43-after-9", "thm31-class", "thm31-full", "thm11",
+        "conjecture-n3", "conjecture-n4"])
+def test_campaign_refuses_a_field_above_the_scan_cap_before_any_grid(capsys, monkeypatch,
+                                                                      argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or scan ran before the scan cap was checked")
+
+    for module in (maps, verify):
+        for name in ("subfield_trace_reps", "trace_class_reps", "is_permutation"):
+            monkeypatch.setattr(module, name, refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: field order ")
+    assert captured.err.endswith(f" exceeds the scan cap {maps.HARD_SCAN_CAP}\n")
