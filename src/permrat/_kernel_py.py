@@ -20,19 +20,18 @@ a nonzero level-d trace, and checks that once at entry, so no denominator
 it evaluates vanishes.  Two generators evaluate the representatives, with
 the same output stream:
 
-* `_image_blocks`, for p >= 5 and for small fields: elements are packed
-  one slot per digit (`_Packed`, built once per field), and the
-  denominators of consecutive representatives are inverted in chunks by
-  Montgomery's batch inversion: 3 multiplications per element and one
-  extended-Euclid inversion per chunk.  Chunks start at _CHUNK_FIRST
-  representatives and double up to _CHUNK_CAP, so a scan that stops early
-  does little extra work and memory stays bounded.
-* `_sliced.image_blocks`, for p = 2, 3 from _SLICED_MIN_BLOCKS
-  representatives on: bit-sliced, one big-int operation per digit for a
-  whole chunk of representatives, with Itoh-Tsujii inversion.  For
-  p = 2, 3 every map with a nonzero absolute trace permutes, so these scans
-  run to the end at d = 1.  The module is imported only by scans that use
-  it.
+* `_image_blocks`, for p >= 5: elements are packed one slot per digit
+  (`_Packed`, built once per field), and the denominators of consecutive
+  representatives are inverted in chunks by Montgomery's batch inversion:
+  3 multiplications per element and one extended-Euclid inversion per
+  chunk.  Chunks start at _CHUNK_FIRST representatives and double up to
+  _CHUNK_CAP, so a scan that stops early does little extra work and memory
+  stays bounded.
+* `_sliced.image_blocks`, for p = 2, 3: bit-sliced, one big-int operation
+  per digit for a whole chunk of representatives, with Itoh-Tsujii
+  inversion.  For p = 2, 3 every map with a nonzero absolute trace
+  permutes, so these scans run to the end at d = 1.  The module is
+  imported only by p = 2, 3 scans.
 
 A scan that collides finds the earlier representative with the same image
 in the pass that found the collision, from a trail of the first
@@ -61,10 +60,6 @@ _CHUNK_CAP = 512
 # blocks and about twice the bitset's blocks/8 bytes beyond.
 _TRAIL_SHIFT = 6
 _TRAIL_FLOOR = _CHUNK_CAP
-# p = 2, 3 scans of at least this many representatives run bit-sliced.  Below
-# it the generators are within ~15 us a scan, so a process that scans only
-# such fields is spared the ~5 ms it takes to compile _sliced.
-_SLICED_MIN_BLOCKS = 16
 
 
 def __getattr__(name):
@@ -147,9 +142,6 @@ class _Packed:
 
     def pack(self, digits):
         return sum(d << (self.w * i) for i, d in enumerate(digits))
-
-    def unpack(self, a):
-        return tuple((a >> (self.w * i)) & self.smask for i in range(self.n))
 
     def mul(self, a, b, add=0):
         reduce, nw, low = self.reduce, self.w * self.n, self.low
@@ -279,18 +271,17 @@ def perm_scan(p, n, d, b_digits):
     evaluated, with a bitset of image blocks; f permutes iff no image block
     repeats.
 
-    For p = 2, 3 and at least _SLICED_MIN_BLOCKS representatives,
-    `_sliced.image_blocks` evaluates them bit-sliced, a chunk of up to
-    `_sliced._LANE_CAP` representatives per big-int operation.  Otherwise
-    `_image_blocks` evaluates them on packed ints: the denominators of
-    consecutive representatives are inverted in chunks by Montgomery's batch
-    inversion (3 multiplications per representative, one extended-Euclid
-    inversion per chunk), and chunks start at _CHUNK_FIRST representatives
-    and double up to _CHUNK_CAP.  Every slot stays below the bound of
-    `_Packed` (n*(p-1)*bmax + 1 for a product, with bmax the largest slot of
-    an unreduced denominator, and (n-1)^2*(p-1)^3 + 2p - 1 for a
-    remainder), so one `_slot_barrett` step reduces all of its slots mod p
-    exactly.  Both generators yield the same (block, digit 0) stream.
+    For p = 2, 3, `_sliced.image_blocks` evaluates them bit-sliced, a chunk
+    of up to `_sliced._LANE_CAP` representatives per big-int operation.  For
+    p >= 5, `_image_blocks` evaluates them on packed ints: the denominators
+    of consecutive representatives are inverted in chunks by Montgomery's
+    batch inversion (3 multiplications per representative, one
+    extended-Euclid inversion per chunk), and chunks start at _CHUNK_FIRST
+    representatives and double up to _CHUNK_CAP.  Every slot stays below the
+    bound of `_Packed` (n*(p-1)*bmax + 1 for a product, with bmax the
+    largest slot of an unreduced denominator, and (n-1)^2*(p-1)^3 + 2p - 1
+    for a remainder), so one `_slot_barrett` step reduces all of its slots
+    mod p exactly.  Both generators yield the same (block, digit 0) stream.
 
     Returns the same (is_permutation, witness, evaluations) as the
     index-order full scan (`perm_scan_reference` in the tests).  The first
@@ -310,7 +301,7 @@ def perm_scan(p, n, d, b_digits):
     if not trace_rel(Elem(field, tuple(c % p for c in b_digits)), d):
         raise ValueError("trace hypothesis violated: the level-%d trace of b is zero" % d)
     blocks = p ** (n - 1)
-    if p <= 3 and blocks >= _SLICED_MIN_BLOCKS:
+    if p <= 3:
         from ._sliced import image_blocks
     else:
         image_blocks = _image_blocks

@@ -120,7 +120,7 @@ def _pick_b(ctx, args, d: int = 1):
 
 
 def _cmd_permcheck(args) -> tuple[dict, int]:
-    from .maps import MapSpec, is_permutation
+    from .maps import MapSpec, is_permutation, witness_image
 
     ctx = make_field(args.p, args.n)
     d = args.frob_level
@@ -140,6 +140,7 @@ def _cmd_permcheck(args) -> tuple[dict, int]:
         "evaluations": report.evaluations,
     }
     if report.witness:
+        witness_image(spec, report.witness)  # re-verified, as a campaign does
         x1, x2 = report.witness
         out["witness"] = {"i1": x1.index, "i2": x2.index,
                           "coeffs1": list(x1.coeffs), "coeffs2": list(x2.coeffs)}
@@ -274,7 +275,7 @@ def _cmd_campaign(args) -> tuple[dict, int]:
     kwargs = {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
     # looked up by name, so a wrapper installed over the module attribute runs
     report = getattr(verify, name)(**kwargs, jobs=args.jobs, progress_path=args.progress_file)
-    return report.to_dict(), 0 if report.ok else 1
+    return report, 0 if report["ok"] else 1
 
 
 def _env_jobs() -> int:

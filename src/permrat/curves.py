@@ -1,7 +1,7 @@
 """Sparse bivariate polynomials over a field context, exact point counts
 and integer bound audits for plane curves.
 
-Builders for the three curves attached to the map family:
+Builders for the four curves attached to the map family:
 
 * collision_curve(ctx, b): the degree-2p curve whose zeros (x, y), y != 0,
   certify f_b(x + y) = f_b(x).
@@ -375,29 +375,15 @@ class UniPoly:
         return not self.coeffs
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = UniPoly(self.p, [other])
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
 
     def __mul__(self, other):
         return UniPoly(self.p, pmul(list(self.coeffs), list(other.coeffs), self.p))
 
     def __add__(self, other):
         return UniPoly(self.p, padd(list(self.coeffs), list(other.coeffs), self.p))
-
-    def __sub__(self, other):
-        return UniPoly(self.p, psub(list(self.coeffs), list(other.coeffs), self.p))
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     def __repr__(self):
         return f"UniPoly(p={self.p}, coeffs={self.coeffs})"

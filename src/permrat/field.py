@@ -309,8 +309,6 @@ class Field:
         return tuple(iv) + (0,) * (self.n - len(iv))
 
     def _pow(self, a, e):
-        if e < 0:
-            return self._pow(self._inv(a), -e)
         result = self.one.coeffs
         base = a
         while e:
@@ -394,12 +392,6 @@ class Elem:
             return NotImplemented
         return Elem(self.field, self.field._sub(self.coeffs, o.coeffs))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Elem(self.field, self.field._sub(o.coeffs, self.coeffs))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -412,7 +404,7 @@ class Elem:
         return Elem(self.field, self.field._neg(self.coeffs))
 
     def __pow__(self, e):
-        if not isinstance(e, int):
+        if not isinstance(e, int) or e < 0:
             return NotImplemented
         return Elem(self.field, self.field._pow(self.coeffs, e))
 
@@ -424,12 +416,6 @@ class Elem:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -10,10 +10,50 @@ the denominator never vanishes and f_b is total on the field.
 from __future__ import annotations
 
 from . import backend
-from ._record import FrozenRecord
 from .field import Elem, Field, first_elem_with_trace, frobenius, subfield_elements, trace_rel
 
 HARD_SCAN_CAP = 1 << 32
+
+
+class FrozenRecord:
+    """A frozen value class without `dataclasses`, whose import (it pulls in
+    `inspect`) costs every CLI process several milliseconds.  A subclass
+    lists its fields in `__slots__`, in constructor order, and assigns them
+    in `__init__` with `_set`.  It gets value equality (same class, equal
+    fields), a repr naming the fields, hashing by its fields, and refuses
+    assignment, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen "
+                             f"{type(self).__name__}")
 
 
 class MapSpec(FrozenRecord):

@@ -1,11 +1,12 @@
 """Verification campaigns.
 
 Each campaign sweeps a parameter grid, runs exact checks case by case, and
-returns a CampaignReport whose serialized form is a pure function of the
-grid: fixed enumeration order, canonical witnesses, no timestamps.  Failed
-cases always carry a re-checkable witness.  Campaign ids double as the CLI
-verify targets (baseline, thm11, thm31, remark43, lemma22, lemmaL) plus the
-weil-audit curve suite and the two conjecture searches.
+returns its report as a dict (campaign, config, cases, totals,
+counterexamples, ok), a pure function of the grid: fixed enumeration order,
+canonical witnesses, no timestamps.  Failed cases always carry a
+re-checkable witness.  Campaign ids double as the CLI verify targets
+(baseline, thm11, thm31, remark43, lemma22, lemmaL) plus the weil-audit
+curve suite and the two conjecture searches.
 
 A campaign function validates its arguments and gives its config and grid
 to the one runner, _campaign.  A grid yields _perm(key, params, expected,
@@ -22,10 +23,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from math import comb
 
-from ._record import FrozenRecord
 from .field import MAX_FIELD_ORDER, absolute_trace, is_prime, make_field, prime_divisors
 from .maps import (MapSpec, check_scan_order, is_permutation, subfield_trace_reps,
                    trace_class_reps, witness_image)
@@ -33,28 +32,6 @@ from .maps import (MapSpec, check_scan_order, is_permutation, subfield_trace_rep
 
 def primes_upto(n: int, start: int = 2) -> list[int]:
     return [p for p in range(start, n + 1) if is_prime(p)]
-
-
-class CampaignReport(FrozenRecord):
-    __slots__ = ("campaign", "config", "cases", "totals", "ok", "counterexamples",
-                 "wall_time")
-
-    def __init__(self, campaign: str, config: dict, cases: list, totals: dict, ok: bool,
-                 counterexamples: list | None = None, wall_time: float = 0.0):
-        self._set(campaign=campaign, config=config, cases=cases, totals=totals, ok=ok,
-                  counterexamples=[] if counterexamples is None else counterexamples,
-                  wall_time=wall_time)
-
-    def to_dict(self) -> dict:
-        """The serialized report; wall_time stays off it."""
-        return {
-            "campaign": self.campaign,
-            "config": self.config,
-            "cases": self.cases,
-            "totals": self.totals,
-            "counterexamples": self.counterexamples,
-            "ok": self.ok,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +420,13 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
 
 
 def _campaign(name: str, config: dict, grid, jobs: int,
-              progress_path: str | None) -> CampaignReport:
+              progress_path: str | None) -> dict:
     """Run the cases of `grid` and assemble the campaign report.
 
     `grid` yields (payload, record) pairs: the payload goes to run_cases,
     and record(result) is the report's case.  A case whose record carries
     a true "counterexample" is listed among the counterexamples.
     """
-    t0 = time.perf_counter()
     grid = list(grid)
     results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path)
     cases = [record(res) for (_, record), res in zip(grid, results)]
@@ -458,8 +434,8 @@ def _campaign(name: str, config: dict, grid, jobs: int,
     passed = sum(1 for c in cases if c["pass"])
     totals = {"cases": len(cases), "passed": passed, "failed": len(cases) - passed,
               "counterexamples": len(counterexamples)}
-    return CampaignReport(name, config, cases, totals, passed == len(cases),
-                          counterexamples, time.perf_counter() - t0)
+    return {"campaign": name, "config": config, "cases": cases, "totals": totals,
+            "counterexamples": counterexamples, "ok": passed == len(cases)}
 
 
 def _perm(key: str, params: dict, expected: bool, search: bool = False):
@@ -494,10 +470,19 @@ def _checked(kind: str, head: dict, params: dict):
 # ---------------------------------------------------------------------------
 # Campaigns.
 
+def _nonnegative(**bounds) -> None:
+    """Refuse a bound below 0, before any grid is built: it would select the
+    cases of 0 under a second config and fingerprint."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 def verify_small_characteristic_baseline(n_max_2: int = 12, n_max_3: int = 8,
                                          jobs: int = 1,
-                                         progress_path: str | None = None) -> CampaignReport:
+                                         progress_path: str | None = None) -> dict:
     """Every trace-class representative permutes F_{2^n} and F_{3^n}."""
+    _nonnegative(n_max_2=n_max_2, n_max_3=n_max_3)
     check_scan_order(max(2 ** n_max_2, 3 ** n_max_3))
     grid = (_perm(f"p={p},n={n},b={b.index}", {"p": p, "n": n, "b_index": b.index}, True)
             for p, n_max in ((2, n_max_2), (3, n_max_3)) for n in range(1, n_max + 1)
@@ -507,7 +492,7 @@ def verify_small_characteristic_baseline(n_max_2: int = 12, n_max_3: int = 8,
 
 
 def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
-                                      progress_path: str | None = None) -> CampaignReport:
+                                      progress_path: str | None = None) -> dict:
     """No trace-class representative permutes F_{p^5} for the desk primes.
 
     The theorem is about p >= 5: for p = 2, 3 every such map permutes."""
@@ -523,13 +508,14 @@ def verify_degree_five_nonpermutation(primes=(5, 7, 11, 13), jobs: int = 1,
 
 def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
                                      jobs: int = 1,
-                                     progress_path: str | None = None) -> CampaignReport:
+                                     progress_path: str | None = None) -> dict:
     """Over F_{p^2} the map permutes exactly when the trace of b is +-1.
 
     Class mode runs b = 1 .. (p-1)/2 (trace 2b) for every odd prime up to
     p_max; full mode runs every b with nonzero trace for the listed primes.
     """
-    top = next((p for p in range(p_max, 2, -1) if is_prime(p)), 0)  # the largest class prime
+    _nonnegative(p_max=p_max)
+    top =next((p for p in range(p_max, 2, -1) if is_prime(p)), 0)  # the largest class prime
     check_scan_order(max((top, *full_primes)) ** 2)
 
     def grid():
@@ -551,7 +537,7 @@ def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
 
 
 def verify_prime_power_trace_criterion(q_list=(9, 25, 27, 49), jobs: int = 1,
-                                       progress_path: str | None = None) -> CampaignReport:
+                                       progress_path: str | None = None) -> dict:
     """The trace criterion with p replaced by an odd prime power q.
 
     For each q = p^m the map x -> x + (x^q - x + b)^{-1} on F_{q^2} permutes
@@ -582,7 +568,7 @@ def verify_prime_power_trace_criterion(q_list=(9, 25, 27, 49), jobs: int = 1,
 
 
 def conjecture_search(n: int, primes=None, jobs: int = 1,
-                      progress_path: str | None = None) -> CampaignReport:
+                      progress_path: str | None = None) -> dict:
     """Search for permuting parameters over F_{p^3} or F_{p^4}.
 
     All scanned cases are expected non-permuting; a permuting one is flagged
@@ -615,16 +601,18 @@ def conjecture_search(n: int, primes=None, jobs: int = 1,
 
 
 def verify_square_obstruction(p_max: int = 100, jobs: int = 1,
-                              progress_path: str | None = None) -> CampaignReport:
+                              progress_path: str | None = None) -> dict:
     """The quartic-is-a-square coefficient system is inconsistent for t != 1."""
+    _nonnegative(p_max=p_max)
     grid = (_checked("lemma22", {"key": f"p={p}"}, {"p": p})
             for p in primes_upto(p_max, start=3))
     return _campaign("lemma22", {"p_max": p_max}, grid, jobs, progress_path)
 
 
 def verify_squarefree_gcd_chain(p_max: int = 100, jobs: int = 1,
-                                progress_path: str | None = None) -> CampaignReport:
+                                progress_path: str | None = None) -> dict:
     """The gcd chain collapses to 1 for every prime 5 <= p <= p_max."""
+    _nonnegative(p_max=p_max)
     grid = (_checked("lemmaL", {"key": f"p={p}"}, {"p": p})
             for p in primes_upto(p_max, start=5))
     return _campaign("lemmaL", {"p_max": p_max}, grid, jobs, progress_path)
@@ -633,7 +621,7 @@ def verify_squarefree_gcd_chain(p_max: int = 100, jobs: int = 1,
 def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
                         ident_p_max: int = 13, eq28_p_max: int = 97,
                         jobs: int = 1,
-                        progress_path: str | None = None) -> CampaignReport:
+                        progress_path: str | None = None) -> dict:
     """The curve suite: exact counts against the integer bound audits.
 
     Covers the collision curve over F_{f_p^n} (one parameter per trace
@@ -647,6 +635,7 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     symmetric identity are computed once (see _pair), while the cases, their
     keys and their records stay one per (p, tau).
     """
+    _nonnegative(p_max=p_max, ident_p_max=ident_p_max, eq28_p_max=eq28_p_max)
     def case(kind, key, params):
         return _checked(kind, {"key": key, "kind": kind}, params)
 

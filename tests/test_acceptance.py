@@ -29,46 +29,46 @@ def curve_suite_report():
 
 def test_criterion_1_small_characteristic_baseline():
     report = verify.verify_small_characteristic_baseline(n_max_2=12, n_max_3=8)
-    ok = report.ok and all(c["observed_permutation"] for c in report.cases)
+    ok = report["ok"] and all(c["observed_permutation"] for c in report["cases"])
     _verdict(1, "p=2,3 baseline permutes (n<=12 / n<=8)", ok,
-             f"{report.totals['cases']} scans")
+             f"{report['totals']['cases']} scans")
 
 
 def test_criterion_2_degree_five_nonpermutation():
     report = verify.verify_degree_five_nonpermutation((5, 7, 11, 13))
-    ok = report.ok and all(
+    ok = report["ok"] and all(
         c["observed_permutation"] is False and c["witness"] is not None
-        for c in report.cases
+        for c in report["cases"]
     )
     # witnesses were re-verified case-side; re-check one end to end here
-    case = report.cases[-1]
+    case = report["cases"][-1]
     ctx = make_field(case["params"]["p"], 5)
     spec = MapSpec(ctx, ctx.element(case["params"]["b_index"]))
     x1 = ctx.element(case["witness"]["i1"])
     x2 = ctx.element(case["witness"]["i2"])
     ok = ok and x1 != x2 and eval_f(spec, x1) == eval_f(spec, x2)
     _verdict(2, "no class permutes F_{p^5}, p in {5,7,11,13}", ok,
-             f"{report.totals['cases']} witnessed scans")
+             f"{report['totals']['cases']} witnessed scans")
 
 
 def test_criterion_3_quadratic_trace_criterion():
     report = verify.verify_quadratic_trace_criterion(p_max=100, full_primes=(3, 5, 7))
     _verdict(3, "F_{p^2} permutes iff trace is +-1 (p<=100; full b for 3,5,7)",
-             report.ok, f"{report.totals['cases']} scans")
+             report["ok"], f"{report['totals']['cases']} scans")
 
 
 def test_criterion_4_prime_power_criterion():
     report = verify.verify_prime_power_trace_criterion((9, 25, 27, 49))
-    _verdict(4, "prime-power criterion for q in {9,25,27,49}", report.ok,
-             f"{report.totals['cases']} scans")
+    _verdict(4, "prime-power criterion for q in {9,25,27,49}", report["ok"],
+             f"{report['totals']['cases']} scans")
 
 
 def test_criterion_5_conjecture_searches():
     r3 = verify.conjecture_search(3, (5, 7, 11, 13, 17, 19))
     r4 = verify.conjecture_search(4, (5, 7, 11))
-    flagged = r3.counterexamples + r4.counterexamples
-    ok = r3.ok and r4.ok and not flagged
-    searched = [c for c in r3.cases + r4.cases if c["params"]["role"] == "search"]
+    flagged = r3["counterexamples"] + r4["counterexamples"]
+    ok = r3["ok"] and r4["ok"] and not flagged
+    searched = [c for c in r3["cases"] + r4["cases"] if c["params"]["role"] == "search"]
     ok = ok and all(c["witness"] is not None for c in searched)
     _verdict(5, "n=3,4 searches: all non-permuting with witnesses", ok,
              f"{len(searched)} classes searched, counterexamples={flagged}")
@@ -76,8 +76,8 @@ def test_criterion_5_conjecture_searches():
 
 def test_criterion_6_curve_counts_and_bounds(curve_suite_report):
     report = curve_suite_report
-    f_cases = [c for c in report.cases if c["kind"] == "curve_f"]
-    gh_cases = [c for c in report.cases if c["kind"] == "curve_gh"]
+    f_cases = [c for c in report["cases"] if c["kind"] == "curve_f"]
+    gh_cases = [c for c in report["cases"] if c["kind"] == "curve_gh"]
     ok = bool(f_cases) and bool(gh_cases)
     ok = ok and all(c["pass"] and c["infinity"] == 2 for c in f_cases)
     ok = ok and all(
@@ -91,8 +91,8 @@ def test_criterion_6_curve_counts_and_bounds(curve_suite_report):
 
 def test_criterion_7_identity_suites(curve_suite_report):
     report = curve_suite_report
-    eq28 = [c for c in report.cases if c["kind"] == "ident_eq28"]
-    subst = [c for c in report.cases if c["kind"] == "ident_subst"]
+    eq28 = [c for c in report["cases"] if c["kind"] == "ident_eq28"]
+    subst = [c for c in report["cases"] if c["kind"] == "ident_subst"]
     ok = len(eq28) == 24 and all(c["pass"] and c["mismatches"] == 0 for c in eq28)
     ok = ok and all(
         c["pass"] and c["substitution_mismatches"] == 0
@@ -109,6 +109,6 @@ def test_criterion_7_identity_suites(curve_suite_report):
 def test_criterion_8_lemma_checks():
     r22 = verify.verify_square_obstruction(100)
     rl = verify.verify_squarefree_gcd_chain(97)
-    ok = r22.ok and rl.ok
+    ok = r22["ok"] and rl["ok"]
     _verdict(8, "square obstruction (p<=100) and gcd chain (5<=p<=97)", ok,
-             f"{r22.totals['cases']} + {rl.totals['cases']} prime cases")
+             f"{r22['totals']['cases']} + {rl['totals']['cases']} prime cases")

@@ -9,7 +9,6 @@ import pytest
 import permrat
 from permrat.field import make_field
 from permrat.maps import MapSpec, PermReport, is_permutation
-from permrat.verify import CampaignReport
 
 # Names that once had a second home in the package namespace, by module.
 NAMES = {
@@ -58,7 +57,7 @@ def test_package_exposes_only_its_version():
 def test_submodules_still_import_from_the_package():
     ns = {}
     exec("from permrat import verify, cli", ns)
-    assert ns["verify"].CampaignReport is CampaignReport
+    assert callable(ns["verify"].verify_squarefree_gcd_chain)
     assert callable(ns["cli"].main)
 
 
@@ -114,18 +113,12 @@ def test_permreport_value_semantics():
         _frozen(report, name)
 
 
-def test_campaignreport_value_semantics():
-    a = CampaignReport("c", {"k": 1}, [], {"cases": 0}, True)
-    b = CampaignReport("c", {"k": 1}, [], {"cases": 0}, True, [], 0.0)
-    assert a == b and a.counterexamples == [] and a.wall_time == 0.0
-    assert a.counterexamples is not b.counterexamples  # no shared default
-    assert repr(a) == ("CampaignReport(campaign='c', config={'k': 1}, cases=[], "
-                       "totals={'cases': 0}, ok=True, counterexamples=[], wall_time=0.0)")
-    assert a != CampaignReport("c", {"k": 1}, [], {"cases": 0}, False)
-    for name in ("ok", "cases"):
-        _frozen(a, name)
-    with pytest.raises(TypeError):
-        hash(a)  # its dict and list fields are unhashable, as for a frozen dataclass
-    assert b.to_dict() == {"campaign": "c", "config": {"k": 1}, "cases": [],
-                           "totals": {"cases": 0}, "counterexamples": [], "ok": True}
-    assert pickle.loads(pickle.dumps(b)) == b
+def test_campaign_returns_its_report_dict():
+    # the report is a plain dict, in the key order the CLI prints
+    from permrat.verify import verify_squarefree_gcd_chain
+
+    report = verify_squarefree_gcd_chain(7)
+    assert list(report) == ["campaign", "config", "cases", "totals", "counterexamples", "ok"]
+    assert report["campaign"] == "lemmaL" and report["config"] == {"p_max": 7}
+    assert report["totals"] == {"cases": 2, "passed": 2, "failed": 0, "counterexamples": 0}
+    assert report["counterexamples"] == [] and report["ok"] is True

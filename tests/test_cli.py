@@ -37,6 +37,19 @@ def test_permcheck_witness_case(capsys):
     assert doc["witness"]["i1"] < doc["witness"]["i2"]
 
 
+def test_permcheck_refuses_a_witness_that_does_not_reverify(capsys, monkeypatch):
+    # a kernel witness that is no collision stops permcheck as it stops a
+    # campaign: f(0) = 1/b and f(1) = 1 + 1/b differ
+    from permrat import _kernel_py, verify
+
+    monkeypatch.setattr(_kernel_py, "perm_scan", lambda p, n, d, b: (False, (0, 1), 3))
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        main(["permcheck", "--p", "5", "--n", "2", "--b-index", "1"])
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        verify._perm_case({"p": 5, "n": 2, "b_index": 1})
+    assert capsys.readouterr().out == ""
+
+
 def test_permcheck_requires_valid_parameter(capsys):
     # trace-zero b is a usage error, not a crash
     code, _out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "5", "--b-index", "1")
@@ -262,7 +275,7 @@ def test_campaign_flags_left_out_take_the_verify_defaults(capsys, monkeypatch):
         assert all("default" not in kw for _, kw in flags), target
         seen = {}
         monkeypatch.setattr(verify, name, lambda **kwargs: seen.update(kwargs) or
-                            verify.CampaignReport(target, {}, [], {}, True))
+                            {"campaign": target, "ok": True})
         argv = {"verify": ["verify", target], "weil-audit": ["weil-audit"],
                 "conjecture": ["conjecture", "--n", "3"]}[command]
         assert main(argv) == 0
@@ -473,9 +486,26 @@ def test_permcheck_does_not_import_numpy():
     assert out.stderr.split() == ["0", "False"]
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (["verify", "baseline", "--n2-max", "-1"], "n_max_2"),
+    (["verify", "baseline", "--n3-max", "-3"], "n_max_3"),
+    (["verify", "thm31", "--p-max", "-1"], "p_max"),
+    (["weil-audit", "--p-max", "-1"], "p_max"),
+    (["weil-audit", "--eq28-p-max", "-4", "--ident-p-max", "-2"], "ident_p_max"),
+], ids=["baseline-n2", "baseline-n3", "thm31", "weil-audit", "weil-audit-identities"])
+def test_negative_bound_exits_two(capsys, argv, bound):
+    # a bound below 0 would select the cases of 0 under a second config and
+    # fingerprint; 0 itself stays valid and skips what it bounds
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {bound} must be at least 0, got {argv[-1]}\n"
+    code, out, _ = run_cli(capsys, "verify", "baseline", "--n2-max", "0", "--n3-max", "1")
+    assert code == 0 and [c["key"] for c in json.loads(out)["cases"]] == ["p=3,n=1,b=1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "thm11", "--primes", ""],
-    ["verify", "thm31", "--p-max", "-5", "--full-primes", ""],
+    ["verify", "thm31", "--p-max", "0", "--full-primes", ""],
     ["weil-audit", "--p-max", "3", "--f-degrees", "", "--eq28-p-max", "2",
      "--ident-p-max", "2"],
     ["conjecture", "--n", "3", "--p-max", "3"],
@@ -561,14 +591,14 @@ def test_importing_the_cli_loads_no_command_module():
      _NOT_IN_SCANS + _KERNELS),
     (["permcheck", "--p", "5", "--n", "2", "--b-index", "3"],
      ("permrat.maps", "permrat._kernel_py"), _NOT_IN_SCANS + ("permrat._sliced",)),
-    # F_{2^5} has 16 coset representatives
     (["verify", "baseline", "--n2-max", "5", "--n3-max", "2"],
      ("permrat.verify", "permrat._kernel_py", "permrat._sliced"), _NOT_IN_CAMPAIGNS),
     (["verify", "thm11", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
-    (["verify", "thm31", "--p-max", "7", "--full-primes", "3"], ("permrat.verify",),
+    (["verify", "thm31", "--p-max", "7", "--full-primes", "3"],
+     ("permrat.verify", "permrat._sliced"), _NOT_IN_CAMPAIGNS),
+    (["verify", "remark43", "--q-list", "9"], ("permrat.verify", "permrat._sliced"),
      _NOT_IN_CAMPAIGNS),
-    (["verify", "remark43", "--q-list", "9"], ("permrat.verify",), _NOT_IN_CAMPAIGNS),
     (["conjecture", "--n", "3", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
     (["conjecture", "--n", "4", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
@@ -584,7 +614,7 @@ def test_importing_the_cli_loads_no_command_module():
 def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
     # each process compiles only the modules its command runs; reps, lemma22
     # and lemmaL run no kernel, scans never load the count kernel, and only
-    # p = 2, 3 scans of 16 or more coset representatives run the sliced one
+    # p = 2, 3 scans run the sliced one
     probe = ("import json, sys; from permrat.cli import main; "
              f"code = main({argv!r}); "
              f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "

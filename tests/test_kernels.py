@@ -136,9 +136,10 @@ def test_trace_zero_parameter_raises_in_both_scans(p, n, d):
             scan(p, n, d, ctx.zero.coeffs)
 
 
-def _route(monkeypatch, path):
-    """Send perm_scan at p = 2, 3 through one generator at every field size."""
-    monkeypatch.setattr(_kernel_py, "_SLICED_MIN_BLOCKS", 1 if path == "sliced" else 1 << 64)
+def _route_packed(monkeypatch):
+    """Send perm_scan at p = 2, 3 through the packed generator, in place of
+    the sliced one that these scans always use."""
+    monkeypatch.setattr(_sliced, "image_blocks", _kernel_py._image_blocks)
 
 
 def _spy_generators(monkeypatch):
@@ -177,7 +178,7 @@ def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, 
     # somewhere, is refused at perm_scan's entry at any chunk size, so no
     # chunk of the packed generator ever holds a zero denominator
     if chunks:
-        _route(monkeypatch, "packed")
+        _route_packed(monkeypatch)
         monkeypatch.setattr(_kernel_py, "_CHUNK_FIRST", chunks[0])
         monkeypatch.setattr(_kernel_py, "_CHUNK_CAP", chunks[1])
     calls = _spy_generators(monkeypatch)
@@ -189,7 +190,6 @@ def test_vanishing_denominator_is_met_in_index_order(monkeypatch, chunks, p, n, 
 def test_vanishing_denominator_in_a_later_lane_chunk(monkeypatch, p, n, d, b_index):
     # the same with the sliced generator at chunks of p lanes: no lane
     # chunk ever holds a zero denominator
-    _route(monkeypatch, "sliced")
     monkeypatch.setattr(_sliced, "_LANE_CAP", p)
     calls = _spy_generators(monkeypatch)
     _assert_refused(p, n, d, make_field(p, n).element(b_index))
@@ -224,15 +224,30 @@ def test_full_scan_past_the_chunk_cap(monkeypatch, p, n):
     ctx = make_field(p, n)
     b = first_elem_with_trace(ctx, 1)
     ref = _scan(perm_scan_reference, ctx, 1, b)
-    _route(monkeypatch, "packed")
+    assert ref == (True, None, ctx.order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sliced, "_LANE_CAP", 256)
+        assert p ** (n - 1) > 2 * _sliced._LANE_CAP
+        assert _scan(_kernel_py.perm_scan, ctx, 1, b) == ref
+    _route_packed(monkeypatch)
     assert p ** (n - 1) > 2 * _kernel_py._CHUNK_CAP
-    fast = _scan(_kernel_py.perm_scan, ctx, 1, b)
-    assert fast == (True, None, ctx.order)
-    assert fast == ref
-    _route(monkeypatch, "sliced")
-    monkeypatch.setattr(_sliced, "_LANE_CAP", 256)
-    assert p ** (n - 1) > 2 * _sliced._LANE_CAP
     assert _scan(_kernel_py.perm_scan, ctx, 1, b) == ref
+
+
+def test_small_p2_p3_scans_match_reference():
+    # every F_{2^n}, n <= 4, and F_{3^n}, n <= 3, every level d | n and
+    # every admissible b: down to one representative, the sliced generator
+    # gives the verdict of the index-order full scan
+    cases = 0
+    for p, top in ((2, 4), (3, 3)):
+        for n in range(1, top + 1):
+            ctx = make_field(p, n)
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                for b in (b for b in ctx if trace_rel(b, d)):
+                    assert (_scan(_kernel_py.perm_scan, ctx, d, b)
+                            == _scan(perm_scan_reference, ctx, d, b)), (p, n, d, b)
+                    cases += 1
+    assert cases == 112
 
 
 # p = 2, 3: every n with q <= 2^13 or q <= 3^8, every level d | n.
@@ -322,6 +337,11 @@ _ALL_FIELDS = [(p, n) for p in range(2, 3001) if is_prime(p)
                for n in range(1, 12) if p ** n <= 3000]
 
 
+def _unpack(pk, a):
+    """The n slots of a packed element, digit 0 first."""
+    return tuple((a >> (pk.w * i)) & pk.smask for i in range(pk.n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_packed_arithmetic_matches_field(data):
@@ -335,10 +355,10 @@ def test_packed_arithmetic_matches_field(data):
     for a, add, b_raw in ((a, add, b_raw), ((p - 1,) * n, (p - 1,) * n, [bmax] * n)):
         b = tuple(c % p for c in b_raw)
         got = pk.mul(pk.pack(a), pk.pack(b_raw), pk.pack(add))
-        assert pk.unpack(got) == ctx._add(ctx._mul(a, b), add)
-        assert got == pk.pack(pk.unpack(got))  # canonical: every slot below p
+        assert _unpack(pk, got) == ctx._add(ctx._mul(a, b), add)
+        assert got == pk.pack(_unpack(pk, got))  # canonical: every slot below p
         if any(a):
-            assert pk.unpack(pk.inv(pk.pack(a))) == ctx._inv(a)
+            assert _unpack(pk, pk.inv(pk.pack(a))) == ctx._inv(a)
     with pytest.raises(ZeroDivisionError):
         pk.inv(0)
 
