@@ -18,7 +18,8 @@ Builders for the four curves attached to the map family:
 Point counts are exact; graph_zeros counts the x in F_q with P(x, x^k) = 0
 by one gcd with X^q - X, for the points at infinity (k = 0) and verify's
 substitution identity (k = p), folding any exponent of q or more down below
-q first.  The Hasse-Weil-style bound audits, weil_lower_check and
+q first.  Like the counts, the cover census phi_fibers(g, h) takes the
+curves it censuses.  The Hasse-Weil-style bound audits, weil_lower_check and
 weil_upper_check, are pure integer comparisons (squared inequalities, no
 floating point) that verify's curve cases run on these counts.  Since
 absolute irreducibility is not certified here, the audits are consistency
@@ -164,14 +165,12 @@ def collision_curve(ctx: Field, b: Elem) -> BiPoly:
     return poly
 
 
-def _check_tau(ctx: Field, tau: int, forbid_unit: bool = False) -> int:
+def _check_tau(ctx: Field, tau: int) -> int:
     if ctx.n != 1:
         raise ValueError("this curve is defined over a prime field context")
     tau %= ctx.p
     if tau == 0:
         raise ValueError("tau must be nonzero")
-    if forbid_unit and tau in (1, ctx.p - 1):
-        raise ValueError("tau must differ from +1 and -1")
     return tau
 
 
@@ -306,21 +305,20 @@ def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     return _weil_check("upper", -1, count, q, d, n_inf)
 
 
-def phi_fibers(p: int, tau: int) -> dict:
-    """Census of the cover (x, y) -> (x + y, x*y) from the sextic's zero set
-    to the quartic's.
+def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
+    """Census of the cover (x, y) -> (x + y, x*y) from the zero set of the
+    sextic g to that of the quartic h, both over one prime field.
 
     Checks that the only diagonal zero is the origin, that the image lands in
     the quartic's zero set, and that every off-diagonal fiber has size
     exactly 2.  Any anomaly raises RuntimeError since the underlying algebra
-    guarantees these facts: a failure means an implementation bug.
+    guarantees these facts for g = criterion_sextic and h = symmetric_quartic
+    at one tau: a failure means an implementation bug.
     """
-    from .field import make_field
-
-    ctx = make_field(p, 1)
-    tau = _check_tau(ctx, tau, forbid_unit=True)
-    g = criterion_sextic(ctx, tau)
-    h = symmetric_quartic(ctx, tau)
+    f = g.field
+    if h.field != f or f.n != 1:
+        raise ValueError("the cover census takes two curves over one prime field")
+    p = f.p
     vg = _kernel_zeros(g, True)[1]
     vh = set(_kernel_zeros(h, True)[1])
     diag = [pt for pt in vg if pt[0] == pt[1]]
@@ -341,7 +339,6 @@ def phi_fibers(p: int, tau: int) -> dict:
     if 2 * len(fibers) + 1 != len(vg):
         raise RuntimeError("fiber census does not account for every zero")
     return {
-        "p": p, "tau": tau,
         "v_g_size": len(vg), "v_h_size": len(vh),
         "fiber_sizes": {2: len(fibers)},
         "phi_image_size": image_size,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from math import comb
 
 from .field import MAX_FIELD_ORDER, absolute_trace, is_prime, make_field, prime_divisors
@@ -99,67 +100,40 @@ def _symmetric_expansion(h: dict, p: int) -> dict:
     return {ij: c for ij, c in out.items() if c}
 
 
-# The curve pair of a run: G and H depend on tau only through t = tau^2, so
-# tau and p - tau share one entry, keyed by (p, t).  run_cases sets it to a
-# dict for the span of one run, in this process and in each pool worker;
-# outside a run (None) every case builds its own pair.
-_PAIRS: dict | None = None
-
-
-def _share_pairs(on: bool = True) -> None:
-    global _PAIRS
-    _PAIRS = {} if on else None
-
-
-def _pair(p: int, tau: int):
-    """(G, H, entry): this tau's sextic and quartic, and the entry of the
-    pair (p, tau^2) that caches what is computed on them.  Each call builds
-    its own G and H, and a difference from the entry's terms raises
-    RuntimeError, so a result is reused only for the very same curves."""
+@lru_cache(maxsize=None)
+def _gh_audit(p: int, g_terms: tuple, h_terms: tuple) -> dict:
+    """The census, infinity counts, bound audits and symmetric identity of
+    the sextic and quartic with these sorted integer terms over F_p.  G and
+    H depend on tau only through t = tau^2, so tau and p - tau read one
+    entry; run_cases clears the cache at the start and end of a run."""
     from . import curves
 
     ctx = make_field(p, 1)
-    g, h = curves.criterion_sextic(ctx, tau), curves.symmetric_quartic(ctx, tau)
-    terms = (g.int_terms(), h.int_terms())
-    if _PAIRS is None:
-        return g, h, {"terms": terms}
-    entry = _PAIRS.setdefault((p, tau * tau % p), {"terms": terms})
-    if entry["terms"] != terms:
-        raise RuntimeError(f"the curves at p={p}, tau={tau} differ from those of "
-                           f"t = {tau * tau % p} already audited")
-    return g, h, entry
-
-
-def _identity_ok(entry: dict, p: int) -> bool:
-    """Whether H(X + Y, X*Y) = G over F_p for the pair `entry`, compared
-    term by term."""
-    if "identity" not in entry:
-        g, h = entry["terms"]
-        entry["identity"] = _symmetric_expansion(h, p) == g
-    return entry["identity"]
+    g, h = curves.BiPoly(ctx, dict(g_terms)), curves.BiPoly(ctx, dict(h_terms))
+    census = curves.phi_fibers(g, h)  # counts each curve's zeros once
+    g_affine, h_affine = census["v_g_size"], census["v_h_size"]
+    g_inf, h_inf = curves.count_infinity(g), curves.count_infinity(h)
+    g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
+    h_ok, h_audit = curves.weil_lower_check(h_affine, p, 4, 3)
+    sym_ok = _symmetric_expansion(dict(h_terms), p) == dict(g_terms)
+    return {
+        "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
+        "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
+        "phi": census,
+        "symmetric_identity_ok": sym_ok,
+        "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
+    }
 
 
 def _curve_gh_case(args: dict) -> dict:
     from . import curves
 
     p, tau = args["p"], args["tau"]
-    g, h, entry = _pair(p, tau)
-    if "gh" not in entry:
-        census = curves.phi_fibers(p, tau)  # counts each curve's zeros once
-        g_affine, h_affine = census["v_g_size"], census["v_h_size"]
-        g_inf, h_inf = curves.count_infinity(g), curves.count_infinity(h)
-        g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
-        h_ok, h_audit = curves.weil_lower_check(h_affine, p, 4, 3)
-        sym_ok = _identity_ok(entry, p)
-        entry["gh"] = {
-            "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
-            "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
-            "phi": census,
-            "symmetric_identity_ok": sym_ok,
-            "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
-        }
-    res = entry["gh"]
-    return {**res, "phi": {**res["phi"], "tau": tau}}
+    ctx = make_field(p, 1)
+    g, h = curves.criterion_sextic(ctx, tau), curves.symmetric_quartic(ctx, tau)
+    res = _gh_audit(p, tuple(sorted(g.int_terms().items())),
+                    tuple(sorted(h.int_terms().items())))
+    return {**res, "phi": {"p": p, "tau": tau, **res["phi"]}}
 
 
 def _ident_eq28_case(args: dict) -> dict:
@@ -172,7 +146,8 @@ def _ident_eq28_case(args: dict) -> dict:
 
     p = args["p"]
     ctx = make_field(p, 1)
-    symbolic_ok = all(_identity_ok(_pair(p, tau)[2], p) for tau in range(1, p))
+    symbolic_ok = all(_symmetric_expansion(symmetric_quartic(ctx, tau).int_terms(), p)
+                      == criterion_sextic(ctx, tau).int_terms() for tau in range(1, p))
     tau = 2 % p
     h = symmetric_quartic(ctx, tau)
     s, t = BiPoly(ctx, {(1, 0): 1, (0, 1): 1}), BiPoly(ctx, {(1, 1): 1})
@@ -370,11 +345,11 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     fingerprint, then one line per completed case.  Resuming with a different
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
-    report does not depend on jobs or on interruptions.  For the span of the
-    run, curve cases share the work on each curve pair through _PAIRS, here
-    and in each pool worker.  A configuration
-    that selects no cases or repeats a case key is refused: a campaign must
-    not read as a pass having checked nothing, or count a case twice.
+    report does not depend on jobs or on interruptions.  The cache of curve
+    pair audits (_gh_audit) is cleared when the run starts and ends, so its
+    entries live for one run.  A configuration that selects no cases or
+    repeats a case key is refused: a campaign must not read as a pass having
+    checked nothing, or count a case twice.
     """
     if not payloads:
         raise ValueError("configuration selects no cases")
@@ -395,13 +370,13 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
             fh.write(header)
             fh.flush()
     pool = None
-    _share_pairs()
+    _gh_audit.cache_clear()
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]
         if jobs > 1 and len(todo) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs, initializer=_share_pairs)
+            pool = ProcessPoolExecutor(max_workers=jobs)
             results = pool.map(_case_worker, todo)
         else:
             results = map(_case_worker, todo)
@@ -411,7 +386,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
                 fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
                 fh.flush()
     finally:
-        _share_pairs(False)
+        _gh_audit.cache_clear()
         if pool is not None:
             pool.shutdown()
         if fh:
@@ -630,12 +605,17 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     census), the symmetric-reduction identity, the substitution identity, and
     the tau^2 = 1 factorization.  Each case records its kind.
 
-    G and H depend on tau only through t = tau^2, so tau and p - tau share
-    one pair: within a run, its census, infinity counts, bound audits and
-    symmetric identity are computed once (see _pair), while the cases, their
-    keys and their records stay one per (p, tau).
+    G and H depend on tau only through t = tau^2, so tau and p - tau build
+    the same two curves and read one audit of them (_gh_audit, keyed by the
+    curves' terms), while the cases, their keys and their records stay one
+    per (p, tau).  A collision-curve field whose q^2 exceeds the counting
+    budget is refused before any grid is built.
     """
+    from .curves import COUNT_BUDGET
+
     _nonnegative(p_max=p_max, ident_p_max=ident_p_max, eq28_p_max=eq28_p_max)
+    if any(f_p ** (2 * n) > COUNT_BUDGET for n in f_degrees):
+        raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
     def case(kind, key, params):
         return _checked(kind, {"key": key, "kind": kind}, params)
 

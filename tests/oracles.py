@@ -297,3 +297,27 @@ def compose_symmetric(h):
             term = term * prod
         acc = acc + term
     return acc
+
+
+def phi_census_by_eval(g, h):
+    """`curves.phi_fibers(g, h)` by evaluating G and H with `BiPoly.eval` at
+    every point of F_p^2: the two zero sets, the sizes of the fibers of
+    (x, y) -> (x + y, x*y) over the images of G's zeros other than the
+    origin, and the number of distinct images of all of G's zeros."""
+    ctx = g.field
+    p = ctx.p
+    pts = [(x, y) for x in ctx for y in ctx]
+    vg = [(x.index, y.index) for x, y in pts if not g.eval(x, y)]
+    vh = [(x.index, y.index) for x, y in pts if not h.eval(x, y)]
+    fibers = {}
+    for x, y in vg:
+        if (x, y) != (0, 0):
+            img = ((x + y) % p, x * y % p)
+            fibers[img] = fibers.get(img, 0) + 1
+    sizes = {2: 0}  # the size the census reports, even when no fiber has it
+    for size in fibers.values():
+        sizes[size] = sizes.get(size, 0) + 1
+    return {
+        "v_g_size": len(vg), "v_h_size": len(vh), "fiber_sizes": sizes,
+        "phi_image_size": len({((x + y) % p, x * y % p) for x, y in vg}),
+    }

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from permrat import cli
+from permrat import _kernel_py, cli
 from permrat.cli import main
 
 
@@ -501,6 +501,25 @@ def test_negative_bound_exits_two(capsys, argv, bound):
     assert err == f"error: {bound} must be at least 0, got {argv[-1]}\n"
     code, out, _ = run_cli(capsys, "verify", "baseline", "--n2-max", "0", "--n3-max", "1")
     assert code == 0 and [c["key"] for c in json.loads(out)["cases"]] == ["p=3,n=1,b=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weil-audit", "--f-degrees", "2,3,8"],
+    ["weil-audit", "--f-p", "11", "--f-degrees", "2,5"],
+], ids=["5^8", "11^5"])
+def test_oversized_collision_curve_field_exits_two_before_any_case(capsys, tmp_path,
+                                                                   monkeypatch, argv):
+    # q^2 above the counting budget is refused before the grid, so no case
+    # of the smaller fields runs or reaches the progress file
+    def count_zeros(*args):
+        raise AssertionError("a case was counted")
+
+    monkeypatch.setattr(_kernel_py, "count_zeros", count_zeros)
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: affine counting budget exceeded (q^2 > 2^34)\n"
+    assert not prog.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,7 +28,7 @@ from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
 from permrat.verify import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
-                     ident_subst_walk)
+                     ident_subst_walk, phi_census_by_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +439,51 @@ def test_audit_curve_consistency_label():
 # the 2-to-1 cover census
 
 
+def _gh(p, tau):
+    f = make_field(p, 1)
+    return criterion_sextic(f, tau), symmetric_quartic(f, tau)
+
+
 def test_phi_census_frozen():
-    census = phi_fibers(13, 2)
-    assert census == {"p": 13, "tau": 2, "v_g_size": 7, "v_h_size": 8,
-                      "fiber_sizes": {2: 3}, "phi_image_size": 4}
+    census = phi_fibers(*_gh(13, 2))
+    assert census == {"v_g_size": 7, "v_h_size": 8, "fiber_sizes": {2: 3},
+                      "phi_image_size": 4}
 
 
 def test_phi_census_origin_and_symmetry():
     for p, tau in ((7, 2), (11, 3), (13, 5)):
-        f = make_field(p, 1)
-        g = criterion_sextic(f, tau)
+        g, h = _gh(p, tau)
         zeros = {(x.index, y.index) for x, y in affine_zeros(g)}
         assert (0, 0) in zeros
         assert all((y, x) in zeros for x, y in zeros)
-        census = phi_fibers(p, tau)
+        census = phi_fibers(g, h)
         assert census["phi_image_size"] == 1 + (census["v_g_size"] - 1) // 2
 
 
-def test_phi_rejects_unit_tau():
-    with pytest.raises(ValueError):
-        phi_fibers(13, 1)
-    with pytest.raises(ValueError):
-        phi_fibers(13, 12)
+def test_phi_takes_two_curves_over_one_prime_field():
+    g, h = _gh(13, 2)
+    ext = make_field(13, 2)
+    for pair in ((g, _gh(11, 2)[1]), (_gh(11, 2)[0], h),
+                 (BiPoly(ext, g.int_terms()), BiPoly(ext, h.int_terms()))):
+        with pytest.raises(ValueError, match="^the cover census takes two curves over one "
+                                             "prime field$"):
+            phi_fibers(*pair)
+
+
+def test_phi_census_holds_at_unit_tau():
+    # no command censuses tau = +-1 (the grid runs tau = 2 .. p - 2), yet
+    # the cover is still 2-to-1 off the origin there
+    for tau in (1, 12):
+        assert phi_fibers(*_gh(13, tau)) == {"v_g_size": 19, "v_h_size": 10,
+                                             "fiber_sizes": {2: 9}, "phi_image_size": 10}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17, 19, 23]), st.data())
+def test_phi_census_matches_brute_force(p, data):
+    tau = data.draw(st.integers(2, p - 2))
+    g, h = _gh(p, tau)
+    assert phi_fibers(g, h) == phi_census_by_eval(g, h)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,8 @@ def test_forged_witness_fails_reverification():
 
 
 # ---------------------------------------------------------------------------
-# the curve pair of (p, tau^2), shared by tau and p - tau within a run
+# the curve pair of (p, tau^2): tau and p - tau build the same curves and
+# read one audit of them
 
 _SMALL_AUDIT = ["weil-audit", "--p-max", "31", "--f-degrees", "2", "--ident-p-max", "3",
                 "--eq28-p-max", "7"]
@@ -226,6 +227,15 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _pair_of(g, h):
+    """(p, t) of the curves a census received, t = tau^2 read off G's X^4 Y^2
+    coefficient -t, after checking that H is the quartic of that t."""
+    p = g.field.p
+    t = -g.int_terms()[(4, 2)] % p
+    assert h.field == g.field and h.int_terms()[(2, 2)] == -t % p
+    return p, t
+
+
 def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
     zeros, infinity, census = [], [], []
     _counting(monkeypatch, _kernel_py, "count_zeros", zeros)
@@ -239,10 +249,24 @@ def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
     # one census (two zero counts) and two infinity counts per pair, plus one
     # count of each kind per curve_f case and one zero count per eq28 case
     assert len(census) == pairs
-    assert sorted({(p, tau * tau % p) for p, tau in census}) == sorted(
+    assert sorted(_pair_of(g, h) for g, h in census) == sorted(
         {(p, tau * tau % p) for p in verify.primes_upto(31, start=5) for tau in range(2, p - 1)})
     assert len(infinity) == 2 * pairs + kinds.count("curve_f")
     assert len(zeros) == 2 * pairs + kinds.count("curve_f") + kinds.count("ident_eq28")
+    assert verify._gh_audit.cache_info().currsize == 0  # the run's audits end with it
+
+
+def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch):
+    census = []
+    _counting(monkeypatch, curves, "phi_fibers", census)
+    verify._gh_audit.cache_clear()
+    try:
+        first, second = (verify._curve_gh_case({"p": 7, "tau": tau}) for tau in (2, 5))
+        assert [_pair_of(g, h) for g, h in census] == [(7, 4)]
+    finally:
+        verify._gh_audit.cache_clear()
+    assert (first["phi"]["tau"], second["phi"]["tau"]) == (2, 5)
+    assert {**first, "phi": None} == {**second, "phi": None}
 
 
 def _perturb_one_tau(monkeypatch, p, tau):
@@ -263,18 +287,16 @@ def test_a_curve_that_differs_at_p_minus_tau_fails_the_run(capsys, monkeypatch):
                         lambda args: returned.append((args["p"], args["tau"]))
                         or real_case(args))
     _perturb_one_tau(monkeypatch, 7, 5)  # 5 > 7/2 shares t = 4 with tau = 2
-    with pytest.raises(RuntimeError, match=r"^the curves at p=7, tau=5 differ"):
+    with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
         main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
               "--eq28-p-max", "3"])
     assert capsys.readouterr().out == ""
-    # tau = 2 built the pair; tau = 5 raised before it could read the census
-    assert census == [(5, 2), (7, 2), (7, 3)]
+    # tau = 5's curves are not tau = 2's, so tau = 5 took its own census,
+    # which found the perturbation
+    assert [_pair_of(g, h) for g, h in census] == [(5, 4), (7, 4), (7, 2), (7, 4)]
+    assert census[3][0] != census[1][0] and census[3][1] == census[1][1]
     assert returned == [(5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (7, 5)]
-    # outside a run nothing is shared: the case censuses its own curves, and
-    # the census finds the perturbation itself
-    assert verify._PAIRS is None
-    with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
-        verify._curve_gh_case({"p": 7, "tau": 5})
+    assert verify._gh_audit.cache_info().currsize == 0
 
 
 def test_resume_between_tau_and_p_minus_tau_keeps_the_pinned_bytes(capsys, tmp_path,
@@ -287,8 +309,21 @@ def test_resume_between_tau_and_p_minus_tau_keeps_the_pinned_bytes(capsys, tmp_p
     cut = data.index(b"\n", data.index(b'"key": "GH,p=7,tau=2"')) + 1
     assert b'"GH,p=7,tau=5"' in data[cut:]
     prog.write_bytes(data[:cut])
-    census = []
-    _counting(monkeypatch, curves, "phi_fibers", census)
+    # each census is recorded as the (p, tau) of the case that took it
+    census, in_flight = [], []
+    real_case = verify._CASE_FUNCS["curve_gh"]
+    monkeypatch.setitem(verify._CASE_FUNCS, "curve_gh",
+                        lambda args: in_flight.append((args["p"], args["tau"]))
+                        or real_case(args))
+    real_census = curves.phi_fibers
+
+    def counted(g, h):
+        p, tau = in_flight[-1]
+        assert _pair_of(g, h) == (p, tau * tau % p)
+        census.append(in_flight[-1])
+        return real_census(g, h)
+
+    monkeypatch.setattr(curves, "phi_fibers", counted)
     assert main(command.split() + ["--progress-file", str(prog)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command]
