@@ -18,20 +18,34 @@ Builders for the four curves attached to the map family:
 Point counts are exact; graph_zeros counts the x in F_q with P(x, x^k) = 0
 by one gcd with X^q - X, for the points at infinity (k = 0) and verify's
 substitution identity (k = p), folding any exponent of q or more down below
-q first.  Like the counts, the cover census phi_fibers(g, h) takes the
-curves it censuses.  The Hasse-Weil-style bound audits, weil_lower_check and
-weil_upper_check, are pure integer comparisons (squared inequalities, no
-floating point) that verify's curve cases run on these counts.  Since
-absolute irreducibility is not certified here, the audits are consistency
-checks, not proofs, and are labeled as such in reports.
+q first.
+
+G and H depend on tau only through t = tau^2, and over F_p each is a
+quadratic in t: G = A0 + t*A1 + t^2*A2, likewise H, with the A_k read off
+the builders at t = 0, 1, 2.  pencil_census(p) therefore finds the zero sets
+of every t's G and H at once, by one pass over F_p^2 per pencil that solves
+the quadratic in t at each point, and keeps the last prime's census.  The
+cover census phi_fibers(g, h) checks the cover (x, y) -> (x + y, x*y) on
+those zero sets, after checking that g and h are the pencils' members at the
+t it reads off g.  phi_fibers keeps this (g, h) form, and affine_zeros (the
+one caller of the kernel's collect=True path) stays here, only because
+perfbench's TARGETS times them by name.
+
+The Hasse-Weil-style bound audits, weil_lower_check and weil_upper_check,
+are pure integer comparisons (squared inequalities, no floating point) that
+verify's curve cases run on these counts.  Since absolute irreducibility is
+not certified here, the audits are consistency checks, not proofs, and are
+labeled as such in reports.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from . import backend
-from .field import Elem, Field, padd, pgcd_monic, pmul, ppowmod, psub, ptrim
+from .field import (Elem, Field, make_field, padd, pgcd_monic, pmul, ppowmod, psub,
+                    ptrim)
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
 
@@ -196,10 +210,8 @@ def criterion_sextic(ctx: Field, tau: int) -> BiPoly:
     return _sextic(ctx, tau * tau % ctx.p)
 
 
-def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
-    """The reduction H with criterion_sextic(X, Y) = H(X + Y, X*Y)."""
-    tau = _check_tau(ctx, tau)
-    t = tau * tau % ctx.p
+def _quartic(ctx: Field, t: int) -> BiPoly:
+    """H at t = tau^2."""
     return BiPoly(ctx, {
         (4, 0): 1,
         (2, 1): -(4 + 2 * t),
@@ -207,6 +219,12 @@ def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
         (2, 2): -t,
         (0, 3): 4 * t,
     })
+
+
+def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
+    """The reduction H with criterion_sextic(X, Y) = H(X + Y, X*Y)."""
+    tau = _check_tau(ctx, tau)
+    return _quartic(ctx, tau * tau % ctx.p)
 
 
 def homogenization_quartic(ctx: Field, t: int) -> BiPoly:
@@ -305,22 +323,106 @@ def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     return _weil_check("upper", -1, count, q, d, n_inf)
 
 
+def _pencil(ctx: Field, build) -> tuple[dict, dict, dict]:
+    """The integer terms of A0, A1, A2 with build(ctx, t) = A0 + t*A1 + t^2*A2
+    over F_p (p odd), read off the builder at t = 0, 1, 2."""
+    p = ctx.p
+    b0, b1, b2 = (build(ctx, t).int_terms() for t in (0, 1, 2))
+    out = ({}, {}, {})
+    for ij in b0.keys() | b1.keys() | b2.keys():
+        c0, c1, c2 = (b.get(ij, 0) for b in (b0, b1, b2))
+        a2 = (c2 - 2 * c1 + c0) * ((p + 1) // 2) % p
+        for k, c in enumerate((c0, (c1 - c0 - a2) % p, a2)):
+            if c:
+                out[k][ij] = c
+    return out
+
+
+def _pencil_zeros(ctx: Field, build) -> tuple[tuple, ...]:
+    """zeros[t] for every t in F_p: the affine zeros of build(ctx, t), as
+    (x, y) index pairs in x, then y order, from one pass over F_p^2.
+
+    At each point the member's value a0 + t*a1 + t^2*a2 is a quadratic in t,
+    solved with a table of square roots; the point is filed under each root,
+    or under every t when a0 = a1 = a2 = 0.
+    """
+    p = ctx.p
+    pencil = _pencil(ctx, build)
+    root = [None] * p
+    for r in range((p + 1) // 2):
+        root[r * r % p] = r
+    inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    ys = range(p)
+    ypow = {}  # j -> y^j mod p for every y
+    zeros = [[] for _ in range(p)]
+    for x in range(p):
+        vals = []  # a0, a1, a2 at every y, unreduced
+        for a in pencil:
+            row = {}  # a(x, Y) = sum_j row[j] Y^j
+            for (i, j), c in a.items():
+                row[j] = row.get(j, 0) + c * pow(x, i, p)
+            v = [0] * p
+            for j, r in row.items():
+                r %= p
+                if r:
+                    if j not in ypow:
+                        ypow[j] = [pow(y, j, p) for y in ys]
+                    v = [s + r * w for s, w in zip(v, ypow[j])]
+            vals.append(v)
+        for y, a0, a1, a2 in zip(ys, *vals):
+            a2 %= p
+            if a2:
+                r = root[(a1 * a1 - 4 * a0 * a2) % p]
+                if r is None:
+                    continue
+                d = inv[2 * a2 % p]
+                zeros[(r - a1) * d % p].append((x, y))
+                if r:
+                    zeros[(-r - a1) * d % p].append((x, y))
+            elif a1 % p:
+                zeros[-a0 * inv[a1 % p] % p].append((x, y))
+            elif not a0 % p:
+                for z in zeros:
+                    z.append((x, y))
+    return tuple(map(tuple, zeros))
+
+
+@functools.lru_cache(maxsize=1)
+def pencil_census(p: int) -> tuple[tuple, tuple]:
+    """The zero sets of every member of the sextic and quartic pencils over
+    F_p, p odd: (g_zeros, h_zeros), where g_zeros[t] holds the affine zeros
+    of G at t (criterion_sextic at tau^2 = t) for every t in F_p, as (x, y)
+    index pairs in x, then y order, and h_zeros[t] those of H.  One pass over
+    F_p^2 per pencil; the last prime's census is kept."""
+    if p == 2:
+        raise ValueError("the pencil census needs an odd characteristic")
+    ctx = make_field(p, 1)
+    return _pencil_zeros(ctx, _sextic), _pencil_zeros(ctx, _quartic)
+
+
 def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
     """Census of the cover (x, y) -> (x + y, x*y) from the zero set of the
     sextic g to that of the quartic h, both over one prime field.
 
-    Checks that the only diagonal zero is the origin, that the image lands in
-    the quartic's zero set, and that every off-diagonal fiber has size
-    exactly 2.  Any anomaly raises RuntimeError since the underlying algebra
-    guarantees these facts for g = criterion_sextic and h = symmetric_quartic
-    at one tau: a failure means an implementation bug.
+    t is read off g (its X^4 Y^2 coefficient is -t), and g and h must be the
+    pencils' members at t, so that pencil_census(p) holds their zero sets;
+    anything else raises RuntimeError.  Checks that the only diagonal zero is
+    the origin, that the image lands in the quartic's zero set, and that
+    every off-diagonal fiber has size exactly 2.  Any anomaly raises
+    RuntimeError since the underlying algebra guarantees these facts for
+    g = criterion_sextic and h = symmetric_quartic at one tau: a failure
+    means an implementation bug.
     """
     f = g.field
     if h.field != f or f.n != 1:
         raise ValueError("the cover census takes two curves over one prime field")
     p = f.p
-    vg = _kernel_zeros(g, True)[1]
-    vh = set(_kernel_zeros(h, True)[1])
+    t = -g.int_terms().get((4, 2), 0) % p
+    for name, poly, build in (("sextic", g, _sextic), ("quartic", h, _quartic)):
+        if poly != build(f, t):
+            raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
+    g_zeros, h_zeros = pencil_census(p)
+    vg, vh = g_zeros[t], set(h_zeros[t])
     diag = [pt for pt in vg if pt[0] == pt[1]]
     if diag != [(0, 0)]:
         raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")

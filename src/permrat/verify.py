@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from functools import lru_cache
 from math import comb
 
@@ -105,12 +106,16 @@ def _gh_audit(p: int, g_terms: tuple, h_terms: tuple) -> dict:
     """The census, infinity counts, bound audits and symmetric identity of
     the sextic and quartic with these sorted integer terms over F_p.  G and
     H depend on tau only through t = tau^2, so tau and p - tau read one
-    entry; run_cases clears the cache at the start and end of a run."""
+    entry.  The cover census reads the zero sets of the pair off
+    curves.pencil_census(p), one pass over F_p^2 for every t of p, through
+    curves.phi_fibers (which keeps its (g, h) form because perfbench's
+    TARGETS times it).  run_cases clears both caches at the start and end of
+    a run."""
     from . import curves
 
     ctx = make_field(p, 1)
     g, h = curves.BiPoly(ctx, dict(g_terms)), curves.BiPoly(ctx, dict(h_terms))
-    census = curves.phi_fibers(g, h)  # counts each curve's zeros once
+    census = curves.phi_fibers(g, h)
     g_affine, h_affine = census["v_g_size"], census["v_h_size"]
     g_inf, h_inf = curves.count_infinity(g), curves.count_infinity(h)
     g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
@@ -337,6 +342,13 @@ def _load_progress(path: str, header: str, done: dict) -> bool:
     return True
 
 
+def _clear_curve_caches() -> None:
+    _gh_audit.cache_clear()
+    curves = sys.modules.get(f"{__package__}.curves")  # loaded by a curve case, if any
+    if curves is not None:
+        curves.pencil_census.cache_clear()
+
+
 def run_cases(campaign: str, config: dict, payloads: list[dict],
               jobs: int = 1, progress_path: str | None = None) -> list[dict]:
     """Run cases in payload order, skipping any already in the progress file.
@@ -345,11 +357,11 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     fingerprint, then one line per completed case.  Resuming with a different
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
-    report does not depend on jobs or on interruptions.  The cache of curve
-    pair audits (_gh_audit) is cleared when the run starts and ends, so its
-    entries live for one run.  A configuration that selects no cases or
-    repeats a case key is refused: a campaign must not read as a pass having
-    checked nothing, or count a case twice.
+    report does not depend on jobs or on interruptions.  The caches of curve
+    pair audits (_gh_audit) and of the pencil census are cleared when the
+    run starts and ends, so their entries live for one run.  A configuration
+    that selects no cases or repeats a case key is refused: a campaign must
+    not read as a pass having checked nothing, or count a case twice.
     """
     if not payloads:
         raise ValueError("configuration selects no cases")
@@ -370,7 +382,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
             fh.write(header)
             fh.flush()
     pool = None
-    _gh_audit.cache_clear()
+    _clear_curve_caches()
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]
         if jobs > 1 and len(todo) > 1:
@@ -386,7 +398,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
                 fh.write(json.dumps({"key": pl["key"], "result": res}) + "\n")
                 fh.flush()
     finally:
-        _gh_audit.cache_clear()
+        _clear_curve_caches()
         if pool is not None:
             pool.shutdown()
         if fh:
@@ -561,6 +573,8 @@ def conjecture_search(n: int, primes=None, jobs: int = 1,
         for p in primes:
             if p < 5:
                 raise ValueError("conjecture search requires p >= 5")
+            if not is_prime(p):
+                raise ValueError(f"characteristic {p} is not prime")
             classes = range(1, (p - 1) // 2 + 1)
             for b in classes if n == 3 else ((p + 1) // 2,):  # n = 4: b = 1/2
                 yield _perm(f"p={p},n={n},b={b}",
@@ -608,7 +622,10 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     G and H depend on tau only through t = tau^2, so tau and p - tau build
     the same two curves and read one audit of them (_gh_audit, keyed by the
     curves' terms), while the cases, their keys and their records stay one
-    per (p, tau).  A collision-curve field whose q^2 exceeds the counting
+    per (p, tau).  The zero sets behind the counts and the cover census come
+    from curves.pencil_census, one pass over F_p^2 per prime for every tau
+    of that prime; only the collision-curve and eq. (28) cases count zeros
+    with the kernel.  A collision-curve field whose q^2 exceeds the counting
     budget is refused before any grid is built.
     """
     from .curves import COUNT_BUDGET

@@ -321,3 +321,41 @@ def phi_census_by_eval(g, h):
         "v_g_size": len(vg), "v_h_size": len(vh), "fiber_sizes": sizes,
         "phi_image_size": len({((x + y) % p, x * y % p) for x, y in vg}),
     }
+
+
+def kernel_zeros(poly):
+    """The affine zeros of `poly` from its own `count_zeros(collect=True)`
+    pass (`curves.affine_zeros`), as a tuple of (x, y) index pairs in x,
+    then y order."""
+    return tuple((x.index, y.index) for x, y in curves.affine_zeros(poly))
+
+
+def phi_fibers_per_curve(g, h):
+    """`curves.phi_fibers(g, h)` from a kernel pass over each of the two
+    curves it is given, in place of the pencil census of their prime: the
+    same checks of the diagonal, the image and the fibers, raising the same
+    RuntimeError on an anomaly."""
+    p = g.field.p
+    vg = kernel_zeros(g)
+    vh = set(kernel_zeros(h))
+    diag = [pt for pt in vg if pt[0] == pt[1]]
+    if diag != [(0, 0)]:
+        raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")
+    fibers = {}
+    for x, y in vg:
+        if (x, y) == (0, 0):
+            continue
+        img = ((x + y) % p, x * y % p)
+        if img not in vh:
+            raise RuntimeError("cover image escapes the quartic's zero set")
+        fibers.setdefault(img, []).append((x, y))
+    for img, fib in fibers.items():
+        if len(fib) != 2:
+            raise RuntimeError(f"fiber over {img} has size {len(fib)}, expected 2")
+    if 2 * len(fibers) + 1 != len(vg):
+        raise RuntimeError("fiber census does not account for every zero")
+    return {
+        "v_g_size": len(vg), "v_h_size": len(vh),
+        "fiber_sizes": {2: len(fibers)},
+        "phi_image_size": len(fibers) + 1,
+    }

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from permrat import _kernel_py, cli
+from permrat import _kernel_py, cli, verify
 from permrat.cli import main
 
 
@@ -564,6 +564,23 @@ def test_thm11_rejects_primes_below_five(capsys, tmp_path, primes):
                              "--progress-file", str(prog))
     assert code == 2 and out == ""
     assert err == "error: thm11 requires p >= 5\n"
+    assert not prog.exists()
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_conjecture_refuses_a_composite_prime_before_any_case(capsys, tmp_path, monkeypatch,
+                                                              n):
+    # p = 9 comes after p = 7, whose cases must not run or reach the file
+    def refuse(args):
+        raise AssertionError("a case ran before the primes were checked")
+
+    monkeypatch.setattr(verify, "_perm_case", refuse)
+    monkeypatch.setitem(verify._CASE_FUNCS, "perm", refuse)
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, "conjecture", "--n", n, "--primes", "7,9",
+                             "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: characteristic 9 is not prime\n"
     assert not prog.exists()
 
 

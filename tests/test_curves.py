@@ -28,7 +28,8 @@ from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
 from permrat.verify import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
-                     ident_subst_walk, phi_census_by_eval)
+                     ident_subst_walk, kernel_zeros, phi_census_by_eval,
+                     phi_fibers_per_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +485,69 @@ def test_phi_census_matches_brute_force(p, data):
     tau = data.draw(st.integers(2, p - 2))
     g, h = _gh(p, tau)
     assert phi_fibers(g, h) == phi_census_by_eval(g, h)
+
+
+# the pencil census: every t's zero sets of G and H from one pass per prime
+
+
+@pytest.fixture
+def fresh_census():
+    # the census is cached per prime, so a test that changes a builder must
+    # not read (or leave behind) a census of other curves
+    curves.pencil_census.cache_clear()
+    yield
+    curves.pencil_census.cache_clear()
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+def test_pencil_census_matches_the_kernel_at_every_t(p, fresh_census):
+    f = make_field(p, 1)
+    g_zeros, h_zeros = curves.pencil_census(p)
+    assert len(g_zeros) == len(h_zeros) == p
+    for t in range(1, p):
+        assert g_zeros[t] == kernel_zeros(curves._sextic(f, t))
+        assert h_zeros[t] == kernel_zeros(curves._quartic(f, t))
+
+
+def test_pencil_census_keeps_one_prime_and_needs_an_odd_one():
+    assert curves.pencil_census(7) is curves.pencil_census(7)
+    curves.pencil_census(11)
+    assert curves.pencil_census.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="^the pencil census needs an odd characteristic$"):
+        curves.pencil_census(2)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_phi_census_matches_the_per_curve_oracle(p):
+    for tau in range(1, p):
+        g, h = _gh(p, tau)
+        assert phi_fibers(g, h) == phi_fibers_per_curve(g, h)
+
+
+def test_phi_refuses_curves_off_the_pencil():
+    g, h = _gh(13, 2)  # t = 4
+    bump = BiPoly(g.field, {(1, 0): 1})
+    with pytest.raises(RuntimeError, match="^the sextic is not the pencil's member at t = 4$"):
+        phi_fibers(g + bump, h)
+    with pytest.raises(RuntimeError, match="^the quartic is not the pencil's member at t = 4$"):
+        phi_fibers(g, h + bump)
+    with pytest.raises(RuntimeError, match="^the quartic is not the pencil's member at t = 4$"):
+        phi_fibers(g, _gh(13, 3)[1])
+
+
+def test_sextic_perturbed_at_every_t_fails_census_and_oracle_alike(monkeypatch,
+                                                                   fresh_census):
+    # G + X^3 - X^2 Y keeps the diagonal but is no longer H(X + Y, X*Y), so
+    # the cover's image leaves V_H: the census, read off the perturbed
+    # builder, must find this as the per-curve oracle does
+    sextic = curves._sextic
+    monkeypatch.setattr(curves, "_sextic",
+                        lambda ctx, t: sextic(ctx, t) + BiPoly(ctx, {(3, 0): 1, (2, 1): -1}))
+    for p, tau in ((5, 2), (13, 2), (13, 5)):
+        g, h = _gh(p, tau)
+        for census in (phi_fibers, phi_fibers_per_curve):
+            with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+                census(g, h)
 
 
 # ---------------------------------------------------------------------------

@@ -237,23 +237,30 @@ def _pair_of(g, h):
 
 
 def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
-    zeros, infinity, census = [], [], []
+    zeros, infinity, census, passes = [], [], [], []
     _counting(monkeypatch, _kernel_py, "count_zeros", zeros)
     _counting(monkeypatch, curves, "count_infinity", infinity)
     _counting(monkeypatch, curves, "phi_fibers", census)
+    _counting(monkeypatch, curves, "_pencil_zeros", passes)
     assert main(_SMALL_AUDIT) == 0
     cases = json.loads(capsys.readouterr().out)["cases"]
     kinds = [c["kind"] for c in cases]
-    pairs = sum((p - 3) // 2 for p in verify.primes_upto(31, start=5))
+    primes = verify.primes_upto(31, start=5)
+    pairs = sum((p - 3) // 2 for p in primes)
     assert kinds.count("curve_gh") == 2 * pairs == 128
-    # one census (two zero counts) and two infinity counts per pair, plus one
-    # count of each kind per curve_f case and one zero count per eq28 case
+    # one cover census and two infinity counts per pair, their zero sets
+    # from one pass of each pencil per prime; the kernel counts zeros only
+    # for the curve_f and eq28 cases, one count each
     assert len(census) == pairs
     assert sorted(_pair_of(g, h) for g, h in census) == sorted(
-        {(p, tau * tau % p) for p in verify.primes_upto(31, start=5) for tau in range(2, p - 1)})
+        {(p, tau * tau % p) for p in primes for tau in range(2, p - 1)})
+    assert [(ctx.p, build) for ctx, build in passes] == [
+        (p, build) for p in primes for build in (curves._sextic, curves._quartic)]
     assert len(infinity) == 2 * pairs + kinds.count("curve_f")
-    assert len(zeros) == 2 * pairs + kinds.count("curve_f") + kinds.count("ident_eq28")
-    assert verify._gh_audit.cache_info().currsize == 0  # the run's audits end with it
+    assert len(zeros) == kinds.count("curve_f") + kinds.count("ident_eq28")
+    # the run's audits and census end with it
+    assert verify._gh_audit.cache_info().currsize == 0
+    assert curves.pencil_census.cache_info().currsize == 0
 
 
 def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch):
@@ -265,6 +272,7 @@ def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch):
         assert [_pair_of(g, h) for g, h in census] == [(7, 4)]
     finally:
         verify._gh_audit.cache_clear()
+        curves.pencil_census.cache_clear()
     assert (first["phi"]["tau"], second["phi"]["tau"]) == (2, 5)
     assert {**first, "phi": None} == {**second, "phi": None}
 
@@ -287,16 +295,30 @@ def test_a_curve_that_differs_at_p_minus_tau_fails_the_run(capsys, monkeypatch):
                         lambda args: returned.append((args["p"], args["tau"]))
                         or real_case(args))
     _perturb_one_tau(monkeypatch, 7, 5)  # 5 > 7/2 shares t = 4 with tau = 2
-    with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+    with pytest.raises(RuntimeError, match="^the sextic is not the pencil's member at t = 4$"):
         main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
               "--eq28-p-max", "3"])
     assert capsys.readouterr().out == ""
     # tau = 5's curves are not tau = 2's, so tau = 5 took its own census,
-    # which found the perturbation
+    # which found that its sextic is not the one whose zeros the pencil holds
     assert [_pair_of(g, h) for g, h in census] == [(5, 4), (7, 4), (7, 2), (7, 4)]
     assert census[3][0] != census[1][0] and census[3][1] == census[1][1]
     assert returned == [(5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (7, 5)]
     assert verify._gh_audit.cache_info().currsize == 0
+
+
+def test_a_sextic_perturbed_at_every_t_fails_the_run(capsys, monkeypatch):
+    # the pencil is read off the perturbed builder, so the census holds the
+    # perturbed curves' zeros, and its cover check finds the perturbation
+    sextic = curves._sextic
+    monkeypatch.setattr(curves, "_sextic",
+                        lambda ctx, t: sextic(ctx, t) + BiPoly(ctx, {(3, 0): 1, (2, 1): -1}))
+    with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+        main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
+              "--eq28-p-max", "3"])
+    assert capsys.readouterr().out == ""
+    assert verify._gh_audit.cache_info().currsize == 0
+    assert curves.pencil_census.cache_info().currsize == 0
 
 
 def test_resume_between_tau_and_p_minus_tau_keeps_the_pinned_bytes(capsys, tmp_path,
