@@ -16,24 +16,28 @@ Builders for the four curves attached to the map family:
   homogenizes to A * Z^2 - t * X^2 Y^2 (X - Y)^2.
 
 Point counts are exact; graph_zeros counts the x in F_q with P(x, x^k) = 0
-by one gcd with X^q - X, for the points at infinity (k = 0) and verify's
-substitution identity (k = p), folding any exponent of q or more down below
-q first.
+by one gcd with X^q - X, for the points at infinity (k = 0) and the
+substitution identity of curve_cases (k = p), folding any exponent of q or
+more down below q first.
 
 G and H depend on tau only through t = tau^2, and over F_p each is a
 quadratic in t: G = A0 + t*A1 + t^2*A2, likewise H, with the A_k read off
-the builders at t = 0, 1, 2.  pencil_census(p) therefore finds the zero sets
-of every t's G and H at once, by one pass over F_p^2 per pencil that solves
-the quadratic in t at each point, and keeps the last prime's census.  The
-cover census phi_fibers(g, h) checks the cover (x, y) -> (x + y, x*y) on
-those zero sets, after checking that g and h are the pencils' members at the
-t it reads off g.  phi_fibers keeps this (g, h) form, and affine_zeros (the
-one caller of the kernel's collect=True path) stays here, only because
-perfbench's TARGETS times them by name.
+the builders at t = 0, 1, 2.  The per-t counts a weil-audit case needs are
+therefore read off two per-prime caches, each keeping the last prime:
+pencil_tables(p) holds both pencils and the points at infinity of every
+member (one pass over F_p per pencil, solving the quadratic in t of the
+top-degree form at each x); pencil_census(p) holds the zero sets of every
+member (one pass over F_p^2 per pencil, solving the quadratic in t at each
+point).  The cover census phi_fibers(g, h) checks the cover
+(x, y) -> (x + y, x*y) on those zero sets, after checking by integer terms
+that g and h are the pencils' members at the t it reads off g.  phi_fibers
+keeps this (g, h) form, and affine_zeros (the one caller of the kernel's
+collect=True path) stays here, only because perfbench's TARGETS times them
+by name.
 
 The Hasse-Weil-style bound audits, weil_lower_check and weil_upper_check,
 are pure integer comparisons (squared inequalities, no floating point) that
-verify's curve cases run on these counts.  Since absolute irreducibility is
+the curve cases run on these counts.  Since absolute irreducibility is
 not certified here, the audits are consistency checks, not proofs, and are
 labeled as such in reports.
 """
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import re
+from typing import NamedTuple
 
 from . import backend
 from .field import (Elem, Field, make_field, padd, pgcd_monic, pmul, ppowmod, psub,
@@ -188,9 +193,10 @@ def _check_tau(ctx: Field, tau: int) -> int:
     return tau
 
 
-def _sextic(ctx: Field, t: int) -> BiPoly:
-    """G at t = tau^2: the degree-4 part A, then -t * X^2 Y^2 (X - Y)^2."""
-    return BiPoly(ctx, {
+def _sextic_terms(p: int, t: int) -> dict:
+    """G at t = tau^2 as integer terms mod p: the degree-4 part A, then
+    -t * X^2 Y^2 (X - Y)^2."""
+    terms = {
         (4, 0): 1,
         (3, 1): -2 * t,
         (2, 2): -2 + 4 * t + t * t,
@@ -199,7 +205,13 @@ def _sextic(ctx: Field, t: int) -> BiPoly:
         (4, 2): -t,
         (3, 3): 2 * t,
         (2, 4): -t,
-    })
+    }
+    return {ij: c % p for ij, c in terms.items() if c % p}
+
+
+def _sextic(ctx: Field, t: int) -> BiPoly:
+    """G at t = tau^2."""
+    return BiPoly(ctx, _sextic_terms(ctx.p, t))
 
 
 def criterion_sextic(ctx: Field, tau: int) -> BiPoly:
@@ -233,8 +245,7 @@ def homogenization_quartic(ctx: Field, t: int) -> BiPoly:
     A*Z^2 - t*X^2 Y^2 (X-Y)^2."""
     if ctx.n != 1:
         raise ValueError("defined over a prime field context")
-    g = _sextic(ctx, t % ctx.p)
-    return BiPoly(ctx, {ij: c for ij, c in g.terms.items() if sum(ij) == 4})
+    return BiPoly(ctx, {ij: c for ij, c in _sextic_terms(ctx.p, t).items() if sum(ij) == 4})
 
 
 # ---------------------------------------------------------------------------
@@ -323,44 +334,81 @@ def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     return _weil_check("upper", -1, count, q, d, n_inf)
 
 
-def _pencil(ctx: Field, build) -> tuple[dict, dict, dict]:
-    """The integer terms of A0, A1, A2 with build(ctx, t) = A0 + t*A1 + t^2*A2
-    over F_p (p odd), read off the builder at t = 0, 1, 2."""
+def _pencil(ctx: Field, build) -> dict:
+    """build(ctx, t) = A0 + t*A1 + t^2*A2 over F_p (p odd), as a map from each
+    exponent pair to its integer coefficients (a0, a1, a2) in A0, A1, A2,
+    read off the builder at t = 0, 1, 2."""
     p = ctx.p
     b0, b1, b2 = (build(ctx, t).int_terms() for t in (0, 1, 2))
-    out = ({}, {}, {})
+    out = {}
     for ij in b0.keys() | b1.keys() | b2.keys():
         c0, c1, c2 = (b.get(ij, 0) for b in (b0, b1, b2))
         a2 = (c2 - 2 * c1 + c0) * ((p + 1) // 2) % p
-        for k, c in enumerate((c0, (c1 - c0 - a2) % p, a2)):
-            if c:
-                out[k][ij] = c
+        cs = (c0, (c1 - c0 - a2) % p, a2)
+        if any(cs):
+            out[ij] = cs
     return out
 
 
-def _pencil_zeros(ctx: Field, build) -> tuple[tuple, ...]:
-    """zeros[t] for every t in F_p: the affine zeros of build(ctx, t), as
-    (x, y) index pairs in x, then y order, from one pass over F_p^2.
+def _member(pencil: dict, t: int, p: int) -> dict:
+    """The integer terms of the pencil's member at t."""
+    out = {}
+    for ij, (a0, a1, a2) in pencil.items():
+        c = (a0 + t * (a1 + t * a2)) % p
+        if c:
+            out[ij] = c
+    return out
+
+
+def _root_tables(p: int) -> tuple[list, list]:
+    """root[s]: a square root of s in F_p, or None; inv[c]: 1/c (inv[0] = 0)."""
+    root = [None] * p
+    for r in range((p + 1) // 2):
+        root[r * r % p] = r
+    return root, [0] + [pow(c, p - 2, p) for c in range(1, p)]
+
+
+def _file_roots(zeros: list, x, rows, root: list, inv: list, p: int) -> None:
+    """For y = 0 .. p - 1, with a0, a1, a2 the (unreduced) values rows[k][y],
+    append (x, y) to zeros[t] for each root t in F_p of a0 + t*a1 + t^2*a2,
+    or to every zeros[t] when all three vanish."""
+    for y, a0, a1, a2 in zip(range(p), *rows):
+        a2 %= p
+        if a2:
+            r = root[(a1 * a1 - 4 * a0 * a2) % p]
+            if r is None:
+                continue
+            d = inv[2 * a2 % p]
+            zeros[(r - a1) * d % p].append((x, y))
+            if r:
+                zeros[(-r - a1) * d % p].append((x, y))
+        elif a1 % p:
+            zeros[-a0 * inv[a1 % p] % p].append((x, y))
+        elif not a0 % p:
+            for z in zeros:
+                z.append((x, y))
+
+
+def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
+    """zeros[t] for every t in F_p: the affine zeros of the pencil's member at
+    t, as (x, y) index pairs in x, then y order, from one pass over F_p^2.
 
     At each point the member's value a0 + t*a1 + t^2*a2 is a quadratic in t,
     solved with a table of square roots; the point is filed under each root,
     or under every t when a0 = a1 = a2 = 0.
     """
-    p = ctx.p
-    pencil = _pencil(ctx, build)
-    root = [None] * p
-    for r in range((p + 1) // 2):
-        root[r * r % p] = r
-    inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    root, inv = _root_tables(p)
     ys = range(p)
     ypow = {}  # j -> y^j mod p for every y
     zeros = [[] for _ in range(p)]
     for x in range(p):
+        rows = ({}, {}, {})  # rows[k][j]: the Y^j coefficient of A_k(x, Y)
+        for (i, j), cs in pencil.items():
+            xi = pow(x, i, p)
+            for row, c in zip(rows, cs):
+                row[j] = row.get(j, 0) + c * xi
         vals = []  # a0, a1, a2 at every y, unreduced
-        for a in pencil:
-            row = {}  # a(x, Y) = sum_j row[j] Y^j
-            for (i, j), c in a.items():
-                row[j] = row.get(j, 0) + c * pow(x, i, p)
+        for row in rows:
             v = [0] * p
             for j, r in row.items():
                 r %= p
@@ -369,22 +417,52 @@ def _pencil_zeros(ctx: Field, build) -> tuple[tuple, ...]:
                         ypow[j] = [pow(y, j, p) for y in ys]
                     v = [s + r * w for s, w in zip(v, ypow[j])]
             vals.append(v)
-        for y, a0, a1, a2 in zip(ys, *vals):
-            a2 %= p
-            if a2:
-                r = root[(a1 * a1 - 4 * a0 * a2) % p]
-                if r is None:
-                    continue
-                d = inv[2 * a2 % p]
-                zeros[(r - a1) * d % p].append((x, y))
-                if r:
-                    zeros[(-r - a1) * d % p].append((x, y))
-            elif a1 % p:
-                zeros[-a0 * inv[a1 % p] % p].append((x, y))
-            elif not a0 % p:
-                for z in zeros:
-                    z.append((x, y))
+        _file_roots(zeros, x, vals, root, inv, p)
     return tuple(map(tuple, zeros))
+
+
+def _pencil_infinity(ctx: Field, pencil: dict, build) -> tuple[int, ...]:
+    """infinity[t] = count_infinity(build(ctx, t)) for every t in F_p.
+
+    The top-degree form of the pencil is a quadratic in t too: one pass over
+    x in F_p files each [x : 1 : 0] under the t whose form vanishes at (x, 1),
+    and [1 : 0 : 0] counts wherever the X^d coefficient vanishes.  A member
+    whose top form vanishes has a lower degree, and count_infinity counts it.
+    """
+    p = ctx.p
+    d = max((i + j for i, j in pencil), default=-1)
+    top = {ij: cs for ij, cs in pencil.items() if sum(ij) == d}
+    rows = [[sum(cs[k] * pow(x, i, p) for (i, _), cs in top.items()) for x in range(p)]
+            for k in range(3)]
+    found = [[] for _ in range(p)]  # found[t]: (None, x) for each root x
+    _file_roots(found, None, rows, *_root_tables(p), p)
+    out = []
+    for t, xs in enumerate(found):
+        form = _member(top, t, p)
+        out.append(((d, 0) not in form) + len(xs) if form else count_infinity(build(ctx, t)))
+    return tuple(out)
+
+
+class PencilTables(NamedTuple):
+    """The sextic and quartic pencils over one odd prime (see pencil_tables)."""
+
+    g: dict  # (i, j) -> (a0, a1, a2): G = A0 + t*A1 + t^2*A2
+    h: dict  # likewise for H
+    g_infinity: tuple  # count_infinity of G at t, for every t in F_p
+    h_infinity: tuple  # count_infinity of H at t
+
+
+@functools.lru_cache(maxsize=1)
+def pencil_tables(p: int) -> PencilTables:
+    """The sextic and quartic pencils over F_p, p odd, read off their
+    builders, with the points at infinity of every member; the last prime's
+    tables are kept."""
+    if p == 2:
+        raise ValueError("the pencil census needs an odd characteristic")
+    ctx = make_field(p, 1)
+    g, h = _pencil(ctx, _sextic), _pencil(ctx, _quartic)
+    return PencilTables(g, h, _pencil_infinity(ctx, g, _sextic),
+                        _pencil_infinity(ctx, h, _quartic))
 
 
 @functools.lru_cache(maxsize=1)
@@ -393,11 +471,20 @@ def pencil_census(p: int) -> tuple[tuple, tuple]:
     F_p, p odd: (g_zeros, h_zeros), where g_zeros[t] holds the affine zeros
     of G at t (criterion_sextic at tau^2 = t) for every t in F_p, as (x, y)
     index pairs in x, then y order, and h_zeros[t] those of H.  One pass over
-    F_p^2 per pencil; the last prime's census is kept."""
-    if p == 2:
-        raise ValueError("the pencil census needs an odd characteristic")
-    ctx = make_field(p, 1)
-    return _pencil_zeros(ctx, _sextic), _pencil_zeros(ctx, _quartic)
+    F_p^2 per pencil of pencil_tables(p); the last prime's census is kept."""
+    tables = pencil_tables(p)
+    return _pencil_zeros(p, tables.g), _pencil_zeros(p, tables.h)
+
+
+def off_pencil(g: BiPoly, h: BiPoly, t: int) -> str | None:
+    """"sextic" or "quartic" when g or h, over one odd prime field, is not
+    its pencil's member at t, compared by integer terms; None when both are."""
+    p = g.field.p
+    tables = pencil_tables(p)
+    for name, poly, pencil in (("sextic", g, tables.g), ("quartic", h, tables.h)):
+        if poly.int_terms() != _member(pencil, t, p):
+            return name
+    return None
 
 
 def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
@@ -405,10 +492,11 @@ def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
     sextic g to that of the quartic h, both over one prime field.
 
     t is read off g (its X^4 Y^2 coefficient is -t), and g and h must be the
-    pencils' members at t, so that pencil_census(p) holds their zero sets;
-    anything else raises RuntimeError.  Checks that the only diagonal zero is
-    the origin, that the image lands in the quartic's zero set, and that
-    every off-diagonal fiber has size exactly 2.  Any anomaly raises
+    pencils' members at t by their integer terms (off_pencil), so that
+    pencil_census(p) holds their zero sets; anything else raises
+    RuntimeError.  Checks that the only diagonal zero is the origin, that the
+    image lands in the quartic's zero set, and that every off-diagonal fiber
+    has size exactly 2.  Any anomaly raises
     RuntimeError since the underlying algebra guarantees these facts for
     g = criterion_sextic and h = symmetric_quartic at one tau: a failure
     means an implementation bug.
@@ -418,9 +506,9 @@ def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
         raise ValueError("the cover census takes two curves over one prime field")
     p = f.p
     t = -g.int_terms().get((4, 2), 0) % p
-    for name, poly, build in (("sextic", g, _sextic), ("quartic", h, _quartic)):
-        if poly != build(f, t):
-            raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
+    name = off_pencil(g, h, t)
+    if name:
+        raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
     g_zeros, h_zeros = pencil_census(p)
     vg, vh = g_zeros[t], set(h_zeros[t])
     diag = [pt for pt in vg if pt[0] == pt[1]]

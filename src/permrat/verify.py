@@ -24,8 +24,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from functools import lru_cache
-from math import comb
 
 from .field import MAX_FIELD_ORDER, absolute_trace, is_prime, make_field, prime_divisors
 from .maps import (MapSpec, check_scan_order, is_permutation, subfield_trace_reps,
@@ -38,8 +36,8 @@ def primes_upto(n: int, start: int = 2) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Case functions.  Each takes a plain dict and returns a plain dict so cases
-# can cross a process boundary and land in a progress file unchanged.  The
-# curve cases import `curves` themselves, so the perm campaigns never load it.
+# can cross a process boundary and land in a progress file unchanged; the
+# curve and lemma cases live in curve_cases (see _CaseTable).
 
 def _witness_dict(spec: MapSpec, report) -> dict | None:
     if report.witness is None:
@@ -67,212 +65,22 @@ def _perm_case(args: dict) -> dict:
     }
 
 
-def _curve_f_case(args: dict) -> dict:
-    from .curves import collision_curve, count_affine, count_infinity, weil_lower_check
+class _CaseTable(dict):
+    """kind -> case function.  The curve and lemma kinds live in curve_cases,
+    which loads on the first lookup of a kind not in the table, so the
+    permutation campaigns never compile it."""
 
-    p, n = args["p"], args["n"]
-    ctx = make_field(p, n)
-    b = ctx.element(args["b_index"])
-    poly = collision_curve(ctx, b)
-    affine = count_affine(poly)
-    inf = count_infinity(poly)
-    lo_ok, lo = weil_lower_check(affine, ctx.order, 2 * p, 2)
-    chain_ok = (2 * p - 1) * (2 * p - 2) <= 4 * p * p
-    return {
-        "affine": affine,
-        "infinity": inf,
-        "degree": poly.degree,
-        "weil_lower": lo,
-        "inf_matches": inf == 2,
-        "pass": lo_ok and inf == 2 and chain_ok,
-        "chain_ineq": {"lhs": (2 * p - 1) * (2 * p - 2), "rhs": 4 * p * p, "ok": chain_ok},
-        "modulus": list(ctx.modulus) if ctx.modulus else None,
-    }
+    def __missing__(self, kind: str):
+        from .curve_cases import CASE_FUNCS
+
+        if kind not in CASE_FUNCS:
+            raise KeyError(kind)
+        for name, func in CASE_FUNCS.items():
+            self.setdefault(name, func)
+        return self[kind]
 
 
-def _symmetric_expansion(h: dict, p: int) -> dict:
-    """The nonzero terms mod p of h(X + Y, X*Y), for integer terms h: each
-    c*X^a*Y^b expands to sum_k C(a, k)*c*X^(k+b)*Y^(a-k+b)."""
-    out: dict = {}
-    for (a, b), c in h.items():
-        for k in range(a + 1):
-            key = (k + b, a - k + b)
-            out[key] = (out.get(key, 0) + comb(a, k) * c) % p
-    return {ij: c for ij, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _gh_audit(p: int, g_terms: tuple, h_terms: tuple) -> dict:
-    """The census, infinity counts, bound audits and symmetric identity of
-    the sextic and quartic with these sorted integer terms over F_p.  G and
-    H depend on tau only through t = tau^2, so tau and p - tau read one
-    entry.  The cover census reads the zero sets of the pair off
-    curves.pencil_census(p), one pass over F_p^2 for every t of p, through
-    curves.phi_fibers (which keeps its (g, h) form because perfbench's
-    TARGETS times it).  run_cases clears both caches at the start and end of
-    a run."""
-    from . import curves
-
-    ctx = make_field(p, 1)
-    g, h = curves.BiPoly(ctx, dict(g_terms)), curves.BiPoly(ctx, dict(h_terms))
-    census = curves.phi_fibers(g, h)
-    g_affine, h_affine = census["v_g_size"], census["v_h_size"]
-    g_inf, h_inf = curves.count_infinity(g), curves.count_infinity(h)
-    g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
-    h_ok, h_audit = curves.weil_lower_check(h_affine, p, 4, 3)
-    sym_ok = _symmetric_expansion(dict(h_terms), p) == dict(g_terms)
-    return {
-        "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
-        "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
-        "phi": census,
-        "symmetric_identity_ok": sym_ok,
-        "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
-    }
-
-
-def _curve_gh_case(args: dict) -> dict:
-    from . import curves
-
-    p, tau = args["p"], args["tau"]
-    ctx = make_field(p, 1)
-    g, h = curves.criterion_sextic(ctx, tau), curves.symmetric_quartic(ctx, tau)
-    res = _gh_audit(p, tuple(sorted(g.int_terms().items())),
-                    tuple(sorted(h.int_terms().items())))
-    return {**res, "phi": {"p": p, "tau": tau, **res["phi"]}}
-
-
-def _ident_eq28_case(args: dict) -> dict:
-    """Symmetric-reduction identity: symbolic for every tau (by binomials),
-    and for one tau by a second algorithm: H(X + Y, X*Y) is composed from
-    `BiPoly` products of s = X + Y and t = X*Y, and the points of F_p^2
-    where G(x, y) != H(x + y, x*y) are those off the zero set of the
-    difference, counted exactly."""
-    from .curves import BiPoly, count_affine, criterion_sextic, symmetric_quartic
-
-    p = args["p"]
-    ctx = make_field(p, 1)
-    symbolic_ok = all(_symmetric_expansion(symmetric_quartic(ctx, tau).int_terms(), p)
-                      == criterion_sextic(ctx, tau).int_terms() for tau in range(1, p))
-    tau = 2 % p
-    h = symmetric_quartic(ctx, tau)
-    s, t = BiPoly(ctx, {(1, 0): 1, (0, 1): 1}), BiPoly(ctx, {(1, 1): 1})
-    s_pow, t_pow = [BiPoly(ctx, {(0, 0): 1})], [BiPoly(ctx, {(0, 0): 1})]
-    for _ in range(h.degree):
-        s_pow.append(s_pow[-1] * s)
-        t_pow.append(t_pow[-1] * t)
-    h_phi = sum((s_pow[a] * t_pow[b] * c for (a, b), c in h.terms.items()), BiPoly(ctx, {}))
-    mismatches = p * p - count_affine(criterion_sextic(ctx, tau) - h_phi)
-    return {
-        "symbolic_taus": p - 1,
-        "pointwise_tau": tau,
-        "mismatches": mismatches,
-        "pass": symbolic_ok and mismatches == 0,
-    }
-
-
-def _ident_subst_case(args: dict) -> dict:
-    """Substitution identity over F_{p^2} at every tau in F_p^* and y != 0,
-    and the split G(y, y^p) = -a*b at tau = +-1 and every y.
-
-    With Y = y^p (so y^(p-1) = Y/y, y^(2+2p) = y^2 Y^2) and
-    2z = tau + y - Y + (Y/y - y/Y)/tau, the identity
-    z^2 + (Y - y)z + 1 - Y/y = G(y, Y) / (4 tau^2 y^2 Y^2), times the nonzero
-    4 tau^2 y^2 Y^2, fails exactly where E(y, y^p) != 0 for the F_p polynomial
-    E = W^2 + 2 tau yY(Y - y) W + 4 tau^2 yY^2 (y - Y) - G, where
-    W = 2 tau yY z = tau^2 yY + tau yY(y - Y) + Y^2 - y^2.  The split fails
-    where (G + a*b)(y, y^p) != 0; curves.graph_zeros counts both exactly.
-    """
-    from .curves import BiPoly, criterion_sextic, graph_zeros
-
-    p = args["p"]
-    q = p * p
-    base = make_field(p, 1)
-    y, yp = BiPoly(base, {(1, 0): 1}), BiPoly(base, {(0, 1): 1})
-    yyp = y * yp
-    mismatches = 0
-    for tau in range(1, p):
-        w = yyp * (tau * tau) + yyp * (y - yp) * tau + yp * yp - y * y
-        e = (w * w + yyp * (yp - y) * w * (2 * tau) + yyp * yp * (y - yp) * (4 * tau * tau)
-             - criterion_sextic(base, tau)).int_terms()
-        mismatches += q - 1 - graph_zeros(e, p, q, p) + ((0, 0) not in e)  # y = 0 is not checked
-    a = y * y + yp * yp - yyp - yyp * y + yyp * yp
-    bb = yyp - y * y - yp * yp - yyp * y + yyp * yp
-    factor_mismatches = sum(
-        q - graph_zeros((criterion_sextic(base, tau) + a * bb).int_terms(), p, q, p)
-        for tau in (1, p - 1))
-    return {
-        "substitution_points": (p - 1) * (q - 1),
-        "substitution_mismatches": mismatches,
-        "factorization_mismatches": factor_mismatches,
-        "pass": mismatches == 0 and factor_mismatches == 0,
-    }
-
-
-def _lemma22_case(args: dict) -> dict:
-    """Coefficient-system inconsistency for the quartic square question.
-
-    For each t != 0: forced alpha = -t, beta = 1; the remaining equation
-    reduces to 4(t - 1) = 0, so the system is consistent only at t = 1.  A
-    direct square-root attempt on the dehomogenized quartic must agree.
-    """
-    from .curves import UniPoly, homogenization_quartic, uni_square_root
-
-    p = args["p"]
-    ctx = make_field(p, 1)
-    failures = []
-    for t in range(1, p):
-        alpha = -t % p
-        beta = -t * pow(alpha, p - 2, p) % p
-        eq10_ok = (1 - beta * beta) % p == 0
-        residual = (-2 - alpha * alpha - 2 * beta + 4 * t + t * t) % p
-        consistent = eq10_ok and residual == 0
-        quartic = homogenization_quartic(ctx, t).int_terms()
-        a_x1 = UniPoly(p, [quartic.get((i, 4 - i), 0) for i in range(5)])
-        root = uni_square_root(a_x1)
-        expected_consistent = t == 1
-        if consistent != expected_consistent or (root is not None) != expected_consistent:
-            failures.append(t)
-    return {"t_values": p - 1, "failures": failures, "pass": not failures}
-
-
-def _lemmaL_case(args: dict) -> dict:
-    """The gcd chain certifying Y^{p+1} - Y^2 + 4 has no repeated zeros."""
-    from .curves import UniPoly, is_squarefree, uni_derivative, uni_gcd
-
-    p = args["p"]
-    one = UniPoly(p, [1])
-    f = UniPoly.from_terms(p, {p + 1: 1, 2: -1, 0: 4})
-    deriv = uni_derivative(f)
-    deriv_expected = UniPoly.from_terms(p, {p: 1, 1: -2})
-    y2p4 = UniPoly.from_terms(p, {2: 1, 0: 4})
-    steps = {
-        "derivative_form_ok": deriv == deriv_expected,
-        "gcd_f_fprime": uni_gcd(f, deriv) == one,
-        "gcd_f_ypm2y": uni_gcd(f, deriv_expected) == one,
-        "gcd_f_ypow": uni_gcd(f, UniPoly.from_terms(p, {p - 1: 1, 0: -2})) == one,
-        "gcd_y2p4_ypow": uni_gcd(y2p4, UniPoly.from_terms(p, {p - 1: 1, 0: -2})) == one,
-    }
-    c_four = pow(-4 % p, (p - 1) // 2, p)
-    c_sign = pow(p - 1, (p - 1) // 2, p)
-    steps["const_reduction_ok"] = c_four == c_sign
-    final_const = (c_sign - 2) % p
-    steps["final_const_nonzero"] = final_const != 0
-    steps["gcd_final"] = uni_gcd(y2p4, UniPoly(p, [final_const])) == one
-    ypm1 = UniPoly.from_terms(p, {p - 1: 1, 0: -1})
-    radicand = ypm1 * (UniPoly.from_terms(p, {2: 1}) * ypm1 + UniPoly(p, [4]))
-    steps["radicand_squarefree"] = is_squarefree(radicand)
-    return {"steps": steps, "final_const": final_const, "pass": all(steps.values())}
-
-
-_CASE_FUNCS = {
-    "perm": _perm_case,
-    "curve_f": _curve_f_case,
-    "curve_gh": _curve_gh_case,
-    "ident_eq28": _ident_eq28_case,
-    "ident_subst": _ident_subst_case,
-    "lemma22": _lemma22_case,
-    "lemmaL": _lemmaL_case,
-}
+_CASE_FUNCS = _CaseTable(perm=_perm_case)
 
 
 def _case_worker(payload: dict) -> dict:
@@ -343,25 +151,37 @@ def _load_progress(path: str, header: str, done: dict) -> bool:
 
 
 def _clear_curve_caches() -> None:
-    _gh_audit.cache_clear()
-    curves = sys.modules.get(f"{__package__}.curves")  # loaded by a curve case, if any
+    """Empty the per-run caches of whichever curve modules a case loaded."""
+    cases = sys.modules.get(f"{__package__}.curve_cases")
+    if cases is not None:
+        cases._AUDITS.clear()
+    curves = sys.modules.get(f"{__package__}.curves")
     if curves is not None:
+        curves.pencil_tables.cache_clear()
         curves.pencil_census.cache_clear()
 
 
 def run_cases(campaign: str, config: dict, payloads: list[dict],
-              jobs: int = 1, progress_path: str | None = None) -> list[dict]:
+              jobs: int = 1, progress_path: str | None = None, *,
+              chunked: bool = False) -> list[dict]:
     """Run cases in payload order, skipping any already in the progress file.
 
     The progress file is append-only JSON lines: a header with the config
     fingerprint, then one line per completed case.  Resuming with a different
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
-    report does not depend on jobs or on interruptions.  The caches of curve
-    pair audits (_gh_audit) and of the pencil census are cleared when the
-    run starts and ends, so their entries live for one run.  A configuration
-    that selects no cases or repeats a case key is refused: a campaign must
-    not read as a pass having checked nothing, or count a case twice.
+    report does not depend on jobs or on interruptions.  With jobs > 1 the
+    workers take one case at a time, so the progress file records each case
+    as soon as it and every case before it are done.  A chunked run (the
+    weil-audit, whose cases take milliseconds) hands them contiguous chunks,
+    half an even share each, so that one worker runs most cases of a prime
+    and builds that prime's curve tables once; an interruption there loses
+    at most the chunks in flight.
+    The curve caches (curve_cases' audits, curves' pencil tables and census)
+    are cleared when the run starts and ends, so their entries live for one
+    run.  A configuration that selects no cases or repeats a case key is
+    refused: a campaign must not read as a pass having checked nothing, or
+    count a case twice.
     """
     if not payloads:
         raise ValueError("configuration selects no cases")
@@ -389,7 +209,8 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=jobs)
-            results = pool.map(_case_worker, todo)
+            chunksize = max(1, len(todo) // (2 * jobs)) if chunked else 1
+            results = pool.map(_case_worker, todo, chunksize=chunksize)
         else:
             results = map(_case_worker, todo)
         for pl, res in zip(todo, results):
@@ -407,7 +228,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
 
 
 def _campaign(name: str, config: dict, grid, jobs: int,
-              progress_path: str | None) -> dict:
+              progress_path: str | None, chunked: bool = False) -> dict:
     """Run the cases of `grid` and assemble the campaign report.
 
     `grid` yields (payload, record) pairs: the payload goes to run_cases,
@@ -415,7 +236,8 @@ def _campaign(name: str, config: dict, grid, jobs: int,
     a true "counterexample" is listed among the counterexamples.
     """
     grid = list(grid)
-    results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path)
+    results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path,
+                        chunked=chunked)
     cases = [record(res) for (_, record), res in zip(grid, results)]
     counterexamples = [c["key"] for c in cases if c.get("counterexample")]
     passed = sum(1 for c in cases if c["pass"])
@@ -620,13 +442,16 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     the tau^2 = 1 factorization.  Each case records its kind.
 
     G and H depend on tau only through t = tau^2, so tau and p - tau build
-    the same two curves and read one audit of them (_gh_audit, keyed by the
-    curves' terms), while the cases, their keys and their records stay one
-    per (p, tau).  The zero sets behind the counts and the cover census come
-    from curves.pencil_census, one pass over F_p^2 per prime for every tau
-    of that prime; only the collision-curve and eq. (28) cases count zeros
-    with the kernel.  A collision-curve field whose q^2 exceeds the counting
-    budget is refused before any grid is built.
+    the same two curves and read one audit of them, cached by (p, t), while
+    the cases, their keys and their records stay one per (p, tau).  Every
+    zero set and infinity count behind that audit comes from the per-prime
+    tables of curves.pencil_census and curves.pencil_tables, one pass per
+    pencil for every tau of the prime, and pool workers take the cases in
+    contiguous chunks (see run_cases).  Only the collision-curve and eq. (28)
+    cases count zeros with the kernel, and points at infinity are counted by
+    gcd only for the collision curves and for a pencil member of lower
+    degree.  A collision-curve field whose q^2 exceeds the counting budget is
+    refused before any grid is built.
     """
     from .curves import COUNT_BUDGET
 
@@ -651,4 +476,4 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
 
     config = {"p_max": p_max, "f_p": f_p, "f_degrees": list(f_degrees),
               "ident_p_max": ident_p_max, "eq28_p_max": eq28_p_max}
-    return _campaign("weil-audit", config, grid(), jobs, progress_path)
+    return _campaign("weil-audit", config, grid(), jobs, progress_path, chunked=True)

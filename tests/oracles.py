@@ -218,7 +218,7 @@ def count_infinity_walk(poly):
 
 
 def ident_subst_walk(p):
-    """`verify._ident_subst_case`'s counts by walking F_{p^2} with field
+    """`curve_cases._ident_subst_case`'s counts by walking F_{p^2} with field
     elements: the substitution identity at every tau in F_p^* and y != 0,
     and G(y, y^p) = -a*b at tau = +-1 and every y.  G is read from
     `curves.criterion_sextic` at call time and rebuilt over F_{p^2} from its
@@ -261,7 +261,7 @@ def ident_subst_walk(p):
 
 
 def eq28_pointwise_walk(p, tau=2):
-    """`verify._ident_eq28_case`'s mismatches by a double loop over F_p^2:
+    """`curve_cases._ident_eq28_case`'s mismatches by a double loop over F_p^2:
     the points where G(x, y) != H(x + y, x*y), with G and H read from
     `curves.criterion_sextic` and `curves.symmetric_quartic` at call time
     and evaluated on integer terms from tables of powers."""

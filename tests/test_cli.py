@@ -606,11 +606,13 @@ def _fresh_process(*args, **env):
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
 
 
-_WATCHED = ("permrat.curves", "permrat.verify", "permrat.maps", "permrat.backend",
-            "permrat._kernel_py", "permrat._sliced", "permrat._count", "dataclasses")
+_WATCHED = ("permrat.curves", "permrat.curve_cases", "permrat.verify", "permrat.maps",
+            "permrat.backend", "permrat._kernel_py", "permrat._sliced", "permrat._count",
+            "dataclasses")
 _KERNELS = ("permrat._kernel_py", "permrat._sliced", "permrat._count")
-_NOT_IN_SCANS = ("permrat.curves", "permrat.verify", "permrat._count", "dataclasses")
-_NOT_IN_CAMPAIGNS = ("permrat.curves", "permrat._count", "dataclasses")
+_NOT_IN_SCANS = ("permrat.curves", "permrat.curve_cases", "permrat.verify", "permrat._count",
+                 "dataclasses")
+_NOT_IN_CAMPAIGNS = ("permrat.curves", "permrat.curve_cases", "permrat._count", "dataclasses")
 _WEIL_SMALL = ["weil-audit", "--p-max", "11", "--f-degrees", "2", "--ident-p-max", "5",
                "--eq28-p-max", "7"]
 
@@ -640,17 +642,21 @@ def test_importing_the_cli_loads_no_command_module():
     (["conjecture", "--n", "4", "--primes", "5"], ("permrat.verify", "permrat._kernel_py"),
      _NOT_IN_CAMPAIGNS + ("permrat._sliced",)),
     (["count", "--p", "5", "--builtin", "G", "--tau", "2"], ("permrat.curves", "permrat._count"),
+     ("dataclasses", "permrat._sliced", "permrat.curve_cases")),
+    (["verify", "lemma22", "--p-max", "7"], ("permrat.curves", "permrat.curve_cases"),
+     ("dataclasses",) + _KERNELS),
+    (["verify", "lemmaL", "--p-max", "7"], ("permrat.curves", "permrat.curve_cases"),
+     ("dataclasses",) + _KERNELS),
+    (_WEIL_SMALL, ("permrat.curves", "permrat.curve_cases", "permrat._count"),
      ("dataclasses", "permrat._sliced")),
-    (["verify", "lemma22", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
-    (["verify", "lemmaL", "--p-max", "7"], ("permrat.curves",), ("dataclasses",) + _KERNELS),
-    (_WEIL_SMALL, ("permrat.curves", "permrat._count"), ("dataclasses", "permrat._sliced")),
 ], ids=["reps", "reps-d2", "permcheck", "verify-baseline", "verify-thm11", "verify-thm31",
         "verify-remark43", "conjecture-n3", "conjecture-n4", "count", "verify-lemma22",
         "verify-lemmaL", "weil-audit"])
 def test_subcommand_imports_only_what_it_runs(argv, ran, absent):
     # each process compiles only the modules its command runs; reps, lemma22
-    # and lemmaL run no kernel, scans never load the count kernel, and only
-    # p = 2, 3 scans run the sliced one
+    # and lemmaL run no kernel, scans never load the count kernel, only
+    # p = 2, 3 scans run the sliced one, and only curve and lemma campaigns
+    # load their cases (curve_cases)
     probe = ("import json, sys; from permrat.cli import main; "
              f"code = main({argv!r}); "
              f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]; "

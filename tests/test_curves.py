@@ -25,7 +25,7 @@ from permrat.curves import (
     weil_upper_check,
 )
 from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
-from permrat.verify import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
+from permrat.curve_cases import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
                      ident_subst_walk, kernel_zeros, phi_census_by_eval,
@@ -492,10 +492,12 @@ def test_phi_census_matches_brute_force(p, data):
 
 @pytest.fixture
 def fresh_census():
-    # the census is cached per prime, so a test that changes a builder must
-    # not read (or leave behind) a census of other curves
+    # the tables and census are cached per prime, so a test that changes a
+    # builder must not read (or leave behind) the tables of other curves
+    curves.pencil_tables.cache_clear()
     curves.pencil_census.cache_clear()
     yield
+    curves.pencil_tables.cache_clear()
     curves.pencil_census.cache_clear()
 
 
@@ -515,6 +517,67 @@ def test_pencil_census_keeps_one_prime_and_needs_an_odd_one():
     assert curves.pencil_census.cache_info().currsize == 1
     with pytest.raises(ValueError, match="^the pencil census needs an odd characteristic$"):
         curves.pencil_census(2)
+
+
+def test_pencil_tables_keep_one_prime_and_need_an_odd_one():
+    assert curves.pencil_tables(7) is curves.pencil_tables(7)
+    curves.pencil_tables(11)
+    assert curves.pencil_tables.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="^the pencil census needs an odd characteristic$"):
+        curves.pencil_tables(2)
+
+
+def _assert_tables_match_the_builders(p):
+    # every t of F_p, t = 0 and t = 1 included
+    f = make_field(p, 1)
+    tables = curves.pencil_tables(p)
+    for t in range(p):
+        g, h = curves._sextic(f, t), curves._quartic(f, t)
+        assert curves._member(tables.g, t, p) == g.int_terms()
+        assert curves._member(tables.h, t, p) == h.int_terms()
+        assert tables.g_infinity[t] == count_infinity(g)
+        assert tables.h_infinity[t] == count_infinity(h)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+def test_pencil_tables_match_the_builders_at_every_t(p, fresh_census):
+    _assert_tables_match_the_builders(p)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+def test_integer_sextic_is_the_sextic_builder(p):
+    f = make_field(p, 1)
+    for t in (*range(p), p + 3, -2):
+        terms = curves._sextic_terms(p, t)
+        assert terms == curves._sextic(f, t).int_terms()
+        assert ({ij: c for ij, c in terms.items() if sum(ij) == 4}
+                == homogenization_quartic(f, t).int_terms())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_pencil_tables_match_the_builders_on_perturbed_pencils(data):
+    # adding c * t^k * X^i Y^j (k <= 2) to a builder keeps it a pencil; a term
+    # above degree 6 with k > 0 makes the top form vanish at some t, where
+    # the infinity table falls back to count_infinity.  X^4 keeps coefficient
+    # 1, so no member is the zero polynomial.
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+    name = data.draw(st.sampled_from(("_sextic", "_quartic")))
+    exps = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda ij: ij != (4, 0))
+    extra = data.draw(st.dictionaries(st.tuples(exps, st.integers(0, 2)),
+                                      st.integers(1, p - 1), min_size=1, max_size=4))
+    build = getattr(curves, name)
+
+    def perturbed(ctx, t):
+        return build(ctx, t) + BiPoly(ctx, {ij: c * t ** k for (ij, k), c in extra.items()})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, name, perturbed)
+        curves.pencil_tables.cache_clear()
+        try:
+            _assert_tables_match_the_builders(p)
+        finally:
+            curves.pencil_tables.cache_clear()
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])

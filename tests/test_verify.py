@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from permrat import _kernel_py, curves, maps, verify
+from permrat import _kernel_py, curve_cases, curves, maps, verify
 from permrat.cli import emit_report, main
 from permrat.curves import BiPoly
 from permrat.field import make_field
@@ -237,44 +237,105 @@ def _pair_of(g, h):
 
 
 def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
-    zeros, infinity, census, passes = [], [], [], []
+    zeros, infinity, census, passes, tables = [], [], [], [], []
     _counting(monkeypatch, _kernel_py, "count_zeros", zeros)
     _counting(monkeypatch, curves, "count_infinity", infinity)
     _counting(monkeypatch, curves, "phi_fibers", census)
     _counting(monkeypatch, curves, "_pencil_zeros", passes)
+    _counting(monkeypatch, curves, "_pencil_infinity", tables)
     assert main(_SMALL_AUDIT) == 0
     cases = json.loads(capsys.readouterr().out)["cases"]
     kinds = [c["kind"] for c in cases]
     primes = verify.primes_upto(31, start=5)
     pairs = sum((p - 3) // 2 for p in primes)
     assert kinds.count("curve_gh") == 2 * pairs == 128
-    # one cover census and two infinity counts per pair, their zero sets
-    # from one pass of each pencil per prime; the kernel counts zeros only
-    # for the curve_f and eq28 cases, one count each
+    # one cover census per pair; its zero sets come from one pass of each
+    # pencil per prime, and its infinity counts from one pass of each
+    # pencil's top form per prime (the sextic's has a pencil term X^4 Y^2)
     assert len(census) == pairs
     assert sorted(_pair_of(g, h) for g, h in census) == sorted(
         {(p, tau * tau % p) for p in primes for tau in range(2, p - 1)})
-    assert [(ctx.p, build) for ctx, build in passes] == [
+    assert [(p, (4, 2) in pencil) for p, pencil in passes] == [
+        (p, is_g) for p in primes for is_g in (True, False)]
+    assert [(ctx.p, build) for ctx, _, build in tables] == [
         (p, build) for p in primes for build in (curves._sextic, curves._quartic)]
-    assert len(infinity) == 2 * pairs + kinds.count("curve_f")
+    # the gcd count of points at infinity runs for the curve_f cases, and for
+    # the one member per prime whose top form vanishes: the sextic at t = 0
+    f_curves = [poly for poly, in infinity if poly.field.n > 1]
+    drops = [poly for poly, in infinity if poly.field.n == 1]
+    assert len(f_curves) == kinds.count("curve_f")
+    assert drops == [curves._sextic(make_field(p, 1), 0) for p in primes]
+    # the kernel counts zeros only for the curve_f and eq28 cases, one count each
     assert len(zeros) == kinds.count("curve_f") + kinds.count("ident_eq28")
-    # the run's audits and census end with it
-    assert verify._gh_audit.cache_info().currsize == 0
+    # the run's audits, tables and census end with it
+    assert curve_cases._AUDITS == {}
+    assert curves.pencil_tables.cache_info().currsize == 0
     assert curves.pencil_census.cache_info().currsize == 0
 
 
 def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch):
     census = []
     _counting(monkeypatch, curves, "phi_fibers", census)
-    verify._gh_audit.cache_clear()
+    curve_cases._AUDITS.clear()
     try:
-        first, second = (verify._curve_gh_case({"p": 7, "tau": tau}) for tau in (2, 5))
+        first, second = (curve_cases._curve_gh_case({"p": 7, "tau": tau}) for tau in (2, 5))
         assert [_pair_of(g, h) for g, h in census] == [(7, 4)]
+        assert list(curve_cases._AUDITS) == [(7, 4)]
     finally:
-        verify._gh_audit.cache_clear()
+        curve_cases._AUDITS.clear()
+        curves.pencil_tables.cache_clear()
         curves.pencil_census.cache_clear()
     assert (first["phi"]["tau"], second["phi"]["tau"]) == (2, 5)
     assert {**first, "phi": None} == {**second, "phi": None}
+
+
+def test_curves_of_another_t_are_audited_at_their_own_t(monkeypatch):
+    # at p = 7 the quartic has 3 points at infinity at t = 4 = 2^2 but 1 at
+    # t = 3: a tau = 5 case whose builders return the members at t = 3 must
+    # be audited wholly at t = 3, not read t = 4's tables
+    f = make_field(7, 1)
+    g3, h3 = curves._sextic(f, 3), curves._quartic(f, 3)
+    curve_cases._AUDITS.clear()
+    try:
+        curve_cases._curve_gh_case({"p": 7, "tau": 2})
+        monkeypatch.setattr(curves, "criterion_sextic", lambda ctx, tau: g3)
+        monkeypatch.setattr(curves, "symmetric_quartic", lambda ctx, tau: h3)
+        res = curve_cases._curve_gh_case({"p": 7, "tau": 5})
+        assert sorted(curve_cases._AUDITS) == [(7, 3), (7, 4)]
+    finally:
+        curve_cases._AUDITS.clear()
+        curves.pencil_tables.cache_clear()
+        curves.pencil_census.cache_clear()
+    assert res["g"]["infinity"] == curves.count_infinity(g3) == 3
+    assert res["h"]["infinity"] == curves.count_infinity(h3) == 1
+    assert ((res["g"]["affine"], res["h"]["affine"])
+            == (curves.count_affine(g3), curves.count_affine(h3)))
+    assert res["phi"] == {"p": 7, "tau": 5, **curves.phi_fibers(g3, h3)}
+    assert res["symmetric_identity_ok"] and not res["pass"]
+
+
+def test_an_interrupted_pooled_run_has_recorded_every_case_before_it(tmp_path, monkeypatch):
+    # cases go to the pool one at a time, so when case k fails, cases 0 .. k-1
+    # are all in the progress file, and a resumed run picks up from there
+    prog = tmp_path / "thm31.progress"
+    full = verify.verify_quadratic_trace_criterion(31, ())
+    keys = [c["key"] for c in full["cases"]]
+    real_case = verify._CASE_FUNCS["perm"]
+
+    def case(args):
+        # pool workers inherit this table by fork
+        if (args["p"], args["b_index"]) == (11, 4):
+            raise RuntimeError("interrupted")
+        return real_case(args)
+
+    monkeypatch.setitem(verify._CASE_FUNCS, "perm", case)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        verify.verify_quadratic_trace_criterion(31, (), jobs=2, progress_path=str(prog))
+    recorded = [json.loads(line)["key"] for line in prog.read_text().splitlines()[1:]]
+    assert recorded == keys[:keys.index("class,p=11,b=4")] and len(recorded) == 9
+    monkeypatch.setitem(verify._CASE_FUNCS, "perm", real_case)
+    resumed = verify.verify_quadratic_trace_criterion(31, (), jobs=2, progress_path=str(prog))
+    assert emit_report(resumed, "json") == emit_report(full, "json")
 
 
 def _perturb_one_tau(monkeypatch, p, tau):
@@ -304,7 +365,7 @@ def test_a_curve_that_differs_at_p_minus_tau_fails_the_run(capsys, monkeypatch):
     assert [_pair_of(g, h) for g, h in census] == [(5, 4), (7, 4), (7, 2), (7, 4)]
     assert census[3][0] != census[1][0] and census[3][1] == census[1][1]
     assert returned == [(5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (7, 5)]
-    assert verify._gh_audit.cache_info().currsize == 0
+    assert curve_cases._AUDITS == {}
 
 
 def test_a_sextic_perturbed_at_every_t_fails_the_run(capsys, monkeypatch):
@@ -317,7 +378,7 @@ def test_a_sextic_perturbed_at_every_t_fails_the_run(capsys, monkeypatch):
         main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
               "--eq28-p-max", "3"])
     assert capsys.readouterr().out == ""
-    assert verify._gh_audit.cache_info().currsize == 0
+    assert curve_cases._AUDITS == {}
     assert curves.pencil_census.cache_info().currsize == 0
 
 
