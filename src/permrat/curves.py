@@ -27,10 +27,13 @@ therefore read off two per-prime caches, each keeping the last prime:
 pencil_tables(p) holds both pencils and the points at infinity of every
 member (one pass over F_p per pencil, solving the quadratic in t of the
 top-degree form at each x); pencil_census(p) holds the zero sets of every
-member (one pass over F_p^2 per pencil, solving the quadratic in t at each
-point).  The cover census phi_fibers(g, h) checks the cover
-(x, y) -> (x + y, x*y) on those zero sets, after checking by integer terms
-that g and h are the pencils' members at the t it reads off g.  phi_fibers
+member as sorted int codes x*p + y (one packed pass over F_p^2 per pencil,
+solving the quadratic in t at each point with a square root read off a
+table; see _pencil_zeros for the slot bound).  Like count_zeros it refuses
+a field whose p^2 points exceed COUNT_BUDGET.  The cover census
+phi_fibers(g, h) checks the cover (x, y) -> (x + y, x*y) on those codes,
+after checking by integer terms that g and h are the pencils' members at
+the t it reads off g.  phi_fibers
 keeps this (g, h) form, and affine_zeros (the one caller of the kernel's
 collect=True path) stays here, only because perfbench's TARGETS times them
 by name.
@@ -46,6 +49,9 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import insort
+from itertools import compress
+from operator import mul
 from typing import NamedTuple
 
 from . import backend
@@ -255,11 +261,16 @@ def _term_list(poly: BiPoly):
     return [(i, j, poly.terms[(i, j)].coeffs) for (i, j) in sorted(poly.terms)]
 
 
+def check_count_budget(q: int) -> None:
+    """Refuse a field of order q whose q^2 points exceed COUNT_BUDGET."""
+    if q * q > COUNT_BUDGET:
+        raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
+
+
 def _kernel_zeros(poly: BiPoly, collect: bool):
     """The kernel's (count, zeros) for `poly`, zeros as index pairs."""
     f = poly.field
-    if f.order ** 2 > COUNT_BUDGET:
-        raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
+    check_count_budget(f.order)
     kern = backend.select(f.p)
     return kern.count_zeros(f.p, f.n, _term_list(poly), collect)
 
@@ -361,11 +372,15 @@ def _member(pencil: dict, t: int, p: int) -> dict:
 
 
 def _root_tables(p: int) -> tuple[list, list]:
-    """root[s]: a square root of s in F_p, or None; inv[c]: 1/c (inv[0] = 0)."""
+    """root[s]: a square root of s in F_p, or None; inv[c]: 1/c (inv[0] = 0),
+    from 1/c = -(p // c) / (p mod c)."""
     root = [None] * p
     for r in range((p + 1) // 2):
         root[r * r % p] = r
-    return root, [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    inv = [0, 1] + [0] * (p - 2)
+    for c in range(2, p):
+        inv[c] = -(p // c) * inv[p % c] % p
+    return root, inv
 
 
 def _file_roots(zeros: list, x, rows, root: list, inv: list, p: int) -> None:
@@ -389,35 +404,129 @@ def _file_roots(zeros: list, x, rows, root: list, inv: list, p: int) -> None:
                 z.append((x, y))
 
 
+def _discriminant(pencil: dict, p: int) -> dict:
+    """The integer terms mod p of A1^2 - 4*A0*A2, the discriminant in t of
+    the pencil A0 + t*A1 + t^2*A2, from its coefficient triples."""
+    out = {}
+    for (i1, j1), c in pencil.items():
+        for (i2, j2), d in pencil.items():
+            ij = (i1 + i2, j1 + j2)
+            out[ij] = out.get(ij, 0) + c[1] * d[1] - 4 * c[0] * d[2]
+    return {ij: c % p for ij, c in out.items() if c % p}
+
+
 def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
     """zeros[t] for every t in F_p: the affine zeros of the pencil's member at
-    t, as (x, y) index pairs in x, then y order, from one pass over F_p^2.
+    t, as the sorted int codes x*p + y (x, then y order), from one pass over
+    F_p^2.
 
-    At each point the member's value a0 + t*a1 + t^2*a2 is a quadratic in t,
-    solved with a table of square roots; the point is filed under each root,
-    or under every t when a0 = a1 = a2 = 0.
+    At each point the member's value a0 + t*a1 + t^2*a2 is a quadratic in t
+    with discriminant a1^2 - 4*a0*a2, itself a polynomial D in (X, Y) built
+    once per prime (`_discriminant`).  For each x the rows A1(x, .),
+    A2(x, .) and D(x, .) are evaluated packed, one W-bit slot per y, as in
+    `_count.count_zeros`: a row is sum_j r_j * plane[j], where plane[e]
+    packs y^e mod p for every y and r_j = sum_i c_ij x^i mod p is read off
+    one packed sum over every x, sum_i c_ij * plane[i].  Either sum has at
+    most `width` terms, each a product of two values below p, so every slot
+    is below B = width*(p-1)^2 + 1 and one `_slot_barrett` step reduces all
+    of them mod p with no borrow.  (The kernel is imported at call time:
+    lemma22 and lemmaL load this module but count nothing.)
+
+    The reduced slots are read as bytes: the low byte of each slot, or for
+    p >= 256 its value from its nb = ceil(bitlen(p)/8) low bytes.  Bit h of
+    a2 + 2^h - 1, h = bitlen(p), flags a2 != 0, and the D row keeps d + 1
+    (at most p, so it fits nb bytes) where a2 != 0 and 0 elsewhere.  So one
+    table lookup on it (`bytes.translate` for p < 256) says which points
+    have a2 != 0 and a square d, and another gives a root r of d.
+    `itertools.compress` passes only those points to Python, which files
+    each under t = (+-r - a1)/(2*a2), with -a1 and 1/(2*a2) read off two
+    more tables and the product reduced mod p by indexing (`file`).  The
+    few points with a2 = 0 are solved one by one: filed under t = -a0/a1
+    when a1 != 0, or under every t when a0 = a1 = 0, by sorted insertion.
     """
-    root, inv = _root_tables(p)
-    ys = range(p)
-    ypow = {}  # j -> y^j mod p for every y
+    from ._kernel_py import _slot_barrett
+
+    ak = [{ij: cs[k] for ij, cs in pencil.items()} for k in range(3)]  # A0, A1, A2
+    rows = []  # A1, A2, D and A0, each as {j: [(i, c), ...]}
+    for poly in (ak[1], ak[2], _discriminant(pencil, p), ak[0]):
+        by_j = {}
+        for (i, j), c in poly.items():
+            if c:
+                by_j.setdefault(j, []).append((i, c))
+        rows.append(by_j)
+    width = max(len(ts) for by_j in rows for ts in (by_j, *by_j.values()))
+    w, unit, reduce = _slot_barrett(p, width * (p - 1) ** 2 + 1, p)
+    wb, h = w // 8, p.bit_length()
+    size, nb = p * wb, (h + 7) // 8
+    top, ones, low = unit << h, unit * ((1 << h) - 1), (1 << 8 * nb) - 1
+
+    def read(s):
+        """The p slots of a reduced packed int, in order."""
+        b = s.to_bytes(size, "little")
+        vals = b[::wb]
+        for k in range(1, nb):
+            vals = [v | c << 8 * k for v, c in zip(vals, b[k::wb])]
+        return vals
+
+    def pack(vals):
+        """The packed int with the p values (each below p) in its slots."""
+        buf = bytearray(size)
+        for k in range(nb):
+            buf[k::wb] = bytes(map((255).__and__, map((8 * k).__rrshift__, vals)))
+        return int.from_bytes(buf, "little")
+
+    exps = {e for by_j in rows for j, ts in by_j.items() for e in (j, *(i for i, _ in ts))}
+    plane, powers = {}, [1] * p  # y^e for every y, 0^0 = 1
+    for e in range(max(exps, default=0) + 1):
+        if e in exps:
+            plane[e] = pack(powers)
+        powers = [v * y % p for y, v in enumerate(powers)]
+    # per row: the planes of its js, and for every x the tuple of its r_j(x)
+    packed = []
+    for by_j in rows:
+        coeffs = [read(reduce(sum(c * plane[i] for i, c in ts))) for ts in by_j.values()]
+        packed.append(([plane[j] for j in by_j], list(zip(*coeffs)) or [()] * p))
+    (pl1, r1), (pl2, r2), (pld, rd), (_, r0) = packed
+    ypows = list(zip(*map(read, map(plane.get, rows[3])))) or [()] * p  # y^j, js of A0
+
+    roots, inv = _root_tables(p)
+    inv2 = [inv[2 * a % p] for a in range(p)]
+    neg = [-a % p for a in range(p)]
+    square = [0] + [r is not None for r in roots]  # at d + 1: d is a square
+    root = [0] + [r or 0 for r in roots]  # and its root
+    if nb == 1:
+        inv2, neg, square, root = (bytes(tab + [0] * (256 - len(tab)))
+                                   for tab in (inv2, neg, square, root))
+        look = bytes.translate
+    else:
+        def look(vals, table):
+            return list(map(table.__getitem__, vals))
+
     zeros = [[] for _ in range(p)]
+    # file[k] appends to zeros[k mod p] for every |k| below its length, a
+    # multiple of p above 1.5*(p-1)^2 >= |(b +- r) * i| for the b, r, i below
+    file = [z.append for z in zeros] * (3 * p // 2 + 1)
     for x in range(p):
-        rows = ({}, {}, {})  # rows[k][j]: the Y^j coefficient of A_k(x, Y)
-        for (i, j), cs in pencil.items():
-            xi = pow(x, i, p)
-            for row, c in zip(rows, cs):
-                row[j] = row.get(j, 0) + c * xi
-        vals = []  # a0, a1, a2 at every y, unreduced
-        for row in rows:
-            v = [0] * p
-            for j, r in row.items():
-                r %= p
-                if r:
-                    if j not in ypow:
-                        ypow[j] = [pow(y, j, p) for y in ys]
-                    v = [s + r * w for s, w in zip(v, ypow[j])]
-            vals.append(v)
-        _file_roots(zeros, x, vals, root, inv, p)
+        a1, a2, d = (reduce(sum(map(mul, r[x], pl))) for r, pl in ((r1, pl1), (r2, pl2),
+                                                                   (rd, pld)))
+        nz = ((a2 + ones) & top) >> h  # 1 in the slots where a2 != 0
+        d = read((d + unit) & nz * low)
+        a1, base = read(a1), x * p
+        for c, b, i, r in compress(zip(range(base, base + p), look(a1, neg),
+                                       look(read(a2), inv2), look(d, root)), look(d, square)):
+            file[(r + b) * i](c)  # b = -a1 mod p
+            if r:
+                file[(b - r) * i](c)
+        flat = (nz ^ unit).to_bytes(size, "little")[::wb]  # 1 where a2 = 0
+        y = flat.find(1)
+        while y >= 0:
+            a0 = sum(map(mul, r0[x], ypows[y])) % p
+            if a1[y]:
+                insort(zeros[-a0 * inv[a1[y]] % p], base + y)
+            elif not a0:
+                for z in zeros:
+                    insort(z, base + y)
+            y = flat.find(1, y + 1)
     return tuple(map(tuple, zeros))
 
 
@@ -432,8 +541,10 @@ def _pencil_infinity(ctx: Field, pencil: dict, build) -> tuple[int, ...]:
     p = ctx.p
     d = max((i + j for i, j in pencil), default=-1)
     top = {ij: cs for ij, cs in pencil.items() if sum(ij) == d}
-    rows = [[sum(cs[k] * pow(x, i, p) for (i, _), cs in top.items()) for x in range(p)]
-            for k in range(3)]
+    rows = [[0] * p for _ in range(3)]  # rows[k][x]: A_k's top form at (x, 1), unreduced
+    for (i, _), cs in top.items():
+        xi = [pow(x, i, p) for x in range(p)]
+        rows = [[r + c * v for r, v in zip(row, xi)] if c else row for row, c in zip(rows, cs)]
     found = [[] for _ in range(p)]  # found[t]: (None, x) for each root x
     _file_roots(found, None, rows, *_root_tables(p), p)
     out = []
@@ -469,9 +580,12 @@ def pencil_tables(p: int) -> PencilTables:
 def pencil_census(p: int) -> tuple[tuple, tuple]:
     """The zero sets of every member of the sextic and quartic pencils over
     F_p, p odd: (g_zeros, h_zeros), where g_zeros[t] holds the affine zeros
-    of G at t (criterion_sextic at tau^2 = t) for every t in F_p, as (x, y)
-    index pairs in x, then y order, and h_zeros[t] those of H.  One pass over
-    F_p^2 per pencil of pencil_tables(p); the last prime's census is kept."""
+    of G at t (criterion_sextic at tau^2 = t) for every t in F_p, as the
+    sorted tuple of int codes x*p + y (x, then y order), and h_zeros[t]
+    those of H.  One packed pass over F_p^2 per pencil of pencil_tables(p)
+    (_pencil_zeros); the last prime's census is kept.  Raises the kernel's
+    ValueError when p^2 exceeds COUNT_BUDGET, before any pencil is built."""
+    check_count_budget(p)
     tables = pencil_tables(p)
     return _pencil_zeros(p, tables.g), _pencil_zeros(p, tables.h)
 
@@ -494,7 +608,10 @@ def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
     t is read off g (its X^4 Y^2 coefficient is -t), and g and h must be the
     pencils' members at t by their integer terms (off_pencil), so that
     pencil_census(p) holds their zero sets; anything else raises
-    RuntimeError.  Checks that the only diagonal zero is the origin, that the
+    RuntimeError.  It reads the census's int codes c = x*p + y directly (the
+    diagonal x = y is c = x*(p + 1), the image of c is the code
+    (x + y)*p + x*y mod p), and names points as (x, y) pairs only in its
+    messages.  Checks that the only diagonal zero is the origin, that the
     image lands in the quartic's zero set, and that every off-diagonal fiber
     has size exactly 2.  Any anomaly raises
     RuntimeError since the underlying algebra guarantees these facts for
@@ -511,20 +628,19 @@ def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
         raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
     g_zeros, h_zeros = pencil_census(p)
     vg, vh = g_zeros[t], set(h_zeros[t])
-    diag = [pt for pt in vg if pt[0] == pt[1]]
+    diag = [divmod(c, p) for c in vg if not c % (p + 1)]  # x*p + x = x*(p + 1)
     if diag != [(0, 0)]:
         raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")
-    fibers: dict[tuple[int, int], list] = {}
-    for x, y in vg:
-        if (x, y) == (0, 0):
-            continue
-        img = ((x + y) % p, x * y % p)
+    fibers: dict[int, int] = {}
+    for c in vg[1:]:  # the origin, code 0, sorts first
+        x, y = divmod(c, p)
+        img = (x + y) % p * p + x * y % p
         if img not in vh:
             raise RuntimeError("cover image escapes the quartic's zero set")
-        fibers.setdefault(img, []).append((x, y))
-    for img, fib in fibers.items():
-        if len(fib) != 2:
-            raise RuntimeError(f"fiber over {img} has size {len(fib)}, expected 2")
+        fibers[img] = fibers.get(img, 0) + 1
+    for img, size in fibers.items():
+        if size != 2:
+            raise RuntimeError(f"fiber over {divmod(img, p)} has size {size}, expected 2")
     image_size = len(fibers) + 1  # plus the image of the origin
     if 2 * len(fibers) + 1 != len(vg):
         raise RuntimeError("fiber census does not account for every zero")

@@ -34,6 +34,11 @@ def primes_upto(n: int, start: int = 2) -> list[int]:
     return [p for p in range(start, n + 1) if is_prime(p)]
 
 
+def _largest_prime(n: int, start: int = 2) -> int:
+    """The largest prime p with start <= p <= n, or 0 when there is none."""
+    return next((p for p in range(n, start - 1, -1) if is_prime(p)), 0)
+
+
 # ---------------------------------------------------------------------------
 # Case functions.  Each takes a plain dict and returns a plain dict so cases
 # can cross a process boundary and land in a progress file unchanged; the
@@ -85,6 +90,10 @@ _CASE_FUNCS = _CaseTable(perm=_perm_case)
 
 def _case_worker(payload: dict) -> dict:
     return _CASE_FUNCS[payload["kind"]](payload["args"])
+
+
+def _unit_worker(unit: list[dict]) -> list[dict]:
+    return [_case_worker(pl) for pl in unit]
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +171,7 @@ def _clear_curve_caches() -> None:
 
 
 def run_cases(campaign: str, config: dict, payloads: list[dict],
-              jobs: int = 1, progress_path: str | None = None, *,
-              chunked: bool = False) -> list[dict]:
+              jobs: int = 1, progress_path: str | None = None) -> list[dict]:
     """Run cases in payload order, skipping any already in the progress file.
 
     The progress file is append-only JSON lines: a header with the config
@@ -171,12 +179,12 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     configuration is refused; a torn last record is dropped and redone (see
     _load_progress).  Results are returned in payload order, so the final
     report does not depend on jobs or on interruptions.  With jobs > 1 the
-    workers take one case at a time, so the progress file records each case
-    as soon as it and every case before it are done.  A chunked run (the
-    weil-audit, whose cases take milliseconds) hands them contiguous chunks,
-    half an even share each, so that one worker runs most cases of a prime
-    and builds that prime's curve tables once; an interruption there loses
-    at most the chunks in flight.
+    workers take one unit at a time: one case, or a run of consecutive
+    payloads that carry the same "group" (weil-audit's GH cases of one
+    prime, which share that prime's curve tables, so one worker builds them
+    once).  The progress file records a unit's cases as soon as they and
+    every case before them are done, so an interruption loses at most the
+    units in flight.
     The curve caches (curve_cases' audits, curves' pencil tables and census)
     are cleared when the run starts and ends, so their entries live for one
     run.  A configuration that selects no cases or repeats a case key is
@@ -205,12 +213,19 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     _clear_curve_caches()
     try:
         todo = [pl for pl in payloads if pl["key"] not in done]
-        if jobs > 1 and len(todo) > 1:
+        units = []
+        for pl in todo:
+            group = pl.get("group")
+            if group is not None and units and units[-1][-1].get("group") == group:
+                units[-1].append(pl)
+            else:
+                units.append([pl])
+        if jobs > 1 and len(units) > 1:
             from concurrent.futures import ProcessPoolExecutor
+            from itertools import chain
 
             pool = ProcessPoolExecutor(max_workers=jobs)
-            chunksize = max(1, len(todo) // (2 * jobs)) if chunked else 1
-            results = pool.map(_case_worker, todo, chunksize=chunksize)
+            results = chain.from_iterable(pool.map(_unit_worker, units))
         else:
             results = map(_case_worker, todo)
         for pl, res in zip(todo, results):
@@ -228,7 +243,7 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
 
 
 def _campaign(name: str, config: dict, grid, jobs: int,
-              progress_path: str | None, chunked: bool = False) -> dict:
+              progress_path: str | None) -> dict:
     """Run the cases of `grid` and assemble the campaign report.
 
     `grid` yields (payload, record) pairs: the payload goes to run_cases,
@@ -236,8 +251,7 @@ def _campaign(name: str, config: dict, grid, jobs: int,
     a true "counterexample" is listed among the counterexamples.
     """
     grid = list(grid)
-    results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path,
-                        chunked=chunked)
+    results = run_cases(name, config, [payload for payload, _ in grid], jobs, progress_path)
     cases = [record(res) for (_, record), res in zip(grid, results)]
     counterexamples = [c["key"] for c in cases if c.get("counterexample")]
     passed = sum(1 for c in cases if c["pass"])
@@ -269,11 +283,14 @@ def _perm(key: str, params: dict, expected: bool, search: bool = False):
     return {"kind": "perm", "key": key, "args": params}, record
 
 
-def _checked(kind: str, head: dict, params: dict):
+def _checked(kind: str, head: dict, params: dict, group=None):
     """A curve or lemma case of `kind`, whose result carries its own "pass".
-    The report's case is `head` (the key first), then params, then the result."""
-    return ({"kind": kind, "key": head["key"], "args": params},
-            lambda res: {**head, "params": params, **res})
+    The report's case is `head` (the key first), then params, then the result.
+    Consecutive cases of one `group` go to one pool worker (see run_cases)."""
+    payload = {"kind": kind, "key": head["key"], "args": params}
+    if group is not None:
+        payload["group"] = group
+    return payload, lambda res: {**head, "params": params, **res}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +341,7 @@ def verify_quadratic_trace_criterion(p_max: int = 100, full_primes=(3, 5, 7),
     p_max; full mode runs every b with nonzero trace for the listed primes.
     """
     _nonnegative(p_max=p_max)
-    top =next((p for p in range(p_max, 2, -1) if is_prime(p)), 0)  # the largest class prime
-    check_scan_order(max((top, *full_primes)) ** 2)
+    check_scan_order(max((_largest_prime(p_max, 3), *full_primes)) ** 2)
 
     def grid():
         for p in primes_upto(p_max, start=3):
@@ -446,20 +462,23 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     the cases, their keys and their records stay one per (p, tau).  Every
     zero set and infinity count behind that audit comes from the per-prime
     tables of curves.pencil_census and curves.pencil_tables, one pass per
-    pencil for every tau of the prime, and pool workers take the cases in
-    contiguous chunks (see run_cases).  Only the collision-curve and eq. (28)
-    cases count zeros with the kernel, and points at infinity are counted by
-    gcd only for the collision curves and for a pencil member of lower
-    degree.  A collision-curve field whose q^2 exceeds the counting budget is
-    refused before any grid is built.
+    pencil for every tau of the prime, and a prime's GH cases go to one pool
+    worker as one group (see run_cases).  Only the collision-curve and
+    eq. (28) cases count zeros with the kernel, and points at infinity are
+    counted by gcd only for the collision curves and for a pencil member of
+    lower degree.  A collision-curve field, or a largest GH or eq. (28)
+    prime, whose q^2 exceeds the counting budget is refused before any grid
+    is built.
     """
-    from .curves import COUNT_BUDGET
+    from .curves import check_count_budget
 
     _nonnegative(p_max=p_max, ident_p_max=ident_p_max, eq28_p_max=eq28_p_max)
-    if any(f_p ** (2 * n) > COUNT_BUDGET for n in f_degrees):
-        raise ValueError("affine counting budget exceeded (q^2 > 2^34)")
-    def case(kind, key, params):
-        return _checked(kind, {"key": key, "kind": kind}, params)
+    for q in (*(f_p ** n for n in f_degrees), _largest_prime(p_max, 5),
+              _largest_prime(eq28_p_max, 3)):
+        check_count_budget(q)
+
+    def case(kind, key, params, group=None):
+        return _checked(kind, {"key": key, "kind": kind}, params, group)
 
     def grid():
         for n in f_degrees:
@@ -468,7 +487,7 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
                            {"p": f_p, "n": n, "b_index": b.index})
         for p in primes_upto(p_max, start=5):
             for tau in range(2, p - 1):
-                yield case("curve_gh", f"GH,p={p},tau={tau}", {"p": p, "tau": tau})
+                yield case("curve_gh", f"GH,p={p},tau={tau}", {"p": p, "tau": tau}, p)
         for p in primes_upto(eq28_p_max, start=3):
             yield case("ident_eq28", f"eq28,p={p}", {"p": p})
         for p in primes_upto(ident_p_max, start=3):
@@ -476,4 +495,4 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
 
     config = {"p_max": p_max, "f_p": f_p, "f_degrees": list(f_degrees),
               "ident_p_max": ident_p_max, "eq28_p_max": eq28_p_max}
-    return _campaign("weil-audit", config, grid(), jobs, progress_path, chunked=True)
+    return _campaign("weil-audit", config, grid(), jobs, progress_path)

@@ -359,3 +359,33 @@ def phi_fibers_per_curve(g, h):
         "fiber_sizes": {2: len(fibers)},
         "phi_image_size": len(fibers) + 1,
     }
+
+
+def pencil_zeros_per_point(p, pencil):
+    """`curves._pencil_zeros(p, pencil)` point by point: zeros[t] for every t
+    in F_p, the affine zeros of the pencil's member at t as (x, y) index
+    pairs in x, then y order.  At each point of F_p^2 the rows A_k(x, Y) are
+    evaluated one y at a time and the quadratic a0 + t*a1 + t^2*a2 in t is
+    solved with a table of square roots (`curves._file_roots`)."""
+    root, inv = curves._root_tables(p)
+    ys = range(p)
+    ypow = {}  # j -> y^j mod p for every y
+    zeros = [[] for _ in range(p)]
+    for x in range(p):
+        rows = ({}, {}, {})  # rows[k][j]: the Y^j coefficient of A_k(x, Y)
+        for (i, j), cs in pencil.items():
+            xi = pow(x, i, p)
+            for row, c in zip(rows, cs):
+                row[j] = row.get(j, 0) + c * xi
+        vals = []  # a0, a1, a2 at every y, unreduced
+        for row in rows:
+            v = [0] * p
+            for j, r in row.items():
+                r %= p
+                if r:
+                    if j not in ypow:
+                        ypow[j] = [pow(y, j, p) for y in ys]
+                    v = [s + r * w for s, w in zip(v, ypow[j])]
+            vals.append(v)
+        curves._file_roots(zeros, x, vals, root, inv, p)
+    return tuple(map(tuple, zeros))

@@ -523,6 +523,30 @@ def test_oversized_collision_curve_field_exits_two_before_any_case(capsys, tmp_p
 
 
 @pytest.mark.parametrize("argv", [
+    ["weil-audit", "--p-max", "131101"],
+    ["weil-audit", "--p-max", "131102", "--f-degrees", "2"],
+    ["weil-audit", "--p-max", "7", "--eq28-p-max", "131101"],
+], ids=["gh", "gh-largest-prime", "eq28"])
+def test_prime_over_the_counting_budget_exits_two_before_any_case(capsys, tmp_path,
+                                                                   monkeypatch, argv):
+    # 131101 is the least prime p with p^2 > 2^34: a GH or eq. (28) bound
+    # whose largest prime is over the budget is refused before the grid
+    from permrat import curves
+
+    def count(*args):
+        raise AssertionError("a case was counted")
+
+    monkeypatch.setattr(_kernel_py, "count_zeros", count)
+    monkeypatch.setattr(curves, "pencil_census", count)
+    monkeypatch.setattr(verify, "primes_upto", count)
+    prog = tmp_path / "prog"
+    code, out, err = run_cli(capsys, *argv, "--progress-file", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: affine counting budget exceeded (q^2 > 2^34)\n"
+    assert not prog.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "thm11", "--primes", ""],
     ["verify", "thm31", "--p-max", "0", "--full-primes", ""],
     ["weil-audit", "--p-max", "3", "--f-degrees", "", "--eq28-p-max", "2",

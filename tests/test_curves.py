@@ -1,7 +1,7 @@
 """Curve builders, exact counts, bound audits, and the univariate toolkit."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from permrat import curves
 from permrat.curves import (
@@ -28,8 +28,8 @@ from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
 from permrat.curve_cases import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
-                     ident_subst_walk, kernel_zeros, phi_census_by_eval,
-                     phi_fibers_per_curve)
+                     ident_subst_walk, kernel_zeros, pencil_zeros_per_point,
+                     phi_census_by_eval, phi_fibers_per_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +501,77 @@ def fresh_census():
     curves.pencil_census.cache_clear()
 
 
+def _decoded(codes, p):
+    """The census's int codes x*p + y as the (x, y) index pairs they name."""
+    return tuple(divmod(c, p) for c in codes)
+
+
 @pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
 def test_pencil_census_matches_the_kernel_at_every_t(p, fresh_census):
     f = make_field(p, 1)
     g_zeros, h_zeros = curves.pencil_census(p)
     assert len(g_zeros) == len(h_zeros) == p
     for t in range(1, p):
-        assert g_zeros[t] == kernel_zeros(curves._sextic(f, t))
-        assert h_zeros[t] == kernel_zeros(curves._quartic(f, t))
+        assert _decoded(g_zeros[t], p) == kernel_zeros(curves._sextic(f, t))
+        assert _decoded(h_zeros[t], p) == kernel_zeros(curves._quartic(f, t))
+
+
+def test_pencil_census_matches_the_kernel_past_one_byte_slots(fresh_census):
+    # p = 257 needs two bytes per slot; t = 3 is a non-square mod 257
+    p = 257
+    f = make_field(p, 1)
+    g_zeros, h_zeros = curves.pencil_census(p)
+    assert pow(3, (p - 1) // 2, p) == p - 1
+    for t in (0, 1, 2, 3, p - 1):
+        assert _decoded(g_zeros[t], p) == kernel_zeros(curves._sextic(f, t))
+        assert _decoded(h_zeros[t], p) == kernel_zeros(curves._quartic(f, t))
+
+
+@st.composite
+def _pencils(draw, primes):
+    """(p, pencil): random coefficient triples (a0, a1, a2) on up to 8
+    exponent pairs, with every coefficient p - 1 (the largest slot value),
+    with A2 = 0 (every a2 vanishes), or times X and/or Y (every coefficient
+    vanishes on the row x = 0 and/or the column y = 0)."""
+    p = draw(st.sampled_from(primes))
+    exps = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8))
+    shape = draw(st.sampled_from(("random", "top", "no_a2")))
+    coeff = st.just(p - 1) if shape == "top" else st.integers(0, p - 1)
+    pencil = {ij: draw(st.tuples(coeff, coeff, st.just(0) if shape == "no_a2" else coeff))
+              for ij in exps}
+    a, b = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    return p, {(i + a, j + b): cs for (i, j), cs in pencil.items() if any(cs)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencils((3, 5, 7, 11, 13)))
+def test_packed_pencil_census_matches_the_per_point_oracle(case):
+    p, pencil = case
+    zeros = curves._pencil_zeros(p, pencil)
+    oracle = pencil_zeros_per_point(p, pencil)
+    assert len(zeros) == len(oracle) == p
+    for t in range(p):
+        assert _decoded(zeros[t], p) == oracle[t]
+
+
+@settings(max_examples=3, deadline=None)
+@given(_pencils((257, 263)))
+def test_packed_pencil_census_matches_the_per_point_oracle_past_one_byte_slots(case):
+    p, pencil = case
+    assume(pencil)  # an empty pencil files all p^2 points under every t: p^3 entries
+    zeros = curves._pencil_zeros(p, pencil)
+    oracle = pencil_zeros_per_point(p, pencil)
+    assert [_decoded(z, p) for z in zeros] == list(oracle)
+
+
+def test_pencil_census_refuses_a_prime_over_the_counting_budget(fresh_census, monkeypatch):
+    def build(*args):
+        raise AssertionError("a pencil was built past the counting budget")
+
+    monkeypatch.setattr(curves, "pencil_tables", build)
+    monkeypatch.setattr(curves, "_pencil_zeros", build)
+    with pytest.raises(ValueError, match=r"^affine counting budget exceeded \(q\^2 > 2\^34\)$"):
+        curves.pencil_census(131101)  # the least prime p with p^2 > 2^34
 
 
 def test_pencil_census_keeps_one_prime_and_needs_an_odd_one():

@@ -7,7 +7,8 @@ collision-scan campaigns before the scan resolved collisions in one pass; the
 curve-pencil `count` and `weil-audit` digests before the pencil's identity
 check and infinity counts moved to F_p integer work; the `weil-audit` running
 the substitution identity for every p <= 13, and the progress files, before
-that identity was counted by one gcd instead of an element walk.  A report
+that identity was counted by one gcd instead of an element walk; the default
+`weil-audit` before its pencil census was evaluated packed.  A report
 or progress file is a pure function of its configuration, so a change to any
 of these bytes is a change to the contract and must be declared, not
 absorbed.
@@ -88,6 +89,9 @@ _PINNED = {
     # the substitution identity at every p <= 13
     "weil-audit --p-max 5 --f-degrees 2 --ident-p-max 13 --eq28-p-max 3":
         "47abbc84f2cf9fe1b4ea5638ab9cf1f038ff8ce4178edee7ebaf33df86beb47e",
+    # weil-audit at its defaults (GH and eq. (28) at every p <= 97)
+    "weil-audit":
+        "0bb9fb6b726dd1ad193c05b7bfb23cda497c2cf8c6bdf3a1bf4b2d3e58db1f61",
 }
 
 _PINNED_PROGRESS = {

@@ -435,10 +435,40 @@ def test_tau_and_p_minus_tau_in_different_workers_match_serial(capsys, tmp_path,
         return real_case(args)
 
     monkeypatch.setitem(verify._CASE_FUNCS, "curve_gh", case)
+    # a prime's GH cases share a group, which one worker runs whole; without
+    # their groups tau = 2 and tau = 11 can reach two workers
+    real_checked = verify._checked
+    monkeypatch.setattr(verify, "_checked",
+                        lambda kind, head, params, group=None: real_checked(kind, head, params))
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
     assert (tmp_path / "13-2").read_text() != (tmp_path / "13-11").read_text()
     assert (tmp_path / "13-2").read_text() != str(os.getpid())
+
+
+def test_pool_workers_take_whole_primes(capsys, tmp_path, monkeypatch):
+    # each prime's GH cases go to one worker, so across the workers of a
+    # --jobs 2 run every prime's census is two passes, one per pencil
+    log = tmp_path / "passes"
+    real = curves._pencil_zeros
+
+    def logged(p, pencil):
+        # pool workers inherit this by fork
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {p}\n")
+        return real(p, pencil)
+
+    monkeypatch.setattr(curves, "_pencil_zeros", logged)
+    assert main(_SMALL_AUDIT) == 0
+    serial = capsys.readouterr().out
+    log.write_text("")
+    assert main(_SMALL_AUDIT + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    passes = [line.split() for line in log.read_text().splitlines()]
+    primes = verify.primes_upto(31, start=5)
+    assert sorted(int(p) for _, p in passes) == sorted(primes * 2)
+    assert all(len({pid for pid, q in passes if int(q) == p}) == 1 for p in primes)
+    assert str(os.getpid()) not in {pid for pid, _ in passes}
 
 
 @pytest.mark.parametrize("argv", [
