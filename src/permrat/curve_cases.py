@@ -10,14 +10,11 @@ module at call time, so a wrapped or replaced builder is the one that runs.
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 from . import curves
 from .field import make_field
-
-# (p, t) -> the audit of the sextic and quartic pencils' members at t = tau^2;
-# verify.run_cases empties it when a run starts and ends
-_AUDITS: dict = {}
 
 
 def _curve_f_case(args: dict) -> dict:
@@ -52,59 +49,60 @@ def _symmetric_expansion(h: dict, p: int) -> dict:
     return {ij: c for ij, c in out.items() if c}
 
 
-def _gh_audit(g, h) -> dict:
+@functools.lru_cache(maxsize=None)
+def _gh_audit(p: int, t: int) -> dict:
     """The cover census, infinity counts, bound audits and symmetric identity
-    of a sextic and quartic over F_p, cached by (p, t).  curves.phi_fibers
-    refuses them unless they are the pencils' members at the t it reads off
-    g (the X^4 Y^2 coefficient is -t); the infinity counts are read off
-    curves.pencil_tables(p) at that same t."""
-    p = g.field.p
-    census = curves.phi_fibers(g, h)
-    t = -g.int_terms().get((4, 2), 0) % p
-    tables = curves.pencil_tables(p)
+    of the sextic and quartic pencils' members at t over F_p, all read off
+    curves.pencil_census(p); verify.run_cases clears this cache when a run
+    starts and ends."""
+    census = curves.phi_fibers(p, t)
+    g, h = curves.pencil_census(p)
     g_affine, h_affine = census["v_g_size"], census["v_h_size"]
-    g_inf, h_inf = tables.g_infinity[t], tables.h_infinity[t]
+    g_inf, h_inf = g.infinity[t], h.infinity[t]
     g_ok, g_audit = curves.weil_upper_check(g_affine, p, 6, 3)
     h_ok, h_audit = curves.weil_lower_check(h_affine, p, 4, 3)
-    sym_ok = _symmetric_expansion(h.int_terms(), p) == g.int_terms()
-    res = _AUDITS[(p, t)] = {
+    sym_ok = (_symmetric_expansion(curves._member(h.pencil, t, p), p)
+              == curves._member(g.pencil, t, p))
+    return {
         "g": {"affine": g_affine, "infinity": g_inf, "weil_upper": g_audit},
         "h": {"affine": h_affine, "infinity": h_inf, "weil_lower": h_audit},
         "phi": census,
         "symmetric_identity_ok": sym_ok,
         "pass": g_ok and h_ok and g_inf == 3 and h_inf == 3 and sym_ok,
     }
-    return res
 
 
 def _curve_gh_case(args: dict) -> dict:
-    """G and H at one tau.  They depend on tau only through t = tau^2, so tau
-    and p - tau read one audit: a case reuses the audit cached under
-    (p, tau^2) when its own curves are the pencils' members there, and any
-    other curves are audited afresh (curves.phi_fibers refuses a pair that is
-    not one t's members)."""
+    """G and H at one tau, audited at the t read off G (its X^4 Y^2
+    coefficient is -t).  Curves that are not the pencils' members at that t
+    raise RuntimeError; the members depend on tau only through t = tau^2, so
+    tau and p - tau read one audit, _gh_audit(p, t)."""
     p, tau = args["p"], args["tau"]
     ctx = make_field(p, 1)
-    g, h = curves.criterion_sextic(ctx, tau), curves.symmetric_quartic(ctx, tau)
-    t = tau * tau % p
-    res = _AUDITS.get((p, t))
-    if res is None or curves.off_pencil(g, h, t):
-        res = _gh_audit(g, h)
+    g = curves.criterion_sextic(ctx, tau).int_terms()
+    h = curves.symmetric_quartic(ctx, tau).int_terms()
+    t = -g.get((4, 2), 0) % p
+    for name, terms, pencil in (("sextic", g, curves._SEXTIC), ("quartic", h, curves._QUARTIC)):
+        if terms != curves._member(pencil, t, p):
+            raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
+    res = _gh_audit(p, t)
     return {**res, "phi": {"p": p, "tau": tau, **res["phi"]}}
 
 
 def _ident_eq28_case(args: dict) -> dict:
-    """Symmetric-reduction identity: symbolic for every tau (by binomials),
-    and for one tau by a second algorithm: H(X + Y, X*Y) is composed from
-    `BiPoly` products of s = X + Y and t = X*Y, and the points of F_p^2
-    where G(x, y) != H(x + y, x*y) are those off the zero set of the
-    difference, counted exactly."""
+    """Symmetric-reduction identity: symbolic in t = tau^2, so for every tau,
+    and for one tau by a second algorithm.  The binomial expansion
+    h -> h(X + Y, X*Y) is linear, so G_k = H_k(X + Y, X*Y) for the pencil
+    coefficients k = 0, 1, 2 gives G = H(X + Y, X*Y) at every t.  At tau = 2,
+    H(X + Y, X*Y) is composed from `BiPoly` products of s = X + Y and
+    t = X*Y, and the points of F_p^2 where G(x, y) != H(x + y, x*y) are those
+    off the zero set of the difference, counted exactly."""
     BiPoly = curves.BiPoly
     p = args["p"]
     ctx = make_field(p, 1)
     symbolic_ok = all(
-        _symmetric_expansion(curves.symmetric_quartic(ctx, tau).int_terms(), p)
-        == curves.criterion_sextic(ctx, tau).int_terms() for tau in range(1, p))
+        _symmetric_expansion({ij: cs[k] for ij, cs in curves._QUARTIC.items()}, p)
+        == {ij: cs[k] % p for ij, cs in curves._SEXTIC.items() if cs[k] % p} for k in range(3))
     tau = 2 % p
     h = curves.symmetric_quartic(ctx, tau)
     s, t = BiPoly(ctx, {(1, 0): 1, (0, 1): 1}), BiPoly(ctx, {(1, 1): 1})
@@ -175,7 +173,7 @@ def _lemma22_case(args: dict) -> dict:
         eq10_ok = (1 - beta * beta) % p == 0
         residual = (-2 - alpha * alpha - 2 * beta + 4 * t + t * t) % p
         consistent = eq10_ok and residual == 0
-        sextic = curves._sextic_terms(p, t)
+        sextic = curves._member(curves._SEXTIC, t, p)
         a_x1 = curves.UniPoly(p, [sextic.get((i, 4 - i), 0) for i in range(5)])
         root = curves.uni_square_root(a_x1)
         expected_consistent = t == 1

@@ -20,23 +20,21 @@ by one gcd with X^q - X, for the points at infinity (k = 0) and the
 substitution identity of curve_cases (k = p), folding any exponent of q or
 more down below q first.
 
-G and H depend on tau only through t = tau^2, and over F_p each is a
-quadratic in t: G = A0 + t*A1 + t^2*A2, likewise H, with the A_k read off
-the builders at t = 0, 1, 2.  The per-t counts a weil-audit case needs are
-therefore read off two per-prime caches, each keeping the last prime:
-pencil_tables(p) holds both pencils and the points at infinity of every
-member (one pass over F_p per pencil, solving the quadratic in t of the
-top-degree form at each x); pencil_census(p) holds the zero sets of every
-member as sorted int codes x*p + y (one packed pass over F_p^2 per pencil,
-solving the quadratic in t at each point with a square root read off a
-table; see _pencil_zeros for the slot bound).  Like count_zeros it refuses
-a field whose p^2 points exceed COUNT_BUDGET.  The cover census
-phi_fibers(g, h) checks the cover (x, y) -> (x + y, x*y) on those codes,
-after checking by integer terms that g and h are the pencils' members at
-the t it reads off g.  phi_fibers
-keeps this (g, h) form, and affine_zeros (the one caller of the kernel's
-collect=True path) stays here, only because perfbench's TARGETS times them
-by name.
+G and H depend on tau only through t = tau^2, and each is a quadratic in t
+with integer coefficients: G = A0 + t*A1 + t^2*A2, likewise H.  They are
+written once, as the literal pencils _SEXTIC and _QUARTIC, and the builders
+of G, H and A above read their curves off them (_member).  The per-t counts
+a weil-audit case needs are read off one per-prime record, pencil_census(p),
+which keeps the last prime: for each pencil reduced mod p, the points at
+infinity of every member (one pass over F_p, solving the quadratic in t of
+the top-degree form at each x) and the zero sets of every member as sorted
+int codes x*p + y (one packed pass over F_p^2, solving the quadratic in t
+at each point with a square root read off a table; see _pencil_zeros for
+the slot bound).  Like count_zeros it refuses a field whose p^2 points exceed
+COUNT_BUDGET.  The cover census phi_fibers(p, t) checks the cover
+(x, y) -> (x + y, x*y) on those codes.  affine_zeros (the one caller of the
+kernel's collect=True path) has no caller here; it stays because perfbench's
+TARGETS times it by name.
 
 The Hasse-Weil-style bound audits, weil_lower_check and weil_upper_check,
 are pure integer comparisons (squared inequalities, no floating point) that
@@ -199,25 +197,28 @@ def _check_tau(ctx: Field, tau: int) -> int:
     return tau
 
 
-def _sextic_terms(p: int, t: int) -> dict:
-    """G at t = tau^2 as integer terms mod p: the degree-4 part A, then
-    -t * X^2 Y^2 (X - Y)^2."""
-    terms = {
-        (4, 0): 1,
-        (3, 1): -2 * t,
-        (2, 2): -2 + 4 * t + t * t,
-        (1, 3): -2 * t,
-        (0, 4): 1,
-        (4, 2): -t,
-        (3, 3): 2 * t,
-        (2, 4): -t,
-    }
-    return {ij: c % p for ij, c in terms.items() if c % p}
+# G and H as pencils in t = tau^2: each exponent pair maps to the integer
+# coefficients (a0, a1, a2) of its coefficient a0 + t*a1 + t^2*a2.  G is the
+# degree-4 part A, then -t * X^2 Y^2 (X - Y)^2.
+_SEXTIC = {(4, 0): (1, 0, 0), (3, 1): (0, -2, 0), (2, 2): (-2, 4, 1), (1, 3): (0, -2, 0),
+           (0, 4): (1, 0, 0), (4, 2): (0, -1, 0), (3, 3): (0, 2, 0), (2, 4): (0, -1, 0)}
+_QUARTIC = {(4, 0): (1, 0, 0), (2, 1): (-4, -2, 0), (0, 2): (0, 8, 1), (2, 2): (0, -1, 0),
+            (0, 3): (0, 4, 0)}
+
+
+def _member(pencil: dict, t: int, p: int) -> dict:
+    """The integer terms mod p of the pencil's member at t."""
+    out = {}
+    for ij, (a0, a1, a2) in pencil.items():
+        c = (a0 + t * (a1 + t * a2)) % p
+        if c:
+            out[ij] = c
+    return out
 
 
 def _sextic(ctx: Field, t: int) -> BiPoly:
     """G at t = tau^2."""
-    return BiPoly(ctx, _sextic_terms(ctx.p, t))
+    return BiPoly(ctx, _member(_SEXTIC, t, ctx.p))
 
 
 def criterion_sextic(ctx: Field, tau: int) -> BiPoly:
@@ -230,13 +231,7 @@ def criterion_sextic(ctx: Field, tau: int) -> BiPoly:
 
 def _quartic(ctx: Field, t: int) -> BiPoly:
     """H at t = tau^2."""
-    return BiPoly(ctx, {
-        (4, 0): 1,
-        (2, 1): -(4 + 2 * t),
-        (0, 2): 8 * t + t * t,
-        (2, 2): -t,
-        (0, 3): 4 * t,
-    })
+    return BiPoly(ctx, _member(_QUARTIC, t, ctx.p))
 
 
 def symmetric_quartic(ctx: Field, tau: int) -> BiPoly:
@@ -251,7 +246,7 @@ def homogenization_quartic(ctx: Field, t: int) -> BiPoly:
     A*Z^2 - t*X^2 Y^2 (X-Y)^2."""
     if ctx.n != 1:
         raise ValueError("defined over a prime field context")
-    return BiPoly(ctx, {ij: c for ij, c in _sextic_terms(ctx.p, t).items() if sum(ij) == 4})
+    return BiPoly(ctx, {ij: c for ij, c in _member(_SEXTIC, t, ctx.p).items() if sum(ij) == 4})
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +338,6 @@ def weil_lower_check(count: int, q: int, d: int, n_inf: int):
 def weil_upper_check(count: int, q: int, d: int, n_inf: int):
     """Mirror image: count <= q + 1 + (d-1)(d-2)*sqrt(q) - n_inf."""
     return _weil_check("upper", -1, count, q, d, n_inf)
-
-
-def _pencil(ctx: Field, build) -> dict:
-    """build(ctx, t) = A0 + t*A1 + t^2*A2 over F_p (p odd), as a map from each
-    exponent pair to its integer coefficients (a0, a1, a2) in A0, A1, A2,
-    read off the builder at t = 0, 1, 2."""
-    p = ctx.p
-    b0, b1, b2 = (build(ctx, t).int_terms() for t in (0, 1, 2))
-    out = {}
-    for ij in b0.keys() | b1.keys() | b2.keys():
-        c0, c1, c2 = (b.get(ij, 0) for b in (b0, b1, b2))
-        a2 = (c2 - 2 * c1 + c0) * ((p + 1) // 2) % p
-        cs = (c0, (c1 - c0 - a2) % p, a2)
-        if any(cs):
-            out[ij] = cs
-    return out
-
-
-def _member(pencil: dict, t: int, p: int) -> dict:
-    """The integer terms of the pencil's member at t."""
-    out = {}
-    for ij, (a0, a1, a2) in pencil.items():
-        c = (a0 + t * (a1 + t * a2)) % p
-        if c:
-            out[ij] = c
-    return out
 
 
 def _root_tables(p: int) -> tuple[list, list]:
@@ -530,8 +499,9 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
     return tuple(map(tuple, zeros))
 
 
-def _pencil_infinity(ctx: Field, pencil: dict, build) -> tuple[int, ...]:
-    """infinity[t] = count_infinity(build(ctx, t)) for every t in F_p.
+def _pencil_infinity(ctx: Field, pencil: dict) -> tuple[int, ...]:
+    """infinity[t]: count_infinity of the pencil's member at t, for every t
+    in F_p.
 
     The top-degree form of the pencil is a quadratic in t too: one pass over
     x in F_p files each [x : 1 : 0] under the t whose form vanishes at (x, 1),
@@ -550,84 +520,55 @@ def _pencil_infinity(ctx: Field, pencil: dict, build) -> tuple[int, ...]:
     out = []
     for t, xs in enumerate(found):
         form = _member(top, t, p)
-        out.append(((d, 0) not in form) + len(xs) if form else count_infinity(build(ctx, t)))
+        out.append(((d, 0) not in form) + len(xs) if form
+                   else count_infinity(BiPoly(ctx, _member(pencil, t, p))))
     return tuple(out)
 
 
-class PencilTables(NamedTuple):
-    """The sextic and quartic pencils over one odd prime (see pencil_tables)."""
+class PencilCensus(NamedTuple):
+    """One pencil over one odd prime p (see pencil_census)."""
 
-    g: dict  # (i, j) -> (a0, a1, a2): G = A0 + t*A1 + t^2*A2
-    h: dict  # likewise for H
-    g_infinity: tuple  # count_infinity of G at t, for every t in F_p
-    h_infinity: tuple  # count_infinity of H at t
+    pencil: dict  # (i, j) -> (a0, a1, a2) mod p: the member at t is A0 + t*A1 + t^2*A2
+    infinity: tuple  # count_infinity of the member at t, for every t in F_p
+    zeros: tuple  # the member's affine zeros at t, as sorted int codes x*p + y
 
 
 @functools.lru_cache(maxsize=1)
-def pencil_tables(p: int) -> PencilTables:
-    """The sextic and quartic pencils over F_p, p odd, read off their
-    builders, with the points at infinity of every member; the last prime's
-    tables are kept."""
+def pencil_census(p: int) -> tuple[PencilCensus, PencilCensus]:
+    """The sextic and quartic pencils over F_p, p odd, as (g, h): each
+    reduced mod p, with the points at infinity of every member
+    (_pencil_infinity) and the affine zeros of every member as the sorted
+    int codes x*p + y, x then y order (_pencil_zeros), so g.zeros[t] holds
+    the zeros of criterion_sextic at tau^2 = t.  One pass over F_p and one
+    packed pass over F_p^2 per pencil; the last prime's census is kept.
+    Raises the kernel's ValueError when p^2 exceeds COUNT_BUDGET, before any
+    pencil is built."""
+    check_count_budget(p)
     if p == 2:
         raise ValueError("the pencil census needs an odd characteristic")
     ctx = make_field(p, 1)
-    g, h = _pencil(ctx, _sextic), _pencil(ctx, _quartic)
-    return PencilTables(g, h, _pencil_infinity(ctx, g, _sextic),
-                        _pencil_infinity(ctx, h, _quartic))
+    out = []
+    for pencil in (_SEXTIC, _QUARTIC):
+        pencil = {ij: tuple(c % p for c in cs) for ij, cs in pencil.items()}
+        out.append(PencilCensus(pencil, _pencil_infinity(ctx, pencil), _pencil_zeros(p, pencil)))
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def pencil_census(p: int) -> tuple[tuple, tuple]:
-    """The zero sets of every member of the sextic and quartic pencils over
-    F_p, p odd: (g_zeros, h_zeros), where g_zeros[t] holds the affine zeros
-    of G at t (criterion_sextic at tau^2 = t) for every t in F_p, as the
-    sorted tuple of int codes x*p + y (x, then y order), and h_zeros[t]
-    those of H.  One packed pass over F_p^2 per pencil of pencil_tables(p)
-    (_pencil_zeros); the last prime's census is kept.  Raises the kernel's
-    ValueError when p^2 exceeds COUNT_BUDGET, before any pencil is built."""
-    check_count_budget(p)
-    tables = pencil_tables(p)
-    return _pencil_zeros(p, tables.g), _pencil_zeros(p, tables.h)
-
-
-def off_pencil(g: BiPoly, h: BiPoly, t: int) -> str | None:
-    """"sextic" or "quartic" when g or h, over one odd prime field, is not
-    its pencil's member at t, compared by integer terms; None when both are."""
-    p = g.field.p
-    tables = pencil_tables(p)
-    for name, poly, pencil in (("sextic", g, tables.g), ("quartic", h, tables.h)):
-        if poly.int_terms() != _member(pencil, t, p):
-            return name
-    return None
-
-
-def phi_fibers(g: BiPoly, h: BiPoly) -> dict:
+def phi_fibers(p: int, t: int) -> dict:
     """Census of the cover (x, y) -> (x + y, x*y) from the zero set of the
-    sextic g to that of the quartic h, both over one prime field.
+    sextic G to that of the quartic H at t = tau^2, over F_p, p odd, read off
+    pencil_census(p).
 
-    t is read off g (its X^4 Y^2 coefficient is -t), and g and h must be the
-    pencils' members at t by their integer terms (off_pencil), so that
-    pencil_census(p) holds their zero sets; anything else raises
-    RuntimeError.  It reads the census's int codes c = x*p + y directly (the
-    diagonal x = y is c = x*(p + 1), the image of c is the code
-    (x + y)*p + x*y mod p), and names points as (x, y) pairs only in its
-    messages.  Checks that the only diagonal zero is the origin, that the
-    image lands in the quartic's zero set, and that every off-diagonal fiber
-    has size exactly 2.  Any anomaly raises
-    RuntimeError since the underlying algebra guarantees these facts for
-    g = criterion_sextic and h = symmetric_quartic at one tau: a failure
-    means an implementation bug.
+    It reads the census's int codes c = x*p + y directly (the diagonal x = y
+    is c = x*(p + 1), the image of c is the code (x + y)*p + x*y mod p), and
+    names points as (x, y) pairs only in its messages.  Checks that the only
+    diagonal zero is the origin, that the image lands in the quartic's zero
+    set, and that every off-diagonal fiber has size exactly 2.  Any anomaly
+    raises RuntimeError since the underlying algebra guarantees these facts
+    for G and H at one t: a failure means an implementation bug.
     """
-    f = g.field
-    if h.field != f or f.n != 1:
-        raise ValueError("the cover census takes two curves over one prime field")
-    p = f.p
-    t = -g.int_terms().get((4, 2), 0) % p
-    name = off_pencil(g, h, t)
-    if name:
-        raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
-    g_zeros, h_zeros = pencil_census(p)
-    vg, vh = g_zeros[t], set(h_zeros[t])
+    g, h = pencil_census(p)
+    vg, vh = g.zeros[t % p], set(h.zeros[t % p])
     diag = [divmod(c, p) for c in vg if not c % (p + 1)]  # x*p + x = x*(p + 1)
     if diag != [(0, 0)]:
         raise RuntimeError(f"diagonal zeros of the sextic are {diag}, expected [(0, 0)]")

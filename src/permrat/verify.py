@@ -163,10 +163,9 @@ def _clear_curve_caches() -> None:
     """Empty the per-run caches of whichever curve modules a case loaded."""
     cases = sys.modules.get(f"{__package__}.curve_cases")
     if cases is not None:
-        cases._AUDITS.clear()
+        cases._gh_audit.cache_clear()
     curves = sys.modules.get(f"{__package__}.curves")
     if curves is not None:
-        curves.pencil_tables.cache_clear()
         curves.pencil_census.cache_clear()
 
 
@@ -185,8 +184,8 @@ def run_cases(campaign: str, config: dict, payloads: list[dict],
     once).  The progress file records a unit's cases as soon as they and
     every case before them are done, so an interruption loses at most the
     units in flight.
-    The curve caches (curve_cases' audits, curves' pencil tables and census)
-    are cleared when the run starts and ends, so their entries live for one
+    The curve caches (curve_cases._gh_audit and curves.pencil_census) are
+    cleared when the run starts and ends, so their entries live for one
     run.  A configuration that selects no cases or repeats a case key is
     refused: a campaign must not read as a pass having checked nothing, or
     count a case twice.
@@ -461,9 +460,9 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     the same two curves and read one audit of them, cached by (p, t), while
     the cases, their keys and their records stay one per (p, tau).  Every
     zero set and infinity count behind that audit comes from the per-prime
-    tables of curves.pencil_census and curves.pencil_tables, one pass per
-    pencil for every tau of the prime, and a prime's GH cases go to one pool
-    worker as one group (see run_cases).  Only the collision-curve and
+    record curves.pencil_census, one pass per pencil for every tau of the
+    prime, and a prime's GH cases go to one pool worker as one group (see
+    run_cases).  Only the collision-curve and
     eq. (28) cases count zeros with the kernel, and points at infinity are
     counted by gcd only for the collision curves and for a pencil member of
     lower degree.  A collision-curve field, or a largest GH or eq. (28)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import random
 
-from permrat import curves
+from permrat import curve_cases, curves
 from permrat.curves import BiPoly
 from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
 from permrat.maps import MapSpec, denominator, eval_f, trace_class_reps
@@ -217,6 +217,45 @@ def count_infinity_walk(poly):
     return count
 
 
+def sextic_terms(p, t):
+    """G at t = tau^2 as integer terms mod p, in closed form: the degree-4
+    part A, then -t * X^2 Y^2 (X - Y)^2."""
+    terms = {
+        (4, 0): 1,
+        (3, 1): -2 * t,
+        (2, 2): -2 + 4 * t + t * t,
+        (1, 3): -2 * t,
+        (0, 4): 1,
+        (4, 2): -t,
+        (3, 3): 2 * t,
+        (2, 4): -t,
+    }
+    return {ij: c % p for ij, c in terms.items() if c % p}
+
+
+def quartic_terms(p, t):
+    """H at t = tau^2 as integer terms mod p, in closed form."""
+    terms = {
+        (4, 0): 1,
+        (2, 1): -(4 + 2 * t),
+        (0, 2): 8 * t + t * t,
+        (2, 2): -t,
+        (0, 3): 4 * t,
+    }
+    return {ij: c % p for ij, c in terms.items() if c % p}
+
+
+def eq28_symbolic_per_tau(p):
+    """`curve_cases._ident_eq28_case`'s symbolic check one tau at a time:
+    whether G = H(X + Y, X*Y) by the binomial expansion at every tau in
+    1 .. p - 1, with G and H read from `curves.criterion_sextic` and
+    `curves.symmetric_quartic` at call time."""
+    ctx = make_field(p, 1)
+    return all(
+        curve_cases._symmetric_expansion(curves.symmetric_quartic(ctx, tau).int_terms(), p)
+        == curves.criterion_sextic(ctx, tau).int_terms() for tau in range(1, p))
+
+
 def ident_subst_walk(p):
     """`curve_cases._ident_subst_case`'s counts by walking F_{p^2} with field
     elements: the substitution identity at every tau in F_p^* and y != 0,
@@ -300,10 +339,11 @@ def compose_symmetric(h):
 
 
 def phi_census_by_eval(g, h):
-    """`curves.phi_fibers(g, h)` by evaluating G and H with `BiPoly.eval` at
-    every point of F_p^2: the two zero sets, the sizes of the fibers of
-    (x, y) -> (x + y, x*y) over the images of G's zeros other than the
-    origin, and the number of distinct images of all of G's zeros."""
+    """`curves.phi_fibers(p, t)` for the curves g and h at t, by evaluating
+    them with `BiPoly.eval` at every point of F_p^2: the two zero sets, the
+    sizes of the fibers of (x, y) -> (x + y, x*y) over the images of G's
+    zeros other than the origin, and the number of distinct images of all of
+    G's zeros."""
     ctx = g.field
     p = ctx.p
     pts = [(x, y) for x in ctx for y in ctx]
@@ -331,8 +371,8 @@ def kernel_zeros(poly):
 
 
 def phi_fibers_per_curve(g, h):
-    """`curves.phi_fibers(g, h)` from a kernel pass over each of the two
-    curves it is given, in place of the pencil census of their prime: the
+    """`curves.phi_fibers(p, t)` for the curves g and h at t, from a kernel
+    pass over each of the two, in place of the pencil census of p: the
     same checks of the diagonal, the image and the fibers, raising the same
     RuntimeError on an anomaly."""
     p = g.field.p

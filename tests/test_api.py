@@ -24,9 +24,12 @@ NAMES = {
              "trace_class_reps", "verify_witness"],
 }
 
-# Helpers that only tests reached; they are gone, or live in tests/oracles.py.
+# Helpers that only tests reached, and the layers the literal pencils of G and
+# H replaced; they are gone, or live in tests/oracles.py.
 GONE = {
-    "curves": ["audit_curve", "CurveReport"],
+    "curve_cases": ["_AUDITS"],
+    "curves": ["audit_curve", "CurveReport", "_sextic_terms", "_pencil", "PencilTables",
+               "pencil_tables", "off_pencil"],
     "maps": ["conjugate_b", "difference_value"],
     "verify": ["conjugation_identity_mismatches"],
 }

@@ -1,7 +1,7 @@
 """Curve builders, exact counts, bound audits, and the univariate toolkit."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from permrat import curves
 from permrat.curves import (
@@ -25,11 +25,13 @@ from permrat.curves import (
     weil_upper_check,
 )
 from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
-from permrat.curve_cases import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
+from permrat.curve_cases import (_curve_gh_case, _ident_eq28_case, _ident_subst_case,
+                                 _symmetric_expansion)
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
-                     ident_subst_walk, kernel_zeros, pencil_zeros_per_point,
-                     phi_census_by_eval, phi_fibers_per_curve)
+                     eq28_symbolic_per_tau, ident_subst_walk, kernel_zeros,
+                     pencil_zeros_per_point, phi_census_by_eval, phi_fibers_per_curve,
+                     quartic_terms, sextic_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +372,7 @@ def _eq28_mismatches(p):
 @pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
 def test_eq28_mismatches_match_walk(p):
     assert _eq28_mismatches(p) == eq28_pointwise_walk(p) == 0
+    assert _ident_eq28_case({"p": p})["pass"] and eq28_symbolic_per_tau(p)
 
 
 @pytest.mark.parametrize("p,mismatches", [(3, 4), (5, 16), (7, 36), (11, 100), (13, 144)])
@@ -388,6 +391,82 @@ def test_eq28_mismatches_match_walk_on_perturbed_sextics(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "criterion_sextic", _perturbed_sextic(extra))
         assert _eq28_mismatches(p) == eq28_pointwise_walk(p)
+
+
+def _perturbed(pencil, extra):
+    """The pencil plus c * t^k * X^i Y^j for each ((i, j), k) -> c of extra."""
+    out = dict(pencil)
+    for (ij, k), c in extra.items():
+        cs = list(out.get(ij, (0, 0, 0)))
+        cs[k] += c
+        out[ij] = tuple(cs)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_eq28_finds_a_pencil_coefficient_that_vanishes_at_every_point(monkeypatch, k):
+    # t^k * (X^7 - X) vanishes on all of F_7^2, so the pointwise check at
+    # tau = 2 sees no mismatch; the check of coefficient k of G sees it
+    monkeypatch.setattr(curves, "_SEXTIC",
+                        _perturbed(curves._SEXTIC, {((7, 0), k): 1, ((1, 0), k): -1}))
+    res = _ident_eq28_case({"p": 7})
+    assert res["mismatches"] == 0 and not res["pass"]
+    assert not eq28_symbolic_per_tau(7)
+
+
+@pytest.mark.parametrize("p,per_tau", [(3, True), (5, True), (7, False), (11, False)])
+def test_eq28_pencil_check_is_stronger_than_every_tau_below_seven(monkeypatch, p, per_tau):
+    # (t^2 - 1) * X^3 vanishes at t = 1 and t = -1, which are all the nonzero
+    # squares of F_3 and F_5: tau by tau G is still H(X + Y, X*Y) there, and
+    # the pointwise check at tau = 2 sees nothing, but the pencils differ.
+    # From p = 7 on, (p - 1)/2 >= 3 nonzero squares pin a quadratic in t.
+    monkeypatch.setattr(curves, "_SEXTIC",
+                        _perturbed(curves._SEXTIC, {((3, 0), 0): -1, ((3, 0), 2): 1}))
+    res = _ident_eq28_case({"p": p})
+    assert eq28_symbolic_per_tau(p) is per_tau
+    assert (res["mismatches"] == 0) is per_tau and not res["pass"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_eq28_pencil_check_implies_the_check_at_every_tau(data):
+    # H gains random c * t^k * X^a Y^b and G their expansion under
+    # (X, Y) -> (X + Y, X*Y), so the identity is kept; then G may gain
+    # (t^2 - 1) * X^i Y^j terms, which vanish at every nonzero square of F_3
+    # and F_5, or random terms.  A pass of the pencil check must be a pass
+    # at every tau, and from p = 7 on the two must agree.
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+    ctx = make_field(p, 1)
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coeff = st.integers(1, p - 1)
+    h_extra = data.draw(st.dictionaries(st.tuples(st.tuples(st.integers(0, 3),
+                                                            st.integers(0, 3)),
+                                                  st.integers(0, 2)), coeff, max_size=3))
+    g_extra = {}
+
+    def add(ij, k, c):
+        g_extra[(ij, k)] = g_extra.get((ij, k), 0) + c
+
+    for (ab, k), c in h_extra.items():
+        for ij, v in compose_symmetric(BiPoly(ctx, {ab: c})).int_terms().items():
+            add(ij, k, v)
+    shape = data.draw(st.sampled_from(("kept", "vanishing", "broken")))
+    if shape == "vanishing":
+        for ij in data.draw(st.lists(exps, min_size=1, max_size=2)):
+            add(ij, 0, -1)
+            add(ij, 2, 1)
+    elif shape == "broken":
+        for (ij, k), c in data.draw(st.dictionaries(st.tuples(exps, st.integers(0, 2)), coeff,
+                                                    min_size=1, max_size=2)).items():
+            add(ij, k, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_SEXTIC", _perturbed(curves._SEXTIC, g_extra))
+        mp.setattr(curves, "_QUARTIC", _perturbed(curves._QUARTIC, h_extra))
+        passed = _ident_eq28_case({"p": p})["pass"]
+        per_tau = eq28_symbolic_per_tau(p)
+    assert per_tau or not passed
+    if p >= 7:
+        assert passed == per_tau
 
 
 # ---------------------------------------------------------------------------
@@ -446,59 +525,36 @@ def _gh(p, tau):
 
 
 def test_phi_census_frozen():
-    census = phi_fibers(*_gh(13, 2))
+    census = phi_fibers(13, 4)  # tau = 2
     assert census == {"v_g_size": 7, "v_h_size": 8, "fiber_sizes": {2: 3},
                       "phi_image_size": 4}
 
 
 def test_phi_census_origin_and_symmetry():
     for p, tau in ((7, 2), (11, 3), (13, 5)):
-        g, h = _gh(p, tau)
+        g, _ = _gh(p, tau)
         zeros = {(x.index, y.index) for x, y in affine_zeros(g)}
         assert (0, 0) in zeros
         assert all((y, x) in zeros for x, y in zeros)
-        census = phi_fibers(g, h)
+        census = phi_fibers(p, tau * tau % p)
         assert census["phi_image_size"] == 1 + (census["v_g_size"] - 1) // 2
 
 
-def test_phi_takes_two_curves_over_one_prime_field():
-    g, h = _gh(13, 2)
-    ext = make_field(13, 2)
-    for pair in ((g, _gh(11, 2)[1]), (_gh(11, 2)[0], h),
-                 (BiPoly(ext, g.int_terms()), BiPoly(ext, h.int_terms()))):
-        with pytest.raises(ValueError, match="^the cover census takes two curves over one "
-                                             "prime field$"):
-            phi_fibers(*pair)
-
-
 def test_phi_census_holds_at_unit_tau():
-    # no command censuses tau = +-1 (the grid runs tau = 2 .. p - 2), yet
-    # the cover is still 2-to-1 off the origin there
-    for tau in (1, 12):
-        assert phi_fibers(*_gh(13, tau)) == {"v_g_size": 19, "v_h_size": 10,
-                                             "fiber_sizes": {2: 9}, "phi_image_size": 10}
+    # no command censuses tau = +-1, that is t = 1 (the grid runs
+    # tau = 2 .. p - 2), yet the cover is still 2-to-1 off the origin there
+    assert phi_fibers(13, 1) == {"v_g_size": 19, "v_h_size": 10,
+                                 "fiber_sizes": {2: 9}, "phi_image_size": 10}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13, 17, 19, 23]), st.data())
 def test_phi_census_matches_brute_force(p, data):
     tau = data.draw(st.integers(2, p - 2))
-    g, h = _gh(p, tau)
-    assert phi_fibers(g, h) == phi_census_by_eval(g, h)
+    assert phi_fibers(p, tau * tau % p) == phi_census_by_eval(*_gh(p, tau))
 
 
 # the pencil census: every t's zero sets of G and H from one pass per prime
-
-
-@pytest.fixture
-def fresh_census():
-    # the tables and census are cached per prime, so a test that changes a
-    # builder must not read (or leave behind) the tables of other curves
-    curves.pencil_tables.cache_clear()
-    curves.pencil_census.cache_clear()
-    yield
-    curves.pencil_tables.cache_clear()
-    curves.pencil_census.cache_clear()
 
 
 def _decoded(codes, p):
@@ -507,24 +563,24 @@ def _decoded(codes, p):
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
-def test_pencil_census_matches_the_kernel_at_every_t(p, fresh_census):
+def test_pencil_census_matches_the_kernel_at_every_t(p, fresh_curve_caches):
     f = make_field(p, 1)
-    g_zeros, h_zeros = curves.pencil_census(p)
-    assert len(g_zeros) == len(h_zeros) == p
+    g, h = curves.pencil_census(p)
+    assert len(g.zeros) == len(h.zeros) == p
     for t in range(1, p):
-        assert _decoded(g_zeros[t], p) == kernel_zeros(curves._sextic(f, t))
-        assert _decoded(h_zeros[t], p) == kernel_zeros(curves._quartic(f, t))
+        assert _decoded(g.zeros[t], p) == kernel_zeros(curves._sextic(f, t))
+        assert _decoded(h.zeros[t], p) == kernel_zeros(curves._quartic(f, t))
 
 
-def test_pencil_census_matches_the_kernel_past_one_byte_slots(fresh_census):
+def test_pencil_census_matches_the_kernel_past_one_byte_slots(fresh_curve_caches):
     # p = 257 needs two bytes per slot; t = 3 is a non-square mod 257
     p = 257
     f = make_field(p, 1)
-    g_zeros, h_zeros = curves.pencil_census(p)
+    g, h = curves.pencil_census(p)
     assert pow(3, (p - 1) // 2, p) == p - 1
     for t in (0, 1, 2, 3, p - 1):
-        assert _decoded(g_zeros[t], p) == kernel_zeros(curves._sextic(f, t))
-        assert _decoded(h_zeros[t], p) == kernel_zeros(curves._quartic(f, t))
+        assert _decoded(g.zeros[t], p) == kernel_zeros(curves._sextic(f, t))
+        assert _decoded(h.zeros[t], p) == kernel_zeros(curves._quartic(f, t))
 
 
 @st.composite
@@ -564,11 +620,12 @@ def test_packed_pencil_census_matches_the_per_point_oracle_past_one_byte_slots(c
     assert [_decoded(z, p) for z in zeros] == list(oracle)
 
 
-def test_pencil_census_refuses_a_prime_over_the_counting_budget(fresh_census, monkeypatch):
+def test_pencil_census_refuses_a_prime_over_the_counting_budget(fresh_curve_caches,
+                                                                monkeypatch):
     def build(*args):
         raise AssertionError("a pencil was built past the counting budget")
 
-    monkeypatch.setattr(curves, "pencil_tables", build)
+    monkeypatch.setattr(curves, "_pencil_infinity", build)
     monkeypatch.setattr(curves, "_pencil_zeros", build)
     with pytest.raises(ValueError, match=r"^affine counting budget exceeded \(q\^2 > 2\^34\)$"):
         curves.pencil_census(131101)  # the least prime p with p^2 > 2^34
@@ -582,98 +639,88 @@ def test_pencil_census_keeps_one_prime_and_needs_an_odd_one():
         curves.pencil_census(2)
 
 
-def test_pencil_tables_keep_one_prime_and_need_an_odd_one():
-    assert curves.pencil_tables(7) is curves.pencil_tables(7)
-    curves.pencil_tables(11)
-    assert curves.pencil_tables.cache_info().currsize == 1
-    with pytest.raises(ValueError, match="^the pencil census needs an odd characteristic$"):
-        curves.pencil_tables(2)
-
-
 def _assert_tables_match_the_builders(p):
     # every t of F_p, t = 0 and t = 1 included
     f = make_field(p, 1)
-    tables = curves.pencil_tables(p)
-    for t in range(p):
-        g, h = curves._sextic(f, t), curves._quartic(f, t)
-        assert curves._member(tables.g, t, p) == g.int_terms()
-        assert curves._member(tables.h, t, p) == h.int_terms()
-        assert tables.g_infinity[t] == count_infinity(g)
-        assert tables.h_infinity[t] == count_infinity(h)
+    for census, build in zip(curves.pencil_census(p), (curves._sextic, curves._quartic)):
+        for t in range(p):
+            curve = build(f, t)
+            assert curves._member(census.pencil, t, p) == curve.int_terms()
+            assert census.infinity[t] == count_infinity(curve)
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
-def test_pencil_tables_match_the_builders_at_every_t(p, fresh_census):
+def test_pencil_tables_match_the_builders_at_every_t(p, fresh_curve_caches):
     _assert_tables_match_the_builders(p)
 
 
-@pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+@pytest.mark.parametrize("p", [p for p in range(2, 98) if is_prime(p)])
 def test_integer_sextic_is_the_sextic_builder(p):
+    # the literal pencils against the closed forms of G and H, in every
+    # characteristic (the census reads them only for odd p) and at t outside
+    # 0 .. p - 1
     f = make_field(p, 1)
-    for t in (*range(p), p + 3, -2):
-        terms = curves._sextic_terms(p, t)
-        assert terms == curves._sextic(f, t).int_terms()
-        assert ({ij: c for ij, c in terms.items() if sum(ij) == 4}
+    for t in range(-3, p + 3):
+        sextic, quartic = sextic_terms(p, t), quartic_terms(p, t)
+        assert curves._member(curves._SEXTIC, t, p) == sextic == curves._sextic(f, t).int_terms()
+        assert (curves._member(curves._QUARTIC, t, p) == quartic
+                == curves._quartic(f, t).int_terms())
+        assert ({ij: c for ij, c in sextic.items() if sum(ij) == 4}
                 == homogenization_quartic(f, t).int_terms())
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_pencil_tables_match_the_builders_on_perturbed_pencils(data):
-    # adding c * t^k * X^i Y^j (k <= 2) to a builder keeps it a pencil; a term
+def test_pencil_tables_match_the_builders_on_perturbed_pencils(fresh_curve_caches, data):
+    # adding c * t^k * X^i Y^j (k <= 2) to a pencil keeps it a pencil; a term
     # above degree 6 with k > 0 makes the top form vanish at some t, where
     # the infinity table falls back to count_infinity.  X^4 keeps coefficient
-    # 1, so no member is the zero polynomial.
+    # 1, so no member is the zero polynomial.  The fixture empties the
+    # census after the last example, each example before its own.
     p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
-    name = data.draw(st.sampled_from(("_sextic", "_quartic")))
+    name = data.draw(st.sampled_from(("_SEXTIC", "_QUARTIC")))
     exps = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda ij: ij != (4, 0))
     extra = data.draw(st.dictionaries(st.tuples(exps, st.integers(0, 2)),
                                       st.integers(1, p - 1), min_size=1, max_size=4))
-    build = getattr(curves, name)
-
-    def perturbed(ctx, t):
-        return build(ctx, t) + BiPoly(ctx, {ij: c * t ** k for (ij, k), c in extra.items()})
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curves, name, perturbed)
-        curves.pencil_tables.cache_clear()
-        try:
-            _assert_tables_match_the_builders(p)
-        finally:
-            curves.pencil_tables.cache_clear()
+        mp.setattr(curves, name, _perturbed(getattr(curves, name), extra))
+        curves.pencil_census.cache_clear()
+        _assert_tables_match_the_builders(p)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 def test_phi_census_matches_the_per_curve_oracle(p):
     for tau in range(1, p):
-        g, h = _gh(p, tau)
-        assert phi_fibers(g, h) == phi_fibers_per_curve(g, h)
+        assert phi_fibers(p, tau * tau % p) == phi_fibers_per_curve(*_gh(p, tau))
 
 
-def test_phi_refuses_curves_off_the_pencil():
+def test_phi_refuses_curves_off_the_pencil(monkeypatch, fresh_curve_caches):
+    # a GH case audits only the pencils' members at the t it reads off G,
+    # and refuses any other pair before the census of its prime is built
     g, h = _gh(13, 2)  # t = 4
     bump = BiPoly(g.field, {(1, 0): 1})
-    with pytest.raises(RuntimeError, match="^the sextic is not the pencil's member at t = 4$"):
-        phi_fibers(g + bump, h)
-    with pytest.raises(RuntimeError, match="^the quartic is not the pencil's member at t = 4$"):
-        phi_fibers(g, h + bump)
-    with pytest.raises(RuntimeError, match="^the quartic is not the pencil's member at t = 4$"):
-        phi_fibers(g, _gh(13, 3)[1])
+    for pair, name in (((g + bump, h), "sextic"), ((g, h + bump), "quartic"),
+                       ((g, _gh(13, 3)[1]), "quartic")):
+        monkeypatch.setattr(curves, "criterion_sextic", lambda ctx, tau, g=pair[0]: g)
+        monkeypatch.setattr(curves, "symmetric_quartic", lambda ctx, tau, h=pair[1]: h)
+        with pytest.raises(RuntimeError, match=f"^the {name} is not the pencil's member at t = 4$"):
+            _curve_gh_case({"p": 13, "tau": 2})
+    assert curves.pencil_census.cache_info().currsize == 0
 
 
 def test_sextic_perturbed_at_every_t_fails_census_and_oracle_alike(monkeypatch,
-                                                                   fresh_census):
+                                                                   fresh_curve_caches):
     # G + X^3 - X^2 Y keeps the diagonal but is no longer H(X + Y, X*Y), so
-    # the cover's image leaves V_H: the census, read off the perturbed
-    # builder, must find this as the per-curve oracle does
-    sextic = curves._sextic
-    monkeypatch.setattr(curves, "_sextic",
-                        lambda ctx, t: sextic(ctx, t) + BiPoly(ctx, {(3, 0): 1, (2, 1): -1}))
+    # the cover's image leaves V_H: the census of the perturbed pencil must
+    # find this as the per-curve oracle does on the perturbed builder's curve
+    monkeypatch.setattr(curves, "_SEXTIC",
+                        _perturbed(curves._SEXTIC, {((3, 0), 0): 1, ((2, 1), 0): -1}))
     for p, tau in ((5, 2), (13, 2), (13, 5)):
-        g, h = _gh(p, tau)
-        for census in (phi_fibers, phi_fibers_per_curve):
-            with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
-                census(g, h)
+        with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+            phi_fibers(p, tau * tau % p)
+        with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
+            phi_fibers_per_curve(*_gh(p, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ curve-pencil `count` and `weil-audit` digests before the pencil's identity
 check and infinity counts moved to F_p integer work; the `weil-audit` running
 the substitution identity for every p <= 13, and the progress files, before
 that identity was counted by one gcd instead of an element walk; the default
-`weil-audit` before its pencil census was evaluated packed.  A report
-or progress file is a pure function of its configuration, so a change to any
-of these bytes is a change to the contract and must be declared, not
-absorbed.
+`weil-audit` before its pencil census was evaluated packed; the p = 2, 3
+`count` builders and the default `lemma22` before G and H were written as
+literal pencils.  A report or progress file is a pure function of its
+configuration, so a change to any of these bytes is a change to the contract
+and must be declared, not absorbed.
 """
 
 import hashlib
@@ -92,6 +93,22 @@ _PINNED = {
     # weil-audit at its defaults (GH and eq. (28) at every p <= 97)
     "weil-audit":
         "0bb9fb6b726dd1ad193c05b7bfb23cda497c2cf8c6bdf3a1bf4b2d3e58db1f61",
+    # the curve builders in characteristic 2 and 3, which the pencil census
+    # never reads, and lemma22 at its defaults
+    "count --builtin G --p 2 --tau 1":
+        "054c6f1adb1f2abd5f13ebaf2ee1515f3eb295b4e2226b547ecd17d364e00f6c",
+    "count --builtin H --p 2 --tau 1":
+        "eb10c7f33730e73f1e1e6cc2b0428b45c0123f08538be371403d325d0c359acf",
+    "count --builtin A --p 2 --t 1":
+        "7d4c3f15f225afe90ac8f295d5eed9f27a9ba3285b0e35255becf793cb6cf841",
+    "count --builtin G --p 3 --tau 1":
+        "741af5d1f52c462f2f69c1933c8b08b1566bf78553ef84297ae356a4415f9040",
+    "count --builtin H --p 3 --tau 2":
+        "4853afab4dc40c4273eddd0f720abc7672c83aea8a864fa4aaadc4dfdb8d19a4",
+    "count --builtin A --p 3 --t 0":
+        "f409839e40b9e53f9e75818754a180031c26a4878cf055d7937877f28afb6f7a",
+    "verify lemma22":
+        "737d8167467c309c17b953487def8c3d7d17357a31116b7f489caa702c832a15",
 }
 
 _PINNED_PROGRESS = {

@@ -227,15 +227,6 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
-def _pair_of(g, h):
-    """(p, t) of the curves a census received, t = tau^2 read off G's X^4 Y^2
-    coefficient -t, after checking that H is the quartic of that t."""
-    p = g.field.p
-    t = -g.int_terms()[(4, 2)] % p
-    assert h.field == g.field and h.int_terms()[(2, 2)] == -t % p
-    return p, t
-
-
 def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
     zeros, infinity, census, passes, tables = [], [], [], [], []
     _counting(monkeypatch, _kernel_py, "count_zeros", zeros)
@@ -243,22 +234,43 @@ def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
     _counting(monkeypatch, curves, "phi_fibers", census)
     _counting(monkeypatch, curves, "_pencil_zeros", passes)
     _counting(monkeypatch, curves, "_pencil_infinity", tables)
+    # the builder, int_terms and expansion calls made inside each case
+    work = {"G": [], "H": [], "int_terms": [], "expansions": [], "infinity": infinity}
+    _counting(monkeypatch, curves, "criterion_sextic", work["G"])
+    _counting(monkeypatch, curves, "symmetric_quartic", work["H"])
+    _counting(monkeypatch, curves.BiPoly, "int_terms", work["int_terms"])
+    _counting(monkeypatch, curve_cases, "_symmetric_expansion", work["expansions"])
+    per_case = {"curve_gh": [], "ident_eq28": []}
+    for kind, made in per_case.items():
+        def case(args, real=verify._CASE_FUNCS[kind], made=made):
+            before = {name: len(calls) for name, calls in work.items()}
+            res = real(args)
+            made.append({name: len(calls) - before[name] for name, calls in work.items()})
+            return res
+
+        monkeypatch.setitem(verify._CASE_FUNCS, kind, case)
     assert main(_SMALL_AUDIT) == 0
     cases = json.loads(capsys.readouterr().out)["cases"]
     kinds = [c["kind"] for c in cases]
     primes = verify.primes_upto(31, start=5)
     pairs = sum((p - 3) // 2 for p in primes)
     assert kinds.count("curve_gh") == 2 * pairs == 128
-    # one cover census per pair; its zero sets come from one pass of each
-    # pencil per prime, and its infinity counts from one pass of each
-    # pencil's top form per prime (the sextic's has a pencil term X^4 Y^2)
+    # each GH case builds G and H once and reads their integer terms once
+    # (a gcd count of points at infinity in its census reads one more);
+    # eq. (28) expands the quartic pencil's three coefficients
+    assert [(w["G"], w["H"], w["int_terms"] - w["infinity"])
+            for w in per_case["curve_gh"]] == [(1, 1, 2)] * 128
+    assert [w["expansions"] for w in per_case["ident_eq28"]] == [3] * kinds.count("ident_eq28")
+    # one audit, so one cover census, per pair; its zero sets come from one
+    # pass of each pencil per prime, and its infinity counts from one pass of
+    # each pencil's top form per prime (the sextic's has a pencil term X^4 Y^2)
     assert len(census) == pairs
-    assert sorted(_pair_of(g, h) for g, h in census) == sorted(
+    assert sorted(census) == sorted(
         {(p, tau * tau % p) for p in primes for tau in range(2, p - 1)})
     assert [(p, (4, 2) in pencil) for p, pencil in passes] == [
         (p, is_g) for p in primes for is_g in (True, False)]
-    assert [(ctx.p, build) for ctx, _, build in tables] == [
-        (p, build) for p in primes for build in (curves._sextic, curves._quartic)]
+    assert [(ctx.p, (4, 2) in pencil) for ctx, pencil in tables] == [
+        (p, is_g) for p in primes for is_g in (True, False)]
     # the gcd count of points at infinity runs for the curve_f cases, and for
     # the one member per prime whose top form vanishes: the sextic at t = 0
     f_curves = [poly for poly, in infinity if poly.field.n > 1]
@@ -267,50 +279,39 @@ def test_each_curve_pair_is_counted_once_per_tau_squared(capsys, monkeypatch):
     assert drops == [curves._sextic(make_field(p, 1), 0) for p in primes]
     # the kernel counts zeros only for the curve_f and eq28 cases, one count each
     assert len(zeros) == kinds.count("curve_f") + kinds.count("ident_eq28")
-    # the run's audits, tables and census end with it
-    assert curve_cases._AUDITS == {}
-    assert curves.pencil_tables.cache_info().currsize == 0
+    # the run's audits and census end with it
+    assert curve_cases._gh_audit.cache_info().currsize == 0
     assert curves.pencil_census.cache_info().currsize == 0
 
 
-def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch):
+def test_a_case_outside_a_run_shares_the_audit_of_its_curves(monkeypatch, fresh_curve_caches):
     census = []
     _counting(monkeypatch, curves, "phi_fibers", census)
-    curve_cases._AUDITS.clear()
-    try:
-        first, second = (curve_cases._curve_gh_case({"p": 7, "tau": tau}) for tau in (2, 5))
-        assert [_pair_of(g, h) for g, h in census] == [(7, 4)]
-        assert list(curve_cases._AUDITS) == [(7, 4)]
-    finally:
-        curve_cases._AUDITS.clear()
-        curves.pencil_tables.cache_clear()
-        curves.pencil_census.cache_clear()
+    first, second = (curve_cases._curve_gh_case({"p": 7, "tau": tau}) for tau in (2, 5))
+    assert census == [(7, 4)]
+    assert curve_cases._gh_audit.cache_info().currsize == 1
     assert (first["phi"]["tau"], second["phi"]["tau"]) == (2, 5)
     assert {**first, "phi": None} == {**second, "phi": None}
 
 
-def test_curves_of_another_t_are_audited_at_their_own_t(monkeypatch):
+def test_curves_of_another_t_are_audited_at_their_own_t(monkeypatch, fresh_curve_caches):
     # at p = 7 the quartic has 3 points at infinity at t = 4 = 2^2 but 1 at
     # t = 3: a tau = 5 case whose builders return the members at t = 3 must
     # be audited wholly at t = 3, not read t = 4's tables
     f = make_field(7, 1)
     g3, h3 = curves._sextic(f, 3), curves._quartic(f, 3)
-    curve_cases._AUDITS.clear()
-    try:
-        curve_cases._curve_gh_case({"p": 7, "tau": 2})
-        monkeypatch.setattr(curves, "criterion_sextic", lambda ctx, tau: g3)
-        monkeypatch.setattr(curves, "symmetric_quartic", lambda ctx, tau: h3)
-        res = curve_cases._curve_gh_case({"p": 7, "tau": 5})
-        assert sorted(curve_cases._AUDITS) == [(7, 3), (7, 4)]
-    finally:
-        curve_cases._AUDITS.clear()
-        curves.pencil_tables.cache_clear()
-        curves.pencil_census.cache_clear()
+    census = []
+    _counting(monkeypatch, curves, "phi_fibers", census)
+    curve_cases._curve_gh_case({"p": 7, "tau": 2})
+    monkeypatch.setattr(curves, "criterion_sextic", lambda ctx, tau: g3)
+    monkeypatch.setattr(curves, "symmetric_quartic", lambda ctx, tau: h3)
+    res = curve_cases._curve_gh_case({"p": 7, "tau": 5})
+    assert census == [(7, 4), (7, 3)]
     assert res["g"]["infinity"] == curves.count_infinity(g3) == 3
     assert res["h"]["infinity"] == curves.count_infinity(h3) == 1
     assert ((res["g"]["affine"], res["h"]["affine"])
             == (curves.count_affine(g3), curves.count_affine(h3)))
-    assert res["phi"] == {"p": 7, "tau": 5, **curves.phi_fibers(g3, h3)}
+    assert res["phi"] == {"p": 7, "tau": 5, **curves.phi_fibers(7, 3)}
     assert res["symmetric_identity_ok"] and not res["pass"]
 
 
@@ -360,25 +361,24 @@ def test_a_curve_that_differs_at_p_minus_tau_fails_the_run(capsys, monkeypatch):
         main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
               "--eq28-p-max", "3"])
     assert capsys.readouterr().out == ""
-    # tau = 5's curves are not tau = 2's, so tau = 5 took its own census,
-    # which found that its sextic is not the one whose zeros the pencil holds
-    assert [_pair_of(g, h) for g, h in census] == [(5, 4), (7, 4), (7, 2), (7, 4)]
-    assert census[3][0] != census[1][0] and census[3][1] == census[1][1]
+    # tau = 5's sextic is not the pencil's member at t = 4, so its case is
+    # refused before it reads tau = 2's audit or takes a census of its own
+    assert census == [(5, 4), (7, 4), (7, 2)]
     assert returned == [(5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (7, 5)]
-    assert curve_cases._AUDITS == {}
+    assert curve_cases._gh_audit.cache_info().currsize == 0
 
 
 def test_a_sextic_perturbed_at_every_t_fails_the_run(capsys, monkeypatch):
-    # the pencil is read off the perturbed builder, so the census holds the
-    # perturbed curves' zeros, and its cover check finds the perturbation
-    sextic = curves._sextic
-    monkeypatch.setattr(curves, "_sextic",
-                        lambda ctx, t: sextic(ctx, t) + BiPoly(ctx, {(3, 0): 1, (2, 1): -1}))
+    # the builder reads the perturbed pencil, so each case's curves are its
+    # members and the census holds their zeros; its cover check finds the
+    # perturbation
+    monkeypatch.setattr(curves, "_SEXTIC",
+                        {**curves._SEXTIC, (3, 0): (1, 0, 0), (2, 1): (-1, 0, 0)})
     with pytest.raises(RuntimeError, match="^cover image escapes the quartic's zero set$"):
         main(["weil-audit", "--p-max", "7", "--f-degrees", "2", "--ident-p-max", "3",
               "--eq28-p-max", "3"])
     assert capsys.readouterr().out == ""
-    assert curve_cases._AUDITS == {}
+    assert curve_cases._gh_audit.cache_info().currsize == 0
     assert curves.pencil_census.cache_info().currsize == 0
 
 
@@ -400,11 +400,10 @@ def test_resume_between_tau_and_p_minus_tau_keeps_the_pinned_bytes(capsys, tmp_p
                         or real_case(args))
     real_census = curves.phi_fibers
 
-    def counted(g, h):
-        p, tau = in_flight[-1]
-        assert _pair_of(g, h) == (p, tau * tau % p)
+    def counted(p, t):
+        assert (p, t) == (in_flight[-1][0], in_flight[-1][1] ** 2 % p)
         census.append(in_flight[-1])
-        return real_census(g, h)
+        return real_census(p, t)
 
     monkeypatch.setattr(curves, "phi_fibers", counted)
     assert main(command.split() + ["--progress-file", str(prog)]) == 0
