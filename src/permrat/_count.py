@@ -2,17 +2,18 @@
 a bivariate polynomial over F_{p^n} x F_{p^n}.
 
 It evaluates the polynomial at every y in F_q at once for each x, one slot
-per y, and counts the zero slots with a flag bit.  `backend.select` hands
-out `_kernel_py`, which loads this module on the first read of its
-`count_zeros`, so scanning processes never compile it.
+per y, and counts the zero slots with a flag bit; the field module's
+`_slot_barrett` reduces the slots and its `Field._mul` builds the log
+tables.  `backend.select` hands out `_kernel_py`, which loads this module
+on the first read of its `count_zeros`, so scanning processes never
+compile it.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ._kernel_py import _slot_barrett
-from .field import Elem, make_field, prime_divisors
+from .field import Elem, _slot_barrett, make_field, prime_divisors
 
 
 @functools.lru_cache(maxsize=4)

@@ -8,9 +8,9 @@ interned `make_field(p, n)`, the one place that derives arithmetic from the
 modulus: its modulus, its cached matrix rows and its multiplication.
 
 Both kernels use Python ints as wide registers: a packed int holds one W-bit
-slot per value, and `_slot_barrett` reduces every slot mod p at once with
-one Barrett step (the argument and the slot bound it needs are in its
-docstring).
+slot per value, with the field module's slot arithmetic: `_slot_barrett`
+reduces every slot mod p in one Barrett step, and `_Packed` multiplies and
+inverts elements one slot per digit (their docstrings hold the bounds).
 
 `perm_scan` decides bijectivity from one representative per coset x + F_p
 (p^{n-1} evaluations instead of p^n) and returns exactly what the
@@ -49,7 +49,7 @@ import functools
 from array import array
 from itertools import islice
 
-from .field import Elem, make_field, pdivmod, trace_rel
+from .field import Elem, make_field, trace_rel
 
 BACKEND = "pure"
 
@@ -71,117 +71,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _slot_barrett(p, bound, slots, min_bits=0):
-    """The one packed-slot reduction: reduce every slot of a packed int mod p
-    in one Barrett step.
-
-    The int has `slots` slots of W bits and every slot is below `bound`.
-    Returns (W, unit, reduce): W is at least min_bits and a whole number of
-    bytes, unit has a 1 in the lowest bit of every slot, and reduce(S) is S
-    with every slot reduced mod p,
-
-        S - p * (((S * mu) >> sh) & mask).
-
-    With sh = bitlen(B) + bitlen(p) and mu = ceil(2^sh / p) = (2^sh + e)/p,
-    e < p, a slot s < B has s*mu/2^sh = s/p + s*e/(p*2^sh) and
-    s*e < B*p <= 2^sh, so floor(s*mu / 2^sh) = floor(s/p).  As
-    s*mu < B*2^sh <= 2^W when W >= sh + bitlen(B), the products stay in
-    their slots, and masking the shifted int with mask = 2^(W - sh) - 1 per
-    slot keeps each slot's quotient Q and drops the bits that slide in from
-    the slot above.  S - p*Q is then every slot mod p, with no borrow.
-    """
-    sh = bound.bit_length() + p.bit_length()
-    mu = -(-(1 << sh) // p)
-    wb = (max(sh + bound.bit_length(), min_bits) + 7) // 8
-    unit = int.from_bytes((b"\x01" + bytes(wb - 1)) * slots, "little")
-    mask = unit * ((1 << (8 * wb - sh)) - 1)
-
-    def reduce(s):
-        return s - p * (((s * mu) >> sh) & mask)
-
-    return 8 * wb, unit, reduce
-
-
-class _Packed:
-    """F_{p^n} on packed ints: digit i of an element sits in the W-bit slot i.
-
-    An element is canonical when every slot is below p; `mul` and `inv`
-    return canonical elements.  mul(a, b, add) is a*b + add for a canonical
-    a, b with slots up to bmax (b need not be reduced mod p) and a canonical
-    add.  It takes three int products:
-
-    * Kronecker substitution: the int product a*b is the polynomial product
-      with coefficient k in slot k, each below n*(p-1)*bmax + 1; one
-      Barrett step makes it c = c0 + X^n c1 with canonical slots.
-    * Polynomial Barrett reduction by the monic modulus m: with
-      mu_m = floor(X^(2n) / m), the quotient of c by m is exactly
-      floor(c1 * mu_m / X^n), a shift by n slots (a polynomial has no
-      rounding error: X^(2n) = mu_m*m + r with deg r < n gives
-      c*X^n = c1*mu_m*m + c1*r + c0*X^n, whose last two terms are below
-      X^(2n) and so leave the quotient's part above X^n alone).  Its slots
-      are reduced only mod p later, below (n-1)*(p-1)^2 + 1.
-    * The remainder c - quot*m only needs the n low slots: c0 + add plus the
-      low slots of quot * (-m mod p), each below (n-1)^2*(p-1)^3 + 2p - 1,
-      and a second Barrett step makes it canonical.
-
-    W is the width for the larger of the two slot bounds, and at least
-    min_bits.  For n = 1 (modulus None) the modulus is X: F_p = F_p[X]/(X).
-    """
-
-    def __init__(self, field, bmax, min_bits=0):
-        p, n = field.p, field.n
-        modulus = field.modulus or (0, 1)
-        bound = max(n * (p - 1) * bmax, (n - 1) ** 2 * (p - 1) ** 3 + 2 * (p - 1)) + 1
-        w, _, self.reduce = _slot_barrett(p, bound, 2 * n, min_bits)
-        self.p, self.n, self.w = p, n, w
-        self.smask = (1 << w) - 1
-        self.low = (1 << (w * n)) - 1
-        self.modulus = self.pack(modulus)
-        self.mneg = self.pack(-c % p for c in modulus[:n])
-        self.mu_m = self.pack(pdivmod([0] * (2 * n) + [1], list(modulus), p)[0])
-
-    def pack(self, digits):
-        return sum(d << (self.w * i) for i, d in enumerate(digits))
-
-    def mul(self, a, b, add=0):
-        reduce, nw, low = self.reduce, self.w * self.n, self.low
-        c = reduce(a * b)
-        quot = ((c >> nw) * self.mu_m) >> nw
-        return reduce((c & low) + add + ((quot * self.mneg) & low))
-
-    def inv(self, a):
-        """1/a by extended Euclid on packed polynomials.
-
-        Keeps t0*a = r0 and t1*a = r1 (mod m) and cancels the leading
-        coefficient of the remainder of larger degree with the other one,
-        until r1 is a nonzero constant (m is irreducible and a is nonzero,
-        so the gcd is 1); then 1/a = t1/r1.  Each step lowers
-        deg r0 + deg r1 < 2n, so 2n steps always suffice.
-        """
-        if not a:
-            raise ZeroDivisionError("inversion of zero")
-        p, w, reduce = self.p, self.w, self.reduce
-        r0, r1, t0, t1 = self.modulus, a, 0, 1
-        d0, d1 = self.n, (a.bit_length() - 1) // w
-        for _ in range(2 * self.n):
-            if d1 <= 0:
-                return reduce(t1 * pow(r1, -1, p))
-            c = p - (r0 >> (w * d0)) * pow(r1 >> (w * d1), -1, p) % p
-            s = w * (d0 - d1)
-            r0 = reduce(r0 + (c * r1 << s))
-            t0 = reduce(t0 + (c * t1 << s))
-            d0 = (r0.bit_length() - 1) // w
-            if d0 < d1:
-                r0, r1, t0, t1, d0, d1 = r1, r0, t1, t0, d1, d0
-        raise RuntimeError("extended Euclid did not end (implementation bug)")
-
-
 @functools.lru_cache(maxsize=8)
 def _scan_packing(field):
     """The `_Packed` arithmetic of the scans over `field`, built once per
     field: slots hold an unreduced denominator digit, up to
     bmax = (p-1)*(1 + (n-1)*(p-1)) (see `_image_blocks`), and a block
-    index, below p^(n-1)."""
+    index, below p^(n-1).  `_Packed` is imported here from the field
+    module, its one home, so this module holds no second name for it."""
+    from .field import _Packed
+
     p, n = field.p, field.n
     bmax = (p - 1) * (1 + (n - 1) * (p - 1))
     return _Packed(field, bmax, (p ** (n - 1) - 1).bit_length())
@@ -218,7 +116,7 @@ def _image_blocks(field, d, b_digits):
     bshift = w * (n - 1)
 
     xd = [0] * n
-    x, den = 0, pk.pack(c % p for c in b_digits)
+    x, den = 0, pk.pack([c % p for c in b_digits])
     size, left = _CHUNK_FIRST, blocks
     while left:
         size = min(size, left)
@@ -271,17 +169,10 @@ def perm_scan(p, n, d, b_digits):
     evaluated, with a bitset of image blocks; f permutes iff no image block
     repeats.
 
-    For p = 2, 3, `_sliced.image_blocks` evaluates them bit-sliced, a chunk
-    of up to `_sliced._LANE_CAP` representatives per big-int operation.  For
-    p >= 5, `_image_blocks` evaluates them on packed ints: the denominators
-    of consecutive representatives are inverted in chunks by Montgomery's
-    batch inversion (3 multiplications per representative, one
-    extended-Euclid inversion per chunk), and chunks start at _CHUNK_FIRST
-    representatives and double up to _CHUNK_CAP.  Every slot stays below the
-    bound of `_Packed` (n*(p-1)*bmax + 1 for a product, with bmax the
-    largest slot of an unreduced denominator, and (n-1)^2*(p-1)^3 + 2p - 1
-    for a remainder), so one `_slot_barrett` step reduces all of its slots
-    mod p exactly.  Both generators yield the same (block, digit 0) stream.
+    For p = 2, 3 the representatives are evaluated bit-sliced
+    (`_sliced.image_blocks`), for p >= 5 on `_Packed` ints with Montgomery's
+    batch inversion (`_image_blocks`); both yield the same (block, digit 0)
+    stream, and the module docstring describes them.
 
     Returns the same (is_permutation, witness, evaluations) as the
     index-order full scan (`perm_scan_reference` in the tests).  The first

@@ -53,8 +53,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import backend
-from .field import (Elem, Field, make_field, padd, pgcd_monic, pmul, ppowmod, psub,
-                    ptrim)
+from .field import (Elem, Field, _slot_barrett, make_field, padd, pgcd_monic, pmul, ppowmod,
+                    psub, ptrim)
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
 
@@ -397,9 +397,9 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
     packs y^e mod p for every y and r_j = sum_i c_ij x^i mod p is read off
     one packed sum over every x, sum_i c_ij * plane[i].  Either sum has at
     most `width` terms, each a product of two values below p, so every slot
-    is below B = width*(p-1)^2 + 1 and one `_slot_barrett` step reduces all
-    of them mod p with no borrow.  (The kernel is imported at call time:
-    lemma22 and lemmaL load this module but count nothing.)
+    is below B = width*(p-1)^2 + 1 and one `_slot_barrett` step (from the
+    field module, so the census loads no kernel) reduces all of them mod p
+    with no borrow.
 
     The reduced slots are read as bytes: the low byte of each slot, or for
     p >= 256 its value from its nb = ceil(bitlen(p)/8) low bytes.  Bit h of
@@ -413,8 +413,6 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
     few points with a2 = 0 are solved one by one: filed under t = -a0/a1
     when a1 != 0, or under every t when a0 = a1 = 0, by sorted insertion.
     """
-    from ._kernel_py import _slot_barrett
-
     ak = [{ij: cs[k] for ij, cs in pencil.items()} for k in range(3)]  # A0, A1, A2
     rows = []  # A1, A2, D and A0, each as {j: [(i, c), ...]}
     for poly in (ak[1], ak[2], _discriminant(pencil, p), ak[0]):

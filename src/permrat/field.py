@@ -11,8 +11,14 @@ part, i.e. the constant coefficient varies fastest.  This makes every field,
 element index, and reported witness reproducible without a polynomial table.
 The search keeps that order and only sieves it: a candidate with a factor of
 degree at most n/2 is dropped by a distinct-degree test before Rabin's test
-confirms the first survivor.  Fields are cached and immutable, so they are
-safe to share across threads.
+confirms the first survivor.  Fields are interned and immutable, so they
+are safe to share across threads; a pickled or copied field is the same one.
+
+Polynomials over F_p are plain lists; elements multiply as packed ints, one
+W-bit slot per digit.  Each F_{p^n} with n >= 2 multiplies, inverts and
+powers on its one `_Packed`, and F_p on plain ints.  `_slot_barrett`
+reduces every slot mod p at once; it holds the slot bound argument that
+`_Packed`, the kernels and `curves` rely on.
 
 Subfields and traces are F_p-linear, so they are found by row reduction over
 F_p (`_row_reduce`), never by walking the field's elements.
@@ -148,21 +154,6 @@ def ppowmod(a, e, mod, p):
     return result
 
 
-def pinvmod(a, mod, p):
-    """Inverse of a modulo an irreducible `mod`, by extended Euclid."""
-    r0, r1 = list(mod), pdivmod(a, mod, p)[1]
-    if not r1:
-        raise ZeroDivisionError("inversion of zero")
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    # r0 is a nonzero constant because mod is irreducible and a is nonzero
-    c = pow(r0[0], p - 2, p)
-    return [x * c % p for x in t0]
-
-
 def is_irreducible(f, p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p.
 
@@ -228,13 +219,130 @@ def _row_reduce(rows, p: int, width: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Elements on packed ints.
+
+def _slot_barrett(p, bound, slots, min_bits=0):
+    """The one packed-slot reduction: reduce every slot of a packed int mod p
+    in one Barrett step.
+
+    The int has `slots` slots of W bits and every slot is below `bound`.
+    Returns (W, unit, reduce): W is at least min_bits and a whole number of
+    bytes, unit has a 1 in the lowest bit of every slot, and reduce(S) is S
+    with every slot reduced mod p,
+
+        S - p * (((S * mu) >> sh) & mask).
+
+    With sh = bitlen(B) + bitlen(p) and mu = ceil(2^sh / p) = (2^sh + e)/p,
+    e < p, a slot s < B has s*mu/2^sh = s/p + s*e/(p*2^sh) and
+    s*e < B*p <= 2^sh, so floor(s*mu / 2^sh) = floor(s/p).  As
+    s*mu < B*2^sh <= 2^W when W >= sh + bitlen(B), the products stay in
+    their slots, and masking the shifted int with mask = 2^(W - sh) - 1 per
+    slot keeps each slot's quotient Q and drops the bits that slide in from
+    the slot above.  S - p*Q is then every slot mod p, with no borrow.
+    """
+    sh = bound.bit_length() + p.bit_length()
+    mu = -(-(1 << sh) // p)
+    wb = (max(sh + bound.bit_length(), min_bits) + 7) // 8
+    unit = int.from_bytes((b"\x01" + bytes(wb - 1)) * slots, "little")
+    mask = unit * ((1 << (8 * wb - sh)) - 1)
+
+    def reduce(s):
+        return s - p * (((s * mu) >> sh) & mask)
+
+    return 8 * wb, unit, reduce
+
+
+class _Packed:
+    """F_{p^n} on packed ints: digit i of an element sits in the W-bit slot i.
+
+    An element is canonical when every slot is below p; `mul` and `inv`
+    return canonical elements.  mul(a, b, add) is a*b + add for a canonical
+    a, b with slots up to bmax (b need not be reduced mod p) and a canonical
+    add.  It takes three int products:
+
+    * Kronecker substitution: the int product a*b is the polynomial product
+      with coefficient k in slot k, each below n*(p-1)*bmax + 1; one
+      Barrett step makes it c = c0 + X^n c1 with canonical slots.
+    * Polynomial Barrett reduction by the monic modulus m: with
+      mu_m = floor(X^(2n) / m), the quotient of c by m is exactly
+      floor(c1 * mu_m / X^n), a shift by n slots (a polynomial has no
+      rounding error: X^(2n) = mu_m*m + r with deg r < n gives
+      c*X^n = c1*mu_m*m + c1*r + c0*X^n, whose last two terms are below
+      X^(2n) and so leave the quotient's part above X^n alone).  Its slots
+      are reduced only mod p later, below (n-1)*(p-1)^2 + 1.
+    * The remainder c - quot*m only needs the n low slots: c0 + add plus the
+      low slots of quot * (-m mod p), each below (n-1)^2*(p-1)^3 + 2p - 1,
+      and a second Barrett step makes it canonical.
+
+    W is the width for the larger of the two slot bounds, and at least
+    min_bits.  For n = 1 (modulus None) the modulus is X: F_p = F_p[X]/(X).
+    """
+
+    def __init__(self, field, bmax, min_bits=0):
+        p, n = field.p, field.n
+        modulus = field.modulus or (0, 1)
+        bound = max(n * (p - 1) * bmax, (n - 1) ** 2 * (p - 1) ** 3 + 2 * (p - 1)) + 1
+        w, _, self.reduce = _slot_barrett(p, bound, 2 * n, min_bits)
+        self.p, self.n, self.w = p, n, w
+        self.smask = (1 << w) - 1
+        self.low = (1 << (w * n)) - 1
+        self.modulus = self.pack(modulus)
+        self.mneg = self.pack([-c % p for c in modulus[:n]])
+        self.mu_m = self.pack(pdivmod([0] * (2 * n) + [1], list(modulus), p)[0])
+
+    def pack(self, digits):
+        """The packed int of a digit sequence, digit 0 in slot 0."""
+        w, s = self.w, 0
+        for d in reversed(digits):
+            s = s << w | d
+        return s
+
+    def unpack(self, a):
+        """The n digits of a canonical packed element, as a tuple."""
+        w, smask = self.w, self.smask
+        return tuple([a >> (w * i) & smask for i in range(self.n)])
+
+    def mul(self, a, b, add=0):
+        reduce, nw, low = self.reduce, self.w * self.n, self.low
+        c = reduce(a * b)
+        quot = ((c >> nw) * self.mu_m) >> nw
+        return reduce((c & low) + add + ((quot * self.mneg) & low))
+
+    def inv(self, a):
+        """1/a by extended Euclid on packed polynomials.
+
+        Keeps t0*a = r0 and t1*a = r1 (mod m) and cancels the leading
+        coefficient of the remainder of larger degree with the other one,
+        until r1 is a nonzero constant (m is irreducible and a is nonzero,
+        so the gcd is 1); then 1/a = t1/r1.  Each step lowers
+        deg r0 + deg r1 < 2n, so 2n steps always suffice.
+        """
+        if not a:
+            raise ZeroDivisionError("inversion of zero")
+        p, w, reduce = self.p, self.w, self.reduce
+        r0, r1, t0, t1 = self.modulus, a, 0, 1
+        d0, d1 = self.n, (a.bit_length() - 1) // w
+        for _ in range(2 * self.n):
+            if d1 <= 0:
+                return reduce(t1 * pow(r1, -1, p))
+            c = p - (r0 >> (w * d0)) * pow(r1 >> (w * d1), -1, p) % p
+            s = w * (d0 - d1)
+            r0 = reduce(r0 + (c * r1 << s))
+            t0 = reduce(t0 + (c * t1 << s))
+            d0 = (r0.bit_length() - 1) // w
+            if d0 < d1:
+                r0, r1, t0, t1, d0, d1 = r1, r0, t1, t0, d1, d0
+        raise RuntimeError("extended Euclid did not end (implementation bug)")
+
+
+# ---------------------------------------------------------------------------
 # Field contexts and elements.
 
 class Field:
     """The finite field F_{p^n}.  Construct via make_field, not directly."""
 
-    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_frob_cache", "_as_cache",
-                 "_trace_cache")
+    __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_packed", "_frob_cache",
+                 "_as_cache", "_trace_cache")
 
     def __init__(self, p: int, n: int, modulus):
         self.p = p
@@ -243,22 +351,20 @@ class Field:
         self.modulus = modulus  # tuple of n+1 coeffs, constant first; None if n == 1
         self.zero = Elem(self, (0,) * n)
         self.one = Elem(self, (1,) + (0,) * (n - 1))
+        self._packed = _Packed(self, p - 1) if n > 1 else None
         self._frob_cache = {}
         self._as_cache = {}  # level d -> artin_schreier_rows(d)
         self._trace_cache = {}  # level d -> row-reduced trace system, see first_elem_with_trace
+
+    def __reduce__(self):
+        # pickles and copies are the interned field, so a field equals only
+        # itself and compares and hashes by identity
+        return make_field, (self.p, self.n)
 
     def __repr__(self):
         if self.n == 1:
             return f"F({self.p})"
         return f"F({self.p}^{self.n})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
 
     def __iter__(self):
         return (self.element(i) for i in range(self.order))
@@ -292,32 +398,31 @@ class Field:
         return tuple(-x % p for x in a)
 
     def _mul(self, a, b):
-        p = self.p
-        if self.n == 1:
-            return (a[0] * b[0] % p,)
-        prod = pmul(list(a), list(b), p)
-        red = pdivmod(prod, list(self.modulus), p)[1]
-        return tuple(red) + (0,) * (self.n - len(red))
+        pk = self._packed
+        if pk is None:
+            return (a[0] * b[0] % self.p,)
+        return pk.unpack(pk.mul(pk.pack(a), pk.pack(b)))
 
     def _inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inversion of zero")
-        p = self.p
-        if self.n == 1:
-            return (pow(a[0], p - 2, p),)
-        iv = pinvmod(list(a), list(self.modulus), p)
-        return tuple(iv) + (0,) * (self.n - len(iv))
+        pk = self._packed
+        if pk is None:
+            if not a[0]:
+                raise ZeroDivisionError("inversion of zero")
+            return (pow(a[0], -1, self.p),)
+        return pk.unpack(pk.inv(pk.pack(a)))
 
     def _pow(self, a, e):
-        result = self.one.coeffs
-        base = a
+        pk = self._packed
+        if pk is None:
+            return (pow(a[0], e, self.p),)
+        mul, result, base = pk.mul, 1, pk.pack(a)
         while e:
             if e & 1:
-                result = self._mul(result, base)
+                result = mul(result, base)
             e >>= 1
             if e:
-                base = self._mul(base, base)
-        return result
+                base = mul(base, base)
+        return pk.unpack(result)
 
     def frobenius_rows(self, k: int):
         """Matrix rows of x -> x^{p^k}: row i is the image of the basis X^i."""

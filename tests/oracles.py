@@ -11,7 +11,8 @@ import random
 
 from permrat import curve_cases, curves
 from permrat.curves import BiPoly
-from permrat.field import frobenius, is_irreducible, make_field, pinvmod, ptrim, trace_rel
+from permrat.field import (frobenius, is_irreducible, make_field, pdivmod, pmul, ppowmod, psub,
+                           trace_rel)
 from permrat.maps import MapSpec, denominator, eval_f, trace_class_reps
 
 
@@ -45,23 +46,59 @@ def first_index_by_trace(p, n, d):
     return first
 
 
+def pinvmod(a, mod, p):
+    """Inverse of a modulo an irreducible `mod`, by extended Euclid on
+    coefficient lists: the reference for the packed inversion."""
+    r0, r1 = list(mod), pdivmod(a, mod, p)[1]
+    if not r1:
+        raise ZeroDivisionError("inversion of zero")
+    t0, t1 = [], [1]
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    # r0 is a nonzero constant because mod is irreducible and a is nonzero
+    c = pow(r0[0], p - 2, p)
+    return [x * c % p for x in t0]
+
+
+def _digits(ctx, poly):
+    """A coefficient list of degree below n as a digit tuple of ctx."""
+    return tuple(poly) + (0,) * (ctx.n - len(poly))
+
+
+def _modulus(ctx):
+    """The modulus of ctx as a coefficient list; F_p is F_p[X]/(X)."""
+    return list(ctx.modulus or (0, 1))
+
+
+def mul_reference(ctx, a, b):
+    """a*b on digit tuples: the list product, reduced by the modulus."""
+    p = ctx.p
+    return _digits(ctx, pdivmod(pmul(list(a), list(b), p), _modulus(ctx), p)[1])
+
+
+def inv_reference(ctx, a):
+    """1/a on digit tuples, by `pinvmod`."""
+    return _digits(ctx, pinvmod(list(a), _modulus(ctx), ctx.p))
+
+
+def pow_reference(ctx, a, e):
+    """a^e on digit tuples, by `ppowmod`."""
+    return _digits(ctx, ppowmod(list(a), e, _modulus(ctx), ctx.p))
+
+
 # ---------------------------------------------------------------------------
 # The full index-order scan that `_kernel_py.perm_scan` must agree with.
 
-def _invert_digits(w, modulus, p, n):
-    if n == 1:
-        return (pow(w[0], p - 2, p),)
-    iv = pinvmod(ptrim(list(w)), list(modulus), p)
-    return tuple(iv) + (0,) * (n - len(iv))
-
-
-def _image_index(p, n, modulus, frob_rows, b_digits):
+def _image_index(ctx, frob_rows, b_digits):
     """The map xd -> index of f(x) for f(x) = x + (phi(x) - x + b)^{-1}.
 
     phi is the linear map given by frob_rows (row i = image of basis X^i);
     xd is the digit vector of x.  Raises ValueError where the denominator
     vanishes.
     """
+    p, n = ctx.p, ctx.n
 
     def f_index(xd):
         t = [0] * n
@@ -73,7 +110,7 @@ def _image_index(p, n, modulus, frob_rows, b_digits):
         w = tuple((t[j] - xd[j] + b_digits[j]) % p for j in range(n))
         if not any(w):
             raise ValueError("denominator vanished; trace hypothesis violated")
-        iv = _invert_digits(w, modulus, p, n)
+        iv = inv_reference(ctx, w)
         yi = 0
         for j in range(n - 1, -1, -1):
             yi = yi * p + (xd[j] + iv[j]) % p
@@ -103,7 +140,7 @@ def perm_scan_reference(p, n, d, b_digits):
     both passes.
     """
     ctx = make_field(p, n)
-    f_index = _image_index(p, n, ctx.modulus, ctx.frobenius_rows(d), b_digits)
+    f_index = _image_index(ctx, ctx.frobenius_rows(d), b_digits)
     q = p ** n
     seen = bytearray((q >> 3) + 1)
     evals = 0

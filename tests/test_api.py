@@ -8,7 +8,7 @@ import pytest
 
 import permrat
 from permrat.field import make_field
-from permrat.maps import MapSpec, PermReport, is_permutation
+from permrat.maps import MapSpec, PermReport, eval_f, is_permutation, verify_witness
 
 # Names that once had a second home in the package namespace, by module.
 NAMES = {
@@ -24,12 +24,16 @@ NAMES = {
              "trace_class_reps", "verify_witness"],
 }
 
-# Helpers that only tests reached, and the layers the literal pencils of G and
-# H replaced; they are gone, or live in tests/oracles.py.
+# Helpers that only tests reached, the layers the literal pencils of G and H
+# replaced, and the list-based element inverse and the kernel's copy of the
+# packed arithmetic, which `field` now owns; they are gone, or live in
+# tests/oracles.py.
 GONE = {
     "curve_cases": ["_AUDITS"],
     "curves": ["audit_curve", "CurveReport", "_sextic_terms", "_pencil", "PencilTables",
                "pencil_tables", "off_pencil"],
+    "field": ["pinvmod"],
+    "_kernel_py": ["_Packed", "_slot_barrett"],
     "maps": ["conjugate_b", "difference_value"],
     "verify": ["conjugation_identity_mismatches"],
 }
@@ -86,6 +90,17 @@ def test_mapspec_value_semantics():
     with pytest.raises(AttributeError):
         spec.extra = 1
     assert pickle.loads(pickle.dumps(spec)) == spec and copy.copy(spec) == spec
+
+
+def test_pickled_and_copied_specs_reverify_their_witness():
+    f = make_field(5, 2)
+    spec = MapSpec(f, f.element(1))
+    witness = is_permutation(spec).witness
+    for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert other.field is f and other == spec
+        assert verify_witness(other, witness)
+        assert eval_f(other, witness[0]) == eval_f(spec, witness[0])
+    assert verify_witness(spec, pickle.loads(pickle.dumps(witness)))
 
 
 def test_mapspec_validation_errors():

@@ -1,11 +1,14 @@
 """Field construction, arithmetic, Frobenius, and trace machinery."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permrat.field import (
+    MAX_FIELD_ORDER,
     Elem,
     absolute_trace,
     first_elem_with_trace,
@@ -17,7 +20,8 @@ from permrat.field import (
     trace_rel,
 )
 
-from oracles import first_index_by_trace, first_irreducible_modulus, subfield_by_scan
+from oracles import (first_index_by_trace, first_irreducible_modulus, inv_reference,
+                     mul_reference, pow_reference, subfield_by_scan)
 
 
 def test_prime_field_has_no_modulus():
@@ -97,6 +101,37 @@ def test_inversion_of_zero_raises():
     f = make_field(5, 2)
     with pytest.raises(ZeroDivisionError):
         f.zero.inverse()
+
+
+# Fields at the 2^40 cap: the most slots (p = 2, 3) and the widest slots
+# (the largest primes with p^2 and p^3 at most 2^40).
+_CAP_FIELDS = [(2, 40), (3, 25), (1048573, 2), (10321, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_matches_list_reference_at_the_cap(data):
+    p, n = data.draw(st.sampled_from(_CAP_FIELDS))
+    ctx = make_field(p, n)
+    assert ctx.order <= MAX_FIELD_ORDER < p ** (n + 1)
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    a, b, e = data.draw(digits), data.draw(digits), data.draw(st.integers(0, ctx.order))
+    for a, b in ((a, b), ((p - 1,) * n, (p - 1,) * n)):
+        assert ctx._mul(a, b) == mul_reference(ctx, a, b)
+        assert ctx._pow(a, e) == pow_reference(ctx, a, e)
+        if any(a):
+            assert ctx._inv(a) == inv_reference(ctx, a)
+    with pytest.raises(ZeroDivisionError):
+        ctx._inv((0,) * n)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (2, 7)])
+def test_pickles_and_copies_of_a_field_are_the_interned_field(p, n):
+    f = make_field(p, n)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    x = f.element(f.order - 1)
+    assert pickle.loads(pickle.dumps(x)) * x == x * x
 
 
 def test_mixed_contexts_raise():

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from permrat import _count, _kernel_py, _sliced, backend
 from permrat.cli import main
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
-from permrat.field import (Elem, first_elem_with_trace, frobenius, is_prime, make_field,
-                           trace_rel)
+from permrat.field import (Elem, _Packed, first_elem_with_trace, frobenius, is_prime,
+                           make_field, trace_rel)
 from permrat.maps import MapSpec, is_permutation
 
-from oracles import perm_scan_reference
+from oracles import inv_reference, mul_reference, perm_scan_reference
 
 
 @pytest.mark.parametrize("p,n,b_index,d", [
@@ -337,28 +337,23 @@ _ALL_FIELDS = [(p, n) for p in range(2, 3001) if is_prime(p)
                for n in range(1, 12) if p ** n <= 3000]
 
 
-def _unpack(pk, a):
-    """The n slots of a packed element, digit 0 first."""
-    return tuple((a >> (pk.w * i)) & pk.smask for i in range(pk.n))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_packed_arithmetic_matches_field(data):
     p, n = data.draw(st.sampled_from(_ALL_FIELDS))
     ctx = make_field(p, n)
     bmax = (p - 1) * (1 + (n - 1) * (p - 1))  # the scan's unreduced denominators
-    pk = _kernel_py._Packed(ctx, bmax)
+    pk = _Packed(ctx, bmax)
     digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
     a, add = data.draw(digits), data.draw(digits)
     b_raw = data.draw(st.lists(st.integers(0, bmax), min_size=n, max_size=n))
     for a, add, b_raw in ((a, add, b_raw), ((p - 1,) * n, (p - 1,) * n, [bmax] * n)):
         b = tuple(c % p for c in b_raw)
         got = pk.mul(pk.pack(a), pk.pack(b_raw), pk.pack(add))
-        assert _unpack(pk, got) == ctx._add(ctx._mul(a, b), add)
-        assert got == pk.pack(_unpack(pk, got))  # canonical: every slot below p
+        assert pk.unpack(got) == ctx._add(mul_reference(ctx, a, b), add)
+        assert got == pk.pack(pk.unpack(got))  # canonical: n slots, each below p
         if any(a):
-            assert _unpack(pk, pk.inv(pk.pack(a))) == ctx._inv(a)
+            assert pk.unpack(pk.inv(pk.pack(a))) == inv_reference(ctx, a)
     with pytest.raises(ZeroDivisionError):
         pk.inv(0)
 

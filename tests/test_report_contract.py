@@ -10,9 +10,11 @@ the substitution identity for every p <= 13, and the progress files, before
 that identity was counted by one gcd instead of an element walk; the default
 `weil-audit` before its pencil census was evaluated packed; the p = 2, 3
 `count` builders and the default `lemma22` before G and H were written as
-literal pencils.  A report or progress file is a pure function of its
-configuration, so a change to any of these bytes is a change to the contract
-and must be declared, not absorbed.
+literal pencils; the colliding `permcheck` maps at p = 1019 and at level
+d = 2 before field elements were multiplied and inverted on packed ints.  A
+report or progress file is a pure function of its configuration, so a change
+to any of these bytes is a change to the contract and must be declared, not
+absorbed.
 """
 
 import hashlib
@@ -62,6 +64,11 @@ _PINNED = {
         "1705904a9419056d34a226cd7027a35e6efa4bb6341ab94208c8623084f489e2",
     "permcheck --p 5 --n 5 --b-trace 4":
         "501ec48aa91961cb615a233e3ce5a70ad3008cba3ed1b2c01fb62dd90c33e210",
+    # colliding maps: one at a wide-slot field, one at level d = 2
+    "permcheck --p 1019 --n 2 --b-index 3":
+        "40403117ea2c430f653957d2ce10fe0dd59a079babc14fff99d5b6a64d2445da",
+    "permcheck --p 7 --n 4 --frob-level 2 --b-index 5":
+        "aedab0cba6193fa5f22f178d66c8c279973fc3b76d176deaed66cdb6586d0030",
     # the collision scans at their default configurations
     "verify thm11":
         "5d872118a634230926be6d5c1c79bbe5edace1b74a06e488c57b578124c52b1c",
