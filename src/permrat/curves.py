@@ -53,7 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import backend
-from .field import (Elem, Field, _slot_barrett, make_field, padd, pgcd_monic, pmul, ppowmod,
+from .field import (Elem, Field, _Slots, make_field, padd, pgcd_monic, pmul, ppowmod,
                     psub, ptrim)
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
@@ -392,14 +392,14 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
     At each point the member's value a0 + t*a1 + t^2*a2 is a quadratic in t
     with discriminant a1^2 - 4*a0*a2, itself a polynomial D in (X, Y) built
     once per prime (`_discriminant`).  For each x the rows A1(x, .),
-    A2(x, .) and D(x, .) are evaluated packed, one W-bit slot per y, as in
-    `_count.count_zeros`: a row is sum_j r_j * plane[j], where plane[e]
-    packs y^e mod p for every y and r_j = sum_i c_ij x^i mod p is read off
-    one packed sum over every x, sum_i c_ij * plane[i].  Either sum has at
-    most `width` terms, each a product of two values below p, so every slot
-    is below B = width*(p-1)^2 + 1 and one `_slot_barrett` step (from the
-    field module, so the census loads no kernel) reduces all of them mod p
-    with no borrow.
+    A2(x, .) and D(x, .) are evaluated packed on the field module's
+    `_Slots`, one W-bit slot per y (so the census loads no kernel): a row is
+    sum_j r_j * plane[j], where plane[e] packs y^e mod p for every y and
+    r_j = sum_i c_ij x^i mod p is read off one packed sum over every x,
+    sum_i c_ij * plane[i].  Either sum has at most `width` terms, each a
+    product of two values below p, so every slot is below
+    B = width*(p-1)^2 + 1 and one `_slot_barrett` step reduces all of them
+    mod p with no borrow.
 
     The reduced slots are read as bytes: the low byte of each slot, or for
     p >= 256 its value from its nb = ceil(bitlen(p)/8) low bytes.  Bit h of
@@ -422,32 +422,12 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
                 by_j.setdefault(j, []).append((i, c))
         rows.append(by_j)
     width = max(len(ts) for by_j in rows for ts in (by_j, *by_j.values()))
-    w, unit, reduce = _slot_barrett(p, width * (p - 1) ** 2 + 1, p)
-    wb, h = w // 8, p.bit_length()
-    size, nb = p * wb, (h + 7) // 8
+    slots = _Slots(make_field(p), width * (p - 1) ** 2 + 1)
+    reduce, read, unit, wb, nb = slots.reduce, slots.read, slots.unit, slots.wb, slots.nb
+    h = p.bit_length()
     top, ones, low = unit << h, unit * ((1 << h) - 1), (1 << 8 * nb) - 1
-
-    def read(s):
-        """The p slots of a reduced packed int, in order."""
-        b = s.to_bytes(size, "little")
-        vals = b[::wb]
-        for k in range(1, nb):
-            vals = [v | c << 8 * k for v, c in zip(vals, b[k::wb])]
-        return vals
-
-    def pack(vals):
-        """The packed int with the p values (each below p) in its slots."""
-        buf = bytearray(size)
-        for k in range(nb):
-            buf[k::wb] = bytes(map((255).__and__, map((8 * k).__rrshift__, vals)))
-        return int.from_bytes(buf, "little")
-
     exps = {e for by_j in rows for j, ts in by_j.items() for e in (j, *(i for i, _ in ts))}
-    plane, powers = {}, [1] * p  # y^e for every y, 0^0 = 1
-    for e in range(max(exps, default=0) + 1):
-        if e in exps:
-            plane[e] = pack(powers)
-        powers = [v * y % p for y, v in enumerate(powers)]
+    plane = {e: pl for e, (pl,) in slots.planes(exps).items()}  # y^e for every y
     # per row: the planes of its js, and for every x the tuple of its r_j(x)
     packed = []
     for by_j in rows:
@@ -484,7 +464,7 @@ def _pencil_zeros(p: int, pencil: dict) -> tuple[tuple, ...]:
             file[(r + b) * i](c)  # b = -a1 mod p
             if r:
                 file[(b - r) * i](c)
-        flat = (nz ^ unit).to_bytes(size, "little")[::wb]  # 1 where a2 = 0
+        flat = (nz ^ unit).to_bytes(slots.size, "little")[::wb]  # 1 where a2 = 0
         y = flat.find(1)
         while y >= 0:
             a0 = sum(map(mul, r0[x], ypows[y])) % p

@@ -18,7 +18,10 @@ Polynomials over F_p are plain lists; elements multiply as packed ints, one
 W-bit slot per digit.  Each F_{p^n} with n >= 2 multiplies, inverts and
 powers on its one `_Packed`, and F_p on plain ints.  `_slot_barrett`
 reduces every slot mod p at once; it holds the slot bound argument that
-`_Packed`, the kernels and `curves` rely on.
+`_Packed`, the kernels and `curves` rely on.  Beside it, `_Slots` holds
+vectors with one slot per element of F_q: it packs and reads them and gives
+the power planes (digit k of z^e for every z), on which the count kernel and
+the pencil census of `curves` evaluate a polynomial along a whole line.
 
 Subfields and traces are F_p-linear, so they are found by row reduction over
 F_p (`_row_reduce`), never by walking the field's elements.
@@ -250,6 +253,68 @@ def _slot_barrett(p, bound, slots, min_bits=0):
         return s - p * (((s * mu) >> sh) & mask)
 
     return 8 * wb, unit, reduce
+
+
+class _Slots:
+    """Vectors over F_p with one W-bit slot per element z of F_q, at bit
+    z*W, for slots below `bound` (W, unit and reduce from `_slot_barrett`).
+    `pack` and `read` move q values below 2^(8*nb), nb = ceil(bitlen(p)/8),
+    through the bytes of the packed int; `_Packed` keeps its own Horner pack
+    and unpack, which move the n digits of one element on the `Field._mul`
+    hot path.
+    """
+
+    def __init__(self, field, bound):
+        self.field, q = field, field.order
+        self.w, self.unit, self.reduce = _slot_barrett(field.p, bound, q)
+        self.wb, self.nb = self.w // 8, (field.p.bit_length() + 7) // 8
+        self.size = q * self.wb
+
+    def pack(self, vals):
+        """The packed int with the q values in its slots."""
+        buf, wb = bytearray(self.size), self.wb
+        for k in range(self.nb):
+            buf[k::wb] = bytes(map((255).__and__, map((8 * k).__rrshift__, vals)))
+        return int.from_bytes(buf, "little")
+
+    def read(self, s):
+        """The q slots of a reduced packed int, in order: a bytes object
+        when nb = 1, else a list."""
+        b, wb = s.to_bytes(self.size, "little"), self.wb
+        vals = b[::wb]
+        for k in range(1, self.nb):
+            vals = [v | c << 8 * k for v, c in zip(vals, b[k::wb])]
+        return vals
+
+    def planes(self, exps):
+        """The power planes {e: [plane_0, .., plane_{n-1}]} for e in exps:
+        plane_k packs digit k of z^e for every z (0^0 = 1).  An exponent
+        e >= q folds to (e - 1) mod (q - 1) + 1, the same power at every z.
+        Each folded power is the product of the powers of floor(e/2) and
+        ceil(e/2), one product per element, and exponents share them."""
+        field, pk = self.field, self.field._packed
+        p, n, q = field.p, field.n, field.order
+        pw = {0: [1] * q, 1: list(range(p))}
+        for k in range(1, n):  # packed elements in index order
+            pw[1] = [a + (d << pk.w * k) for d in range(p) for a in pw[1]]
+
+        def power(e):
+            if e not in pw:
+                pw[e] = list(map(pk.mul if pk else lambda a, b: a * b % p,
+                                 power(e // 2), power(e - e // 2)))
+            return pw[e]
+
+        out = {}
+        for e in exps:
+            vals = power(e if e < q else (e - 1) % (q - 1) + 1)
+            if pk and self.nb == 1:  # digit k is the low byte of the element's slot k
+                step = pk.w // 8
+                raw = b"".join([a.to_bytes(n * step, "little") for a in vals])
+                vals = [raw[k * step::n * step] for k in range(n)]
+            else:
+                vals = list(zip(*map(pk.unpack, vals))) if pk else [vals]
+            out[e] = [self.pack(d) for d in vals]
+        return out
 
 
 class _Packed:

@@ -25,10 +25,12 @@ NAMES = {
 }
 
 # Helpers that only tests reached, the layers the literal pencils of G and H
-# replaced, and the list-based element inverse and the kernel's copy of the
-# packed arithmetic, which `field` now owns; they are gone, or live in
-# tests/oracles.py.
+# replaced, the list-based element inverse and the kernel's copy of the
+# packed arithmetic, which `field` now owns, and the count kernel's
+# discrete-log tables, which the power planes of `field._Slots` replaced;
+# they are gone, or live in tests/oracles.py.
 GONE = {
+    "_count": ["_field_tables"],
     "curve_cases": ["_AUDITS"],
     "curves": ["audit_curve", "CurveReport", "_sextic_terms", "_pencil", "PencilTables",
                "pencil_tables", "off_pencil"],

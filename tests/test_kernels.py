@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from permrat import _count, _kernel_py, _sliced, backend
 from permrat.cli import main
 from permrat.curves import BiPoly, collision_curve, criterion_sextic, symmetric_quartic
-from permrat.field import (Elem, _Packed, first_elem_with_trace, frobenius, is_prime,
+from permrat.field import (Elem, _Packed, _Slots, first_elem_with_trace, frobenius, is_prime,
                            make_field, trace_rel)
 from permrat.maps import MapSpec, is_permutation
 
@@ -358,30 +358,37 @@ def test_packed_arithmetic_matches_field(data):
         pk.inv(0)
 
 
-def _multiplicative_order(e):
-    k, cur = 1, e
-    while cur != 1:
-        k, cur = k + 1, cur * e
-    return k
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slots_read_inverts_pack(data):
+    # one-byte slots (p = 2, 251) and multi-byte slots (p = 257, 65537)
+    p = data.draw(st.sampled_from([2, 251, 257, 65537]))
+    bound = data.draw(st.integers(p, 6 * (p - 1) ** 2 + 1))  # every slot below it
+    slots = _Slots(make_field(p), bound)
+    vals = data.draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p)
+                     if p < 300 else st.just(list(range(p))))
+    packed = slots.pack(vals)
+    assert list(slots.read(packed)) == vals
+    assert slots.reduce(packed) == packed  # canonical: every slot below p
 
 
-def test_field_tables_match_elem_arithmetic():
-    # every F_{p^n} with q <= 729: ex and lg are inverse to each other, zech
-    # is the log of 1 + g^k, and g is the primitive element of smallest index
-    for p, n in [(p, n) for p, n in _ALL_FIELDS if p ** n <= 729]:
+def test_slots_planes_match_field_powers():
+    # every F_{p^n} with q <= 729, at exponents below, at and past q, and
+    # F_{257^2}, whose digits take two bytes, on every 101st element
+    for p, n in [(p, n) for p, n in _ALL_FIELDS if p ** n <= 729] + [(257, 2)]:
         f = make_field(p, n)
         q = f.order
-        ex, lg, zech = _count._field_tables(p, n)
-        g = Elem(f, ex[1] if q > 2 else ex[0])
-        assert len(ex) == q - 1 and len(lg) == q and lg[0] is None
-        cur = f.one
-        for k in range(q - 1):
-            assert ex[k] == cur.coeffs and lg[cur.index] == k
-            one_plus = cur + 1
-            assert (zech[k] is None if not one_plus else Elem(f, ex[zech[k]]) == one_plus)
-            cur = cur * g
-        assert cur == 1
-        assert all(_multiplicative_order(f.element(i)) < q - 1 for i in range(1, g.index))
+        exps = {0, 1, 2, p, q - 1, q, q + 1, 2 * q + 3, 99999999999999999999}
+        if q > 729:
+            exps = {0, 1, 2, q + 1}
+        slots = _Slots(f, n * (p - 1) ** 2 + 1)
+        planes = slots.planes(exps)
+        assert set(planes) == exps
+        sample = range(0, q, 1 if q <= 729 else 101)
+        for e in exps:
+            digits = list(zip(*map(slots.read, planes[e])))
+            assert [digits[z] for z in sample] == [
+                f._pow(f.element(z).coeffs, e) for z in sample], (p, n, e)
 
 
 # Every F_{p^n} with q <= 49: the packed count_zeros against a BiPoly.eval census.
@@ -408,7 +415,8 @@ def _kernel_count(poly, collect):
 def test_count_zeros_matches_eval_census(data):
     p, n = data.draw(st.sampled_from(_COUNT_FIELDS))
     f = make_field(p, n)
-    exps = st.tuples(st.integers(0, 2 * p + 1), st.integers(0, 2 * p + 1))
+    # past q, so exponents fold, and terms can fold onto one (i, j)
+    exps = st.tuples(st.integers(0, 3 * f.order + 1), st.integers(0, 3 * f.order + 1))
     coeff = st.integers(1, f.order - 1).map(f.element)
     poly = BiPoly(f, data.draw(st.dictionaries(exps, coeff, max_size=5)))
     count, zeros = _census(poly)

@@ -11,7 +11,10 @@ that identity was counted by one gcd instead of an element walk; the default
 `weil-audit` before its pencil census was evaluated packed; the p = 2, 3
 `count` builders and the default `lemma22` before G and H were written as
 literal pencils; the colliding `permcheck` maps at p = 1019 and at level
-d = 2 before field elements were multiplied and inverted on packed ints.  A
+d = 2 before field elements were multiplied and inverted on packed ints; the
+p = 257 `count`s and the F_{11^3} collision count before `count_zeros` gave
+up its discrete-log tables for packed power planes (no other pinned count
+reads slots two bytes wide, and none runs over F_{11^3}).  A
 report or progress file is a pure function of its configuration, so a change
 to any of these bytes is a change to the contract and must be declared, not
 absorbed.
@@ -116,6 +119,14 @@ _PINNED = {
         "f409839e40b9e53f9e75818754a180031c26a4878cf055d7937877f28afb6f7a",
     "verify lemma22":
         "737d8167467c309c17b953487def8c3d7d17357a31116b7f489caa702c832a15",
+    # counts whose slots are two bytes wide (p >= 256), and the collision
+    # curve over F_{11^3}
+    "count --p 257 --builtin G --tau 3":
+        "fb2f5e0c5b6c96b20482d87da075a36f7940baf6d76b227df61d97b38e36f0db",
+    "count --p 257 --builtin H --tau 3":
+        "6ddbf24426316fb7665f9d15f032cd599e40b3114edc4a7b6cb8e53a4c78624f",
+    "count --p 11 --n 3 --builtin F --b-trace 3":
+        "83c346f899ae6dd0f462abc5b0ac964d6e78bc5bf5594ba3d7e4808346c274ea",
 }
 
 _PINNED_PROGRESS = {
