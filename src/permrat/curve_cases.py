@@ -14,7 +14,7 @@ import functools
 from math import comb
 
 from . import curves
-from .field import make_field
+from .field import make_field, pmul
 
 
 def _curve_f_case(args: dict) -> dict:
@@ -174,8 +174,8 @@ def _lemma22_case(args: dict) -> dict:
         residual = (-2 - alpha * alpha - 2 * beta + 4 * t + t * t) % p
         consistent = eq10_ok and residual == 0
         sextic = curves._member(curves._SEXTIC, t, p)
-        a_x1 = curves.UniPoly(p, [sextic.get((i, 4 - i), 0) for i in range(5)])
-        root = curves.uni_square_root(a_x1)
+        a_x1 = [sextic.get((i, 4 - i), 0) for i in range(5)]
+        root = curves.uni_square_root(a_x1, p)
         expected_consistent = t == 1
         if consistent != expected_consistent or (root is not None) != expected_consistent:
             failures.append(t)
@@ -184,29 +184,30 @@ def _lemma22_case(args: dict) -> dict:
 
 def _lemmaL_case(args: dict) -> dict:
     """The gcd chain certifying Y^{p+1} - Y^2 + 4 has no repeated zeros."""
-    UniPoly, uni_gcd = curves.UniPoly, curves.uni_gcd
+    uni_gcd = curves.uni_gcd
     p = args["p"]
-    one = UniPoly(p, [1])
-    f = UniPoly.from_terms(p, {p + 1: 1, 2: -1, 0: 4})
-    deriv = curves.uni_derivative(f)
-    deriv_expected = UniPoly.from_terms(p, {p: 1, 1: -2})
-    y2p4 = UniPoly.from_terms(p, {2: 1, 0: 4})
+    pad = [0] * (p - 2)
+    f = [4 % p, 0, p - 1] + pad + [1]  # Y^{p+1} - Y^2 + 4
+    deriv = curves.uni_derivative(f, p)
+    deriv_expected = [0, p - 2] + pad + [1]  # Y^p - 2Y
+    ypow = [p - 2] + pad + [1]  # Y^{p-1} - 2
+    y2p4 = [4 % p, 0, 1]
     steps = {
         "derivative_form_ok": deriv == deriv_expected,
-        "gcd_f_fprime": uni_gcd(f, deriv) == one,
-        "gcd_f_ypm2y": uni_gcd(f, deriv_expected) == one,
-        "gcd_f_ypow": uni_gcd(f, UniPoly.from_terms(p, {p - 1: 1, 0: -2})) == one,
-        "gcd_y2p4_ypow": uni_gcd(y2p4, UniPoly.from_terms(p, {p - 1: 1, 0: -2})) == one,
+        "gcd_f_fprime": uni_gcd(f, deriv, p) == [1],
+        "gcd_f_ypm2y": uni_gcd(f, deriv_expected, p) == [1],
+        "gcd_f_ypow": uni_gcd(f, ypow, p) == [1],
+        "gcd_y2p4_ypow": uni_gcd(y2p4, ypow, p) == [1],
     }
     c_four = pow(-4 % p, (p - 1) // 2, p)
     c_sign = pow(p - 1, (p - 1) // 2, p)
     steps["const_reduction_ok"] = c_four == c_sign
     final_const = (c_sign - 2) % p
     steps["final_const_nonzero"] = final_const != 0
-    steps["gcd_final"] = uni_gcd(y2p4, UniPoly(p, [final_const])) == one
-    ypm1 = UniPoly.from_terms(p, {p - 1: 1, 0: -1})
-    radicand = ypm1 * (UniPoly.from_terms(p, {2: 1}) * ypm1 + UniPoly(p, [4]))
-    steps["radicand_squarefree"] = curves.is_squarefree(radicand)
+    steps["gcd_final"] = uni_gcd(y2p4, [final_const], p) == [1]
+    ypm1 = [p - 1] + pad + [1]  # Y^{p-1} - 1
+    radicand = pmul(ypm1, [4 % p, 0] + ypm1, p)  # (Y^{p-1} - 1)(Y^2 (Y^{p-1} - 1) + 4)
+    steps["radicand_squarefree"] = curves.is_squarefree(radicand, p)
     return {"steps": steps, "final_const": final_const, "pass": all(steps.values())}
 
 

@@ -41,6 +41,10 @@ are pure integer comparisons (squared inequalities, no floating point) that
 the curve cases run on these counts.  Since absolute irreducibility is
 not certified here, the audits are consistency checks, not proofs, and are
 labeled as such in reports.
+
+The univariate toolkit behind the lemma cases of curve_cases (uni_derivative,
+uni_gcd, is_squarefree, uni_square_root) works on `field`'s polynomial lists
+over F_p, with p passed alongside.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import backend
-from .field import (Elem, Field, _Slots, make_field, padd, pgcd_monic, pmul, ppowmod,
-                    psub, ptrim)
+from .field import Elem, Field, _Slots, make_field, pgcd_monic, pmul, ppowmod, psub, ptrim
 
 COUNT_BUDGET = 1 << 34  # cap on q^2 evaluation points
 
@@ -572,74 +575,40 @@ def phi_fibers(p: int, t: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Univariate toolkit over F_p (backs the gcd-chain and squarefreeness checks).
+# `field`'s list convention: coefficients in [0, p), constant term first, no
+# trailing zeros, [] for zero.
 
-class UniPoly:
-    """Dense univariate polynomial over F_p, constant term first."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        self.p = p
-        self.coeffs = tuple(ptrim([c % p for c in coeffs]))
-
-    @classmethod
-    def from_terms(cls, p: int, terms: dict) -> "UniPoly":
-        coeffs = [0] * (max(terms, default=0) + 1)
-        for e, c in terms.items():
-            coeffs[e] = c
-        return cls(p, coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __mul__(self, other):
-        return UniPoly(self.p, pmul(list(self.coeffs), list(other.coeffs), self.p))
-
-    def __add__(self, other):
-        return UniPoly(self.p, padd(list(self.coeffs), list(other.coeffs), self.p))
-
-    def __repr__(self):
-        return f"UniPoly(p={self.p}, coeffs={self.coeffs})"
+def uni_derivative(a: list[int], p: int) -> list[int]:
+    """The formal derivative of a; a and the result in `field`'s list convention."""
+    return ptrim([e * c % p for e, c in enumerate(a)][1:])
 
 
-def uni_derivative(a: UniPoly) -> UniPoly:
-    return UniPoly(a.p, [c * e for e, c in enumerate(a.coeffs)][1:])
+def uni_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, all in `field`'s list convention; gcd(a, []) is a
+    divided by its leading coefficient.  Both inputs zero is an error."""
+    return pgcd_monic(a, b, p)
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd; gcd(a, 0) is a divided by its leading coefficient.  Both
-    inputs zero is an error."""
-    if a.p != b.p:
-        raise ValueError("gcd of polynomials over different primes")
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    return UniPoly(a.p, pgcd_monic(list(a.coeffs), list(b.coeffs), a.p))
+def is_squarefree(a: list[int], p: int) -> bool:
+    """Whether a, nonzero and in `field`'s list convention, has no repeated
+    factor: gcd(a, a') = 1."""
+    return uni_gcd(a, uni_derivative(a, p), p) == [1]
 
 
-def is_squarefree(a: UniPoly) -> bool:
-    return uni_gcd(a, uni_derivative(a)) == UniPoly(a.p, [1])
-
-
-def uni_square_root(a: UniPoly) -> UniPoly | None:
-    """Monic square root, if one exists (odd p, monic even-degree input).
+def uni_square_root(a: list[int], p: int) -> list[int] | None:
+    """Monic square root of a, if one exists; [] for [].  a and the root are
+    in `field`'s list convention, and only a monic even-degree a can have one.
+    p must be odd (ValueError at p = 2).
 
     Matches coefficients of (X^m + r_{m-1} X^{m-1} + ...)^2 from the top
     down, then verifies; returns None when the final comparison fails.
     """
-    p = a.p
-    d = a.degree
+    if p == 2:
+        raise ValueError("uni_square_root requires an odd prime")
+    d = len(a) - 1
     if d < 0:
-        return UniPoly(p, [])
-    if d % 2 or a.coeffs[-1] != 1:
+        return []
+    if d % 2 or a[-1] != 1:
         return None
     m = d // 2
     r = [0] * (m + 1)
@@ -647,9 +616,8 @@ def uni_square_root(a: UniPoly) -> UniPoly | None:
     inv2 = pow(2, p - 2, p)
     for k in range(m - 1, -1, -1):
         s = sum(r[i] * r[m + k - i] for i in range(k + 1, m)) % p
-        r[k] = (a.coeffs[m + k] - s) * inv2 % p
-    cand = UniPoly(p, r)
-    return cand if cand * cand == a else None
+        r[k] = (a[m + k] - s) * inv2 % p
+    return r if pmul(r, r, p) == a else None
 
 
 # ---------------------------------------------------------------------------

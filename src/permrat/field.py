@@ -86,15 +86,6 @@ def ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def padd(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return ptrim(out)
-
-
 def psub(a, b, p):
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):

@@ -13,7 +13,7 @@ from permrat.maps import MapSpec, PermReport, eval_f, is_permutation, verify_wit
 # Names that once had a second home in the package namespace, by module.
 NAMES = {
     "backend": ["backend_name", "have_compiled"],
-    "curves": ["BiPoly", "UniPoly", "affine_zeros", "collision_curve", "count_affine",
+    "curves": ["BiPoly", "affine_zeros", "collision_curve", "count_affine",
                "count_infinity", "criterion_sextic", "homogenization_quartic",
                "is_squarefree", "parse_bipoly", "phi_fibers", "symmetric_quartic",
                "uni_derivative", "uni_gcd", "uni_square_root", "weil_lower_check",
@@ -27,14 +27,15 @@ NAMES = {
 # Helpers that only tests reached, the layers the literal pencils of G and H
 # replaced, the list-based element inverse and the kernel's copy of the
 # packed arithmetic, which `field` now owns, and the count kernel's
-# discrete-log tables, which the power planes of `field._Slots` replaced;
-# they are gone, or live in tests/oracles.py.
+# discrete-log tables, which the power planes of `field._Slots` replaced, and
+# the univariate polynomial class with its one-caller sum, whose toolkit now
+# takes `field`'s coefficient lists; they are gone, or live in tests/oracles.py.
 GONE = {
     "_count": ["_field_tables"],
     "curve_cases": ["_AUDITS"],
     "curves": ["audit_curve", "CurveReport", "_sextic_terms", "_pencil", "PencilTables",
-               "pencil_tables", "off_pencil"],
-    "field": ["pinvmod"],
+               "pencil_tables", "off_pencil", "UniPoly"],
+    "field": ["pinvmod", "padd"],
     "_kernel_py": ["_Packed", "_slot_barrett"],
     "maps": ["conjugate_b", "difference_value"],
     "verify": ["conjugation_identity_mismatches"],
@@ -61,7 +62,6 @@ def test_package_exposes_only_its_version():
         for name in names:
             assert not hasattr(mod, name), name
     assert not hasattr(importlib.import_module("permrat.curves").BiPoly, "swap_vars")
-    assert not hasattr(importlib.import_module("permrat.curves").UniPoly, "monic")
 
 
 def test_submodules_still_import_from_the_package():

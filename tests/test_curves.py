@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from permrat import curves
 from permrat.curves import (
     BiPoly,
-    UniPoly,
     affine_zeros,
     collision_curve,
     count_affine,
@@ -24,7 +23,7 @@ from permrat.curves import (
     weil_lower_check,
     weil_upper_check,
 )
-from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field
+from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field, pmul
 from permrat.curve_cases import (_curve_gh_case, _ident_eq28_case, _ident_subst_case,
                                  _symmetric_expansion)
 
@@ -728,43 +727,105 @@ def test_sextic_perturbed_at_every_t_fails_census_and_oracle_alike(monkeypatch,
 
 
 def test_uni_gcd_with_zero_is_monic():
-    a = UniPoly(7, [2, 0, 4])
-    assert uni_gcd(a, UniPoly(7, [])) == UniPoly(7, [4, 0, 1])  # a / 4, as 4 * 2 = 1 mod 7
+    a = [2, 0, 4]
+    assert uni_gcd(a, [], 7) == [4, 0, 1]  # a / 4, as 4 * 2 = 1 mod 7
     with pytest.raises(ValueError):
-        uni_gcd(UniPoly(7, []), UniPoly(7, []))
+        uni_gcd([], [], 7)
 
 
 def test_squarefree_family():
     for p in (5, 7, 11, 13, 97):
-        f = UniPoly.from_terms(p, {p + 1: 1, 2: -1, 0: 4})
-        assert is_squarefree(f)
+        f = [4, 0, p - 1] + [0] * (p - 2) + [1]  # Y^{p+1} - Y^2 + 4
+        assert is_squarefree(f, p)
 
 
 def test_final_chain_constant():
     for p in (5, 7, 97):
         c = (pow(p - 1, (p - 1) // 2, p) - 2) % p
         assert c != 0
-        assert uni_gcd(UniPoly(p, [4, 0, 1]), UniPoly(p, [c])) == UniPoly(p, [1])
+        assert uni_gcd([4, 0, 1], [c], p) == [1]
 
 
 def test_uni_derivative():
-    a = UniPoly(5, [1, 2, 3, 4])  # 1 + 2Y + 3Y^2 + 4Y^3
-    assert uni_derivative(a) == UniPoly(5, [2, 6, 12])
+    a = [1, 2, 3, 4]  # 1 + 2Y + 3Y^2 + 4Y^3 over F_5
+    assert uni_derivative(a, 5) == [2, 1, 2]
+    assert uni_derivative([3, 0, 0, 0, 0, 1], 5) == []  # Y^5 + 3 has derivative 5Y^4 = 0
 
 
 def test_uni_square_root():
     p = 13
-    r = UniPoly(p, [3, 5, 1])
-    assert uni_square_root(r * r) == r
-    assert uni_square_root(UniPoly(p, [1, 1, 0, 0, 1])) is None
+    r = [3, 5, 1]
+    assert uni_square_root(pmul(r, r, p), p) == r
+    assert uni_square_root([1, 1, 0, 0, 1], p) is None
     # the t = 1 quartic is a perfect square, t = 4 is not
     f = make_field(p, 1)
     a1 = homogenization_quartic(f, 1).int_terms()
     coeffs1 = [a1.get((i, 4 - i), 0) for i in range(5)]
-    assert uni_square_root(UniPoly(p, coeffs1)) == UniPoly(p, [1, -1, 1])
+    assert uni_square_root(coeffs1, p) == [1, p - 1, 1]
     a4 = homogenization_quartic(f, 4).int_terms()
     coeffs4 = [a4.get((i, 4 - i), 0) for i in range(5)]
-    assert uni_square_root(UniPoly(p, coeffs4)) is None
+    assert uni_square_root(coeffs4, p) is None
+
+
+def test_uni_square_root_refuses_characteristic_two():
+    # (X + 1)^2 = X^2 + 1 and (X^2 + 1)^2 = X^4 + 1 over F_2, but halving the
+    # cross terms needs 2 to be invertible
+    for square in ([1, 0, 1], [1, 0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="odd prime"):
+            uni_square_root(square, 2)
+
+
+_UNI_PRIMES = (3, 5, 7, 13, 97)
+
+
+def _polys(p, min_degree=0, max_degree=6, monic=False):
+    """Lists in `field`'s convention of degree in [min_degree, max_degree]."""
+    lead = st.just(1) if monic else st.integers(1, p - 1)
+    body = st.lists(st.integers(0, p - 1), min_size=min_degree, max_size=max_degree)
+    return st.builds(lambda low, top: low + [top], body, lead)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_uni_square_root_recovers_monic_roots(data):
+    p = data.draw(st.sampled_from(_UNI_PRIMES))
+    r = data.draw(_polys(p, monic=True))
+    assert uni_square_root(pmul(r, r, p), p) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_uni_square_root_returns_only_square_roots(data):
+    p = data.draw(st.sampled_from(_UNI_PRIMES))
+    a = data.draw(st.one_of(st.just([]), _polys(p, max_degree=8)))
+    root = uni_square_root(a, p)
+    if root is not None:
+        assert pmul(root, root, p) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_squarefree_on_squares_and_split_products(data):
+    p = data.draw(st.sampled_from(_UNI_PRIMES))
+    f = data.draw(_polys(p, min_degree=1, max_degree=4))
+    assert not is_squarefree(pmul(f, f, p), p)
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 6),
+                               unique=True))
+    product = [1]
+    for root in roots:
+        product = pmul(product, [-root % p, 1], p)
+    assert is_squarefree(product, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_uni_gcd_scales_by_a_common_factor(data):
+    p = data.draw(st.sampled_from(_UNI_PRIMES))
+    a = data.draw(st.one_of(st.just([]), _polys(p)))
+    b = data.draw(_polys(p) if not a else st.one_of(st.just([]), _polys(p)))
+    c = data.draw(_polys(p, max_degree=4))
+    c_monic = pmul(c, [pow(c[-1], p - 2, p)], p)
+    assert uni_gcd(pmul(a, c, p), pmul(b, c, p), p) == pmul(c_monic, uni_gcd(a, b, p), p)
 
 
 # ---------------------------------------------------------------------------

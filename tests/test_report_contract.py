@@ -14,7 +14,10 @@ literal pencils; the colliding `permcheck` maps at p = 1019 and at level
 d = 2 before field elements were multiplied and inverted on packed ints; the
 p = 257 `count`s and the F_{11^3} collision count before `count_zeros` gave
 up its discrete-log tables for packed power planes (no other pinned count
-reads slots two bytes wide, and none runs over F_{11^3}).  A
+reads slots two bytes wide, and none runs over F_{11^3}); the default
+`lemmaL` before the univariate toolkit moved from its polynomial class to
+`field`'s coefficient lists (the `curves` benchmark workload runs it at its
+defaults, up to p = 97, and `--p-max 13` reaches only the small primes).  A
 report or progress file is a pure function of its configuration, so a change
 to any of these bytes is a change to the contract and must be declared, not
 absorbed.
@@ -104,7 +107,7 @@ _PINNED = {
     "weil-audit":
         "0bb9fb6b726dd1ad193c05b7bfb23cda497c2cf8c6bdf3a1bf4b2d3e58db1f61",
     # the curve builders in characteristic 2 and 3, which the pencil census
-    # never reads, and lemma22 at its defaults
+    # never reads, and lemma22 and lemmaL at their defaults
     "count --builtin G --p 2 --tau 1":
         "054c6f1adb1f2abd5f13ebaf2ee1515f3eb295b4e2226b547ecd17d364e00f6c",
     "count --builtin H --p 2 --tau 1":
@@ -119,6 +122,8 @@ _PINNED = {
         "f409839e40b9e53f9e75818754a180031c26a4878cf055d7937877f28afb6f7a",
     "verify lemma22":
         "737d8167467c309c17b953487def8c3d7d17357a31116b7f489caa702c832a15",
+    "verify lemmaL":
+        "d01aad72298ed61c952feb098d176c2234f1834e5d57036fef68917240300fa1",
     # counts whose slots are two bytes wide (p >= 256), and the collision
     # curve over F_{11^3}
     "count --p 257 --builtin G --tau 3":
