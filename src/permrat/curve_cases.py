@@ -4,8 +4,9 @@ verify's case table loads this module the first time it runs one of these
 kinds, so only weil-audit, lemma22 and lemmaL compile it: the permutation
 campaigns and `count` never do.  Like verify's own cases, each takes a plain
 dict and returns a plain dict, so it can cross a process boundary and land in
-a progress file unchanged.  The curves are reached through the `curves`
-module at call time, so a wrapped or replaced builder is the one that runs.
+a progress file unchanged.  The curve_f, eq28 and subst cases reach the
+builders through the `curves` module at call time, so a wrapped or replaced
+builder is the one that runs; the GH cases read the pencils' census.
 """
 
 from __future__ import annotations
@@ -73,19 +74,10 @@ def _gh_audit(p: int, t: int) -> dict:
 
 
 def _curve_gh_case(args: dict) -> dict:
-    """G and H at one tau, audited at the t read off G (its X^4 Y^2
-    coefficient is -t).  Curves that are not the pencils' members at that t
-    raise RuntimeError; the members depend on tau only through t = tau^2, so
-    tau and p - tau read one audit, _gh_audit(p, t)."""
+    """G and H at one tau: the pencils' members at t = tau^2, read from their
+    census, so tau and p - tau read one audit, _gh_audit(p, t)."""
     p, tau = args["p"], args["tau"]
-    ctx = make_field(p, 1)
-    g = curves.criterion_sextic(ctx, tau).int_terms()
-    h = curves.symmetric_quartic(ctx, tau).int_terms()
-    t = -g.get((4, 2), 0) % p
-    for name, terms, pencil in (("sextic", g, curves._SEXTIC), ("quartic", h, curves._QUARTIC)):
-        if terms != curves._member(pencil, t, p):
-            raise RuntimeError(f"the {name} is not the pencil's member at t = {t}")
-    res = _gh_audit(p, t)
+    res = _gh_audit(p, tau * tau % p)
     return {**res, "phi": {"p": p, "tau": tau, **res["phi"]}}
 
 

@@ -706,6 +706,8 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     on the trace matrix augmented by the identity, and each call only applies
     the recorded row operations to t.
     """
+    if d < 1 or ctx.n % d != 0:
+        raise ValueError(f"trace level {d} does not divide the extension degree {ctx.n}")
     if isinstance(t, int):
         t = ctx.from_int(t)
     elif t.field != ctx:

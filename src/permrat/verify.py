@@ -456,14 +456,13 @@ def verify_curve_bounds(p_max: int = 97, f_p: int = 5, f_degrees=(2, 3),
     census), the symmetric-reduction identity, the substitution identity, and
     the tau^2 = 1 factorization.  Each case records its kind.
 
-    G and H depend on tau only through t = tau^2, so tau and p - tau build
-    the same two curves and read one audit of them, cached by (p, t), while
-    the cases, their keys and their records stay one per (p, tau).  Every
-    zero set and infinity count behind that audit comes from the per-prime
-    record curves.pencil_census, one pass per pencil for every tau of the
-    prime, and a prime's GH cases go to one pool worker as one group (see
-    run_cases).  Only the collision-curve and
-    eq. (28) cases count zeros with the kernel, and points at infinity are
+    G and H depend on tau only through t = tau^2, so tau and p - tau read
+    one audit, cached by (p, t), while the cases, their keys and their
+    records stay one per (p, tau).  Every zero set and infinity count behind
+    that audit comes from the per-prime record curves.pencil_census, one
+    pass per pencil for every tau of the prime, and a prime's GH cases go to
+    one pool worker as one group (see run_cases).  Only the collision-curve
+    and eq. (28) cases count zeros with the kernel, and points at infinity are
     counted by gcd only for the collision curves and for a pencil member of
     lower degree.  A collision-curve field, or a largest GH or eq. (28)
     prime, whose q^2 exceeds the counting budget is refused before any grid

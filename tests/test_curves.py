@@ -24,8 +24,7 @@ from permrat.curves import (
     weil_upper_check,
 )
 from permrat.field import first_elem_with_trace, frobenius, is_prime, make_field, pmul
-from permrat.curve_cases import (_curve_gh_case, _ident_eq28_case, _ident_subst_case,
-                                 _symmetric_expansion)
+from permrat.curve_cases import _ident_eq28_case, _ident_subst_case, _symmetric_expansion
 
 from oracles import (compose_symmetric, count_infinity_walk, eq28_pointwise_walk,
                      eq28_symbolic_per_tau, ident_subst_walk, kernel_zeros,
@@ -692,20 +691,6 @@ def test_pencil_tables_match_the_builders_on_perturbed_pencils(fresh_curve_cache
 def test_phi_census_matches_the_per_curve_oracle(p):
     for tau in range(1, p):
         assert phi_fibers(p, tau * tau % p) == phi_fibers_per_curve(*_gh(p, tau))
-
-
-def test_phi_refuses_curves_off_the_pencil(monkeypatch, fresh_curve_caches):
-    # a GH case audits only the pencils' members at the t it reads off G,
-    # and refuses any other pair before the census of its prime is built
-    g, h = _gh(13, 2)  # t = 4
-    bump = BiPoly(g.field, {(1, 0): 1})
-    for pair, name in (((g + bump, h), "sextic"), ((g, h + bump), "quartic"),
-                       ((g, _gh(13, 3)[1]), "quartic")):
-        monkeypatch.setattr(curves, "criterion_sextic", lambda ctx, tau, g=pair[0]: g)
-        monkeypatch.setattr(curves, "symmetric_quartic", lambda ctx, tau, h=pair[1]: h)
-        with pytest.raises(RuntimeError, match=f"^the {name} is not the pencil's member at t = 4$"):
-            _curve_gh_case({"p": 13, "tau": 2})
-    assert curves.pencil_census.cache_info().currsize == 0
 
 
 def test_sextic_perturbed_at_every_t_fails_census_and_oracle_alike(monkeypatch,

@@ -249,6 +249,18 @@ def test_first_elem_with_trace():
     assert got.index == 3  # the constant 3, trace 6 = 1
 
 
+@pytest.mark.parametrize("d", [0, 3, -1])
+def test_first_elem_with_trace_checks_its_level_first(d):
+    # a level that does not divide n is refused before the trace system of
+    # any level is reduced and cached
+    f = make_field(5, 4)
+    cached = set(f._trace_cache)
+    with pytest.raises(ValueError,
+                       match=f"^trace level {d} does not divide the extension degree 4$"):
+        first_elem_with_trace(f, 0, d)
+    assert set(f._trace_cache) == cached
+
+
 def test_first_elem_with_trace_when_trace_kills_constants():
     # 5 | 5 so every constant has trace 0 in F_{5^5}; a representative still exists
     f = make_field(5, 5)
