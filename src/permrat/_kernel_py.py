@@ -49,7 +49,7 @@ import functools
 from array import array
 from itertools import islice
 
-from .field import Elem, make_field, trace_rel
+from .field import _apply_rows, make_field
 
 BACKEND = "pure"
 
@@ -158,7 +158,8 @@ def perm_scan(p, n, d, b_digits):
     b is admissible when d | n and its level-d trace is nonzero, so that
     (additive Hilbert 90) the denominator never vanishes; `maps.MapSpec`
     admits no other b.  Any other b raises ValueError here, before a
-    generator runs.
+    generator runs, from the field's one cached level-d trace matrix
+    (`Field.trace_rows`) applied to b_digits.
 
     The generators read the denominator's rows (`Field.artin_schreier_rows`)
     from the interned `make_field(p, n)`.  x^(p^d) fixes F_p, so the
@@ -189,7 +190,7 @@ def perm_scan(p, n, d, b_digits):
     count: p^n for a permutation, else i1 + i2 + 2.
     """
     field = make_field(p, n)
-    if not trace_rel(Elem(field, tuple(c % p for c in b_digits)), d):
+    if not any(_apply_rows(field.trace_rows(d), b_digits, p)):
         raise ValueError("trace hypothesis violated: the level-%d trace of b is zero" % d)
     blocks = p ** (n - 1)
     if p <= 3:

@@ -23,8 +23,9 @@ vectors with one slot per element of F_q: it packs and reads them and gives
 the power planes (digit k of z^e for every z), on which the count kernel and
 the pencil census of `curves` evaluate a polynomial along a whole line.
 
-Subfields and traces are F_p-linear, so they are found by row reduction over
-F_p (`_row_reduce`), never by walking the field's elements.
+Frobenius powers, subfields and traces are F_p-linear: a field caches one
+matrix per map and level, applied to digits (`_apply_rows`) or row-reduced
+over F_p (`_row_reduce`), never found by walking the field's elements.
 """
 
 from __future__ import annotations
@@ -212,6 +213,16 @@ def _row_reduce(rows, p: int, width: int) -> list[int]:
     return pivots
 
 
+def _apply_rows(rows, digits, p: int) -> tuple:
+    """sum_i digits[i] * rows[i] mod p: a matrix whose row i is the image of
+    X^i, applied to an element's digits."""
+    out = [0] * len(rows)
+    for c, row in zip(digits, rows):
+        if c:
+            out = [a + c * r for a, r in zip(out, row)]
+    return tuple([a % p for a in out])
+
+
 # ---------------------------------------------------------------------------
 # Elements on packed ints.
 
@@ -395,7 +406,8 @@ class _Packed:
 # Field contexts and elements.
 
 class Field:
-    """The finite field F_{p^n}.  Construct via make_field, not directly."""
+    """The finite field F_{p^n}.  Construct via make_field, not directly.  It
+    caches one matrix per level d of the p^d-Frobenius, x^{p^d} - x and the trace."""
 
     __slots__ = ("p", "n", "order", "modulus", "zero", "one", "_packed", "_frob_cache",
                  "_as_cache", "_trace_cache")
@@ -410,7 +422,7 @@ class Field:
         self._packed = _Packed(self, p - 1) if n > 1 else None
         self._frob_cache = {}
         self._as_cache = {}  # level d -> artin_schreier_rows(d)
-        self._trace_cache = {}  # level d -> row-reduced trace system, see first_elem_with_trace
+        self._trace_cache = {}  # level d -> (trace_rows(d), its pivots, its row operations)
 
     def __reduce__(self):
         # pickles and copies are the interned field, so a field equals only
@@ -481,7 +493,8 @@ class Field:
         return pk.unpack(result)
 
     def frobenius_rows(self, k: int):
-        """Matrix rows of x -> x^{p^k}: row i is the image of the basis X^i."""
+        """Matrix rows of x -> x^{p^k}: row i is the image (X^{p^k})^i of the
+        basis X^i, from the packed arithmetic."""
         k %= self.n
         cached = self._frob_cache.get(k)
         if cached is not None:
@@ -490,13 +503,11 @@ class Field:
         if k == 0 or n == 1:
             rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         else:
-            xp = ppowmod([0, 1], self.p ** k, list(self.modulus), self.p)
-            row = [1]
-            rows_l = []
+            xp, row, rows = self._pow((0, 1) + (0,) * (n - 2), self.p ** k), self.one.coeffs, []
             for _ in range(n):
-                rows_l.append(tuple(row) + (0,) * (n - len(row)))
-                row = pdivmod(pmul(row, xp, self.p), list(self.modulus), self.p)[1]
-            rows = tuple(rows_l)
+                rows.append(row)
+                row = self._mul(row, xp)
+            rows = tuple(rows)
         self._frob_cache[k] = rows
         return rows
 
@@ -511,6 +522,38 @@ class Field:
             rows = self._as_cache[d] = tuple(
                 tuple((r - (i == j)) % p for j, r in enumerate(row))
                 for i, row in enumerate(self.frobenius_rows(d)))
+        return rows
+
+    def trace_rows(self, d: int):
+        """Matrix rows of the level-d trace x -> sum_{i < n/d} x^{p^{d i}}: row j
+        is the digit tuple of Tr_d(X^j).  Requires d | n.  At level 1 these
+        are the power sums s_j of the roots of the modulus
+        X^n + c_{n-1} X^{n-1} + ... + c_0, from Newton's identities
+        s_0 = n, s_k = -(k c_{n-k} + sum_{i<k} c_{n-i} s_{k-i}), in digit 0;
+        above, row j sums row j of the p^{d i}-Frobenius matrices.  Checked
+        once to be fixed by the p^d-Frobenius, which by linearity checks
+        every trace, and cached with its row reduction."""
+        cached = self._trace_cache.get(d)
+        if cached is not None:
+            return cached[0]
+        p, n = self.p, self.n
+        if d < 1 or n % d != 0:
+            raise ValueError(f"trace level {d} does not divide the extension degree {n}")
+        if d == 1:
+            c, s = self.modulus, [n % p]
+            for k in range(1, n):
+                s.append(-(k * c[n - k] + sum(c[n - i] * s[k - i] for i in range(1, k))) % p)
+            rows = tuple((sj,) + (0,) * (n - 1) for sj in s)
+        else:
+            frobs = [self.frobenius_rows(d * i) for i in range(n // d)]
+            rows = tuple(tuple(sum(col) % p for col in zip(*rs)) for rs in zip(*frobs))
+        frob = self.frobenius_rows(d)
+        if any(_apply_rows(frob, row, p) != row for row in rows):
+            raise RuntimeError("trace value not fixed by the subfield Frobenius")
+        # one equation per digit of the trace: [Tr(X^0)_i .. Tr(X^{n-1})_i | e_i]
+        system = [list(col) + [int(i == k) for k in range(n)] for i, col in enumerate(zip(*rows))]
+        pivots = _row_reduce(system, p, n)
+        self._trace_cache[d] = (rows, pivots, [row[n:] for row in system[:len(pivots)]])
         return rows
 
 
@@ -640,56 +683,19 @@ def frobenius(x: Elem, k: int = 1) -> Elem:
     if k < 0:
         raise ValueError("Frobenius power must be nonnegative")
     f = x.field
-    rows = f.frobenius_rows(k)
-    p, n = f.p, f.n
-    out = [0] * n
-    for i, ci in enumerate(x.coeffs):
-        if ci:
-            row = rows[i]
-            for j in range(n):
-                out[j] = (out[j] + ci * row[j]) % p
-    return Elem(f, tuple(out))
+    return Elem(f, _apply_rows(f.frobenius_rows(k), x.coeffs, f.p))
 
 
 def trace_rel(x: Elem, d: int = 1) -> Elem:
     """Relative trace onto the subfield of order p^d: sum of x^{p^{d*i}}.
-
-    Requires d | n.  The result is checked to be fixed by the p^d-Frobenius.
-    """
+    Requires d | n; applies the cached matrix `Field.trace_rows(d)`."""
     f = x.field
-    if d < 1 or f.n % d != 0:
-        raise ValueError(f"trace level {d} does not divide the extension degree {f.n}")
-    acc = x
-    cur = x
-    for _ in range(f.n // d - 1):
-        cur = frobenius(cur, d)
-        acc = acc + cur
-    if frobenius(acc, d) != acc:
-        raise RuntimeError("trace value not fixed by the subfield Frobenius")
-    return acc
+    return Elem(f, _apply_rows(f.trace_rows(d), x.coeffs, f.p))
 
 
 def absolute_trace(x: Elem) -> int:
     """Trace down to F_p, returned as an integer in [0, p)."""
     return trace_rel(x, 1).coeffs[0]
-
-
-def _trace_columns(ctx: Field, d: int) -> list[tuple]:
-    """Tr_d(X^j) for j = 0 .. n-1, as digit tuples.
-
-    At level 1 these are the power sums s_j of the roots of the modulus
-    X^n + c_{n-1} X^{n-1} + ... + c_0, from Newton's identities
-    s_0 = n, s_k = -(k c_{n-k} + sum_{i<k} c_{n-i} s_{k-i}); each lies in
-    F_p, so only digit 0 is nonzero.  Other levels sum the Frobenius orbit.
-    """
-    p, n = ctx.p, ctx.n
-    if d > 1:
-        return [trace_rel(ctx.element(p ** j), d).coeffs for j in range(n)]
-    c = ctx.modulus
-    s = [n % p]
-    for k in range(1, n):
-        s.append(-(k * c[n - k] + sum(c[n - i] * s[k - i] for i in range(1, k))) % p)
-    return [(sj,) + (0,) * (n - 1) for sj in s]
 
 
 def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
@@ -702,12 +708,11 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     That solution has the smallest index: two solutions differ by a kernel
     vector whose highest nonzero digit sits on a free column (a pivot column
     is independent of all earlier ones), where this solution has digit 0.
-    The reduction does not depend on t, so it runs once per field and level
-    on the trace matrix augmented by the identity, and each call only applies
-    the recorded row operations to t.
+    The system is `Field.trace_rows(d)`, the matrix `trace_rel` applies,
+    reduced once per field and level augmented by the identity; each call
+    only applies the recorded row operations to t.
     """
-    if d < 1 or ctx.n % d != 0:
-        raise ValueError(f"trace level {d} does not divide the extension degree {ctx.n}")
+    rows = ctx.trace_rows(d)
     if isinstance(t, int):
         t = ctx.from_int(t)
     elif t.field != ctx:
@@ -715,21 +720,13 @@ def first_elem_with_trace(ctx: Field, t, d: int = 1) -> Elem:
     if frobenius(t, d) != t:
         raise ValueError("trace target is not in the requested subfield")
     p, n = ctx.p, ctx.n
-    system = ctx._trace_cache.get(d)
-    if system is None:
-        cols = _trace_columns(ctx, d)
-        # one row per digit of the trace: [Tr(X^0)_i .. Tr(X^{n-1})_i | e_i]
-        rows = [[col[i] for col in cols] + [int(i == k) for k in range(n)] for i in range(n)]
-        pivots = _row_reduce(rows, p, n)
-        system = ctx._trace_cache[d] = (pivots, [row[n:] for row in rows[:len(pivots)]])
-    pivots, ops = system
+    _, pivots, ops = ctx._trace_cache[d]
     digits = [0] * n
     for j, op in zip(pivots, ops):
         digits[j] = sum(a * b for a, b in zip(op, t.coeffs)) % p
-    e = Elem(ctx, tuple(digits))
-    if trace_rel(e, d) != t:
+    if _apply_rows(rows, digits, p) != t.coeffs:
         raise RuntimeError("trace solve missed its target (implementation bug)")
-    return e
+    return Elem(ctx, tuple(digits))
 
 
 def subfield_elements(ctx: Field, d: int) -> list[Elem]:

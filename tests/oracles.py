@@ -11,8 +11,7 @@ import random
 
 from permrat import curve_cases, curves
 from permrat.curves import BiPoly
-from permrat.field import (frobenius, is_irreducible, make_field, pdivmod, pmul, ppowmod, psub,
-                           trace_rel)
+from permrat.field import frobenius, is_irreducible, make_field, pdivmod, pmul, ppowmod, psub
 from permrat.maps import MapSpec, denominator, eval_f, trace_class_reps
 
 
@@ -36,13 +35,30 @@ def subfield_by_scan(ctx, d):
     return [e for e in ctx if frobenius(e, d) == e]
 
 
+def trace_by_orbit(x, d=1):
+    """The level-d trace of x as the sum of its Frobenius orbit
+    x + x^{p^d} + x^{p^{2d}} + ..., each conjugate a power of the previous
+    one, and checked to be fixed by the p^d-Frobenius: the reference for the
+    trace matrix `Field.trace_rows`."""
+    f = x.field
+    if d < 1 or f.n % d != 0:
+        raise ValueError(f"trace level {d} does not divide the extension degree {f.n}")
+    acc = cur = x
+    for _ in range(f.n // d - 1):
+        cur = cur ** f.p ** d
+        acc = acc + cur
+    if acc ** f.p ** d != acc:
+        raise RuntimeError("trace value not fixed by the subfield Frobenius")
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def first_index_by_trace(p, n, d):
     """{index of t: index of the first element whose level-d trace is t},
-    from one index-order walk of F_{p^n} with `trace_rel`."""
+    from one index-order walk of F_{p^n} with `trace_by_orbit`."""
     first = {}
     for e in make_field(p, n):
-        first.setdefault(trace_rel(e, d).index, e.index)
+        first.setdefault(trace_by_orbit(e, d).index, e.index)
     return first
 
 

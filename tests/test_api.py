@@ -29,13 +29,15 @@ NAMES = {
 # packed arithmetic, which `field` now owns, and the count kernel's
 # discrete-log tables, which the power planes of `field._Slots` replaced, and
 # the univariate polynomial class with its one-caller sum, whose toolkit now
-# takes `field`'s coefficient lists; they are gone, or live in tests/oracles.py.
+# takes `field`'s coefficient lists, and the trace columns that the cached
+# trace matrix `Field.trace_rows` replaced; they are gone, or live in
+# tests/oracles.py.
 GONE = {
     "_count": ["_field_tables"],
     "curve_cases": ["_AUDITS"],
     "curves": ["audit_curve", "CurveReport", "_sextic_terms", "_pencil", "PencilTables",
                "pencil_tables", "off_pencil", "UniPoly"],
-    "field": ["pinvmod", "padd"],
+    "field": ["pinvmod", "padd", "_trace_columns"],
     "_kernel_py": ["_Packed", "_slot_barrett"],
     "maps": ["conjugate_b", "difference_value"],
     "verify": ["conjugation_identity_mismatches"],

@@ -21,7 +21,7 @@ from permrat.field import (
 )
 
 from oracles import (first_index_by_trace, first_irreducible_modulus, inv_reference,
-                     mul_reference, pow_reference, subfield_by_scan)
+                     mul_reference, pow_reference, subfield_by_scan, trace_by_orbit)
 
 
 def test_prime_field_has_no_modulus():
@@ -251,14 +251,34 @@ def test_first_elem_with_trace():
 
 @pytest.mark.parametrize("d", [0, 3, -1])
 def test_first_elem_with_trace_checks_its_level_first(d):
-    # a level that does not divide n is refused before the trace system of
-    # any level is reduced and cached
+    # a level that does not divide n is refused before the trace matrix of
+    # any level, or a Frobenius matrix, is built and cached
     f = make_field(5, 4)
-    cached = set(f._trace_cache)
-    with pytest.raises(ValueError,
-                       match=f"^trace level {d} does not divide the extension degree 4$"):
-        first_elem_with_trace(f, 0, d)
-    assert set(f._trace_cache) == cached
+    cached = set(f._trace_cache), set(f._frob_cache)
+    for call in (lambda: first_elem_with_trace(f, 0, d), lambda: trace_rel(f.one, d)):
+        with pytest.raises(ValueError,
+                           match=f"^trace level {d} does not divide the extension degree 4$"):
+            call()
+        assert (set(f._trace_cache), set(f._frob_cache)) == cached
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 4, 2), (2, 6, 3), (5, 3, 1), (7, 2, 1)])
+def test_trace_matrix_is_checked_against_the_subfield_frobenius(p, n, d):
+    # fields are interned, so the level's Frobenius rows and trace matrix are
+    # put back afterwards for the tests that follow
+    f = make_field(p, n)
+    frob, trace = f.frobenius_rows(d), f._trace_cache.pop(d, None)
+    f._frob_cache[d] = ((0,) * n,) * n
+    try:
+        with pytest.raises(RuntimeError,
+                           match="^trace value not fixed by the subfield Frobenius$"):
+            trace_rel(f.one, d)
+        assert d not in f._trace_cache
+    finally:
+        f._frob_cache[d] = frob
+        if trace is not None:
+            f._trace_cache[d] = trace
+    assert trace_rel(f.one, d) == trace_by_orbit(f.one, d)
 
 
 def test_first_elem_with_trace_when_trace_kills_constants():
@@ -362,3 +382,25 @@ def test_first_elem_with_trace_matches_smallest_index_search(data):
         assert got.index == first[t]
         if d == 1:
             assert first_elem_with_trace(f, t) == got
+
+
+# Every F_{p^n} with q <= 2^10, 3^6, 5^4, 7^3 or 11^2.
+_TRACE_FIELDS = [(p, n) for p, top in ((2, 10), (3, 6), (5, 4), (7, 3), (11, 2))
+                 for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("p,n", _TRACE_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_trace_matrix_matches_frobenius_orbit(p, n, data):
+    # at every level: the trace of x, and the first element with that trace
+    f = make_field(p, n)
+    x = f.element(data.draw(st.integers(0, f.order - 1)))
+    for d in _divisors(n):
+        t = trace_by_orbit(x, d)
+        assert trace_rel(x, d) == t
+        if d == 1:
+            assert t.coeffs == (absolute_trace(x),) + (0,) * (n - 1)
+        first = first_index_by_trace(p, n, d)[t.index]
+        assert first <= x.index
+        assert first_elem_with_trace(f, t, d).index == first
