@@ -49,7 +49,7 @@ import functools
 from array import array
 from itertools import islice
 
-from .field import _apply_rows, make_field
+from .field import make_field
 
 BACKEND = "pure"
 
@@ -155,11 +155,9 @@ def perm_scan(p, n, d, b_digits):
     """Bijectivity of f(x) = x + (x^(p^d) - x + b)^{-1} over F_{p^n} by a
     quotient scan over the cosets x + F_p, for admissible b only.
 
-    b is admissible when d | n and its level-d trace is nonzero, so that
-    (additive Hilbert 90) the denominator never vanishes; `maps.MapSpec`
-    admits no other b.  Any other b raises ValueError here, before a
-    generator runs, from the field's one cached level-d trace matrix
-    (`Field.trace_rows`) applied to b_digits.
+    b is admissible when d | n and its level-d trace is nonzero, as in
+    `maps.MapSpec`; any other b raises ValueError here, before a generator
+    runs, from `Field.check_level` or `Field.check_trace_hypothesis`.
 
     The generators read the denominator's rows (`Field.artin_schreier_rows`)
     from the interned `make_field(p, n)`.  x^(p^d) fixes F_p, so the
@@ -190,8 +188,7 @@ def perm_scan(p, n, d, b_digits):
     count: p^n for a permutation, else i1 + i2 + 2.
     """
     field = make_field(p, n)
-    if not any(_apply_rows(field.trace_rows(d), b_digits, p)):
-        raise ValueError("trace hypothesis violated: the level-%d trace of b is zero" % d)
+    field.check_trace_hypothesis(b_digits, d)
     blocks = p ** (n - 1)
     if p <= 3:
         from ._sliced import image_blocks

@@ -22,7 +22,8 @@ PERMRAT_JOBS, or a campaign configuration that selects no cases.  So are a
 count flag that the chosen curve does not read, a reps report whose size
 p^d*n is above REPS_MAX_SIZE and a permcheck field of order above
 maps.HARD_SCAN_CAP (2^32); a scan campaign checks its largest field against
-that cap before it builds its grid.
+that cap before it builds its grid.  A bad level d or a b of level-d trace
+zero reads the one text of `Field.check_level` or `check_trace_hypothesis`.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _pick_b(ctx, args, d: int = 1):
 
 
 def _cmd_permcheck(args) -> tuple[dict, int]:
-    from .maps import MapSpec, is_permutation, witness_image
+    from .maps import MapSpec, is_permutation, witness_record
 
     ctx = make_field(args.p, args.n)
     d = args.frob_level
@@ -140,10 +141,7 @@ def _cmd_permcheck(args) -> tuple[dict, int]:
         "evaluations": report.evaluations,
     }
     if report.witness:
-        witness_image(spec, report.witness)  # re-verified, as a campaign does
-        x1, x2 = report.witness
-        out["witness"] = {"i1": x1.index, "i2": x2.index,
-                          "coeffs1": list(x1.coeffs), "coeffs2": list(x2.coeffs)}
+        out["witness"] = witness_record(spec, report.witness)[0]
     return out, 0
 
 
@@ -201,7 +199,8 @@ def _cmd_reps(args) -> tuple[dict, int]:
 
     ctx = make_field(args.p, args.n)
     d = args.d
-    if d >= 1 and args.n % d == 0 and args.p ** d * args.n > REPS_MAX_SIZE:
+    ctx.check_level(d)
+    if args.p ** d * args.n > REPS_MAX_SIZE:
         raise ValueError(f"reps prints about p^d*n/2 digits, and with p^d = {args.p}^{d} = "
                          f"{args.p ** d} and n = {args.n}, p^d*n = {args.p ** d * args.n} "
                          f"exceeds the bound {REPS_MAX_SIZE} (2^17)")

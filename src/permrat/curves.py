@@ -174,14 +174,12 @@ def collision_curve(ctx: Field, b: Elem) -> BiPoly:
     """(X^p - X + b)^2 + (Y^p - Y)(X^p - X + b) + 1 - Y^{p-1} over F_{p^n}.
 
     Zeros with y != 0 certify a collision f_b(x + y) = f_b(x).  Total degree
-    is exactly 2p with leading form X^{2p} + X^p Y^p.
+    is exactly 2p with leading form X^{2p} + X^p Y^p.  b must pass the map's
+    level-1 hypothesis check, `Field.check_trace_hypothesis`.
     """
-    from .field import absolute_trace
-
     if b.field != ctx:
         raise ValueError("b must live in the given field context")
-    if absolute_trace(b) == 0:
-        raise ValueError("collision curve requires a parameter with nonzero trace")
+    ctx.check_trace_hypothesis(b.coeffs)
     p = ctx.p
     z = BiPoly(ctx, {(p, 0): 1, (1, 0): -1 % p, (0, 0): b})
     ydiff = BiPoly(ctx, {(0, p): 1, (0, 1): -1 % p})

@@ -26,6 +26,8 @@ the pencil census of `curves` evaluate a polynomial along a whole line.
 Frobenius powers, subfields and traces are F_p-linear: a field caches one
 matrix per map and level, applied to digits (`_apply_rows`) or row-reduced
 over F_p (`_row_reduce`), never found by walking the field's elements.
+`Field.check_level` (d | n) and `Field.check_trace_hypothesis` (b's level-d
+trace is nonzero) raise the one ValueError of each rule of the map's contract.
 """
 
 from __future__ import annotations
@@ -524,10 +526,21 @@ class Field:
                 for i, row in enumerate(self.frobenius_rows(d)))
         return rows
 
+    def check_level(self, d: int) -> None:
+        """The one level check: d must be a positive divisor of n (ValueError)."""
+        if d < 1 or self.n % d:
+            raise ValueError(f"level {d} is not a positive divisor of n = {self.n}")
+
+    def check_trace_hypothesis(self, b_digits, d: int = 1) -> None:
+        """The one hypothesis check: the level-d trace of b, `trace_rows(d)`
+        applied to b's digits, must be nonzero (ValueError); see `maps`."""
+        if not any(_apply_rows(self.trace_rows(d), b_digits, self.p)):
+            raise ValueError(f"trace hypothesis violated: the level-{d} trace of b is zero")
+
     def trace_rows(self, d: int):
         """Matrix rows of the level-d trace x -> sum_{i < n/d} x^{p^{d i}}: row j
-        is the digit tuple of Tr_d(X^j).  Requires d | n.  At level 1 these
-        are the power sums s_j of the roots of the modulus
+        is the digit tuple of Tr_d(X^j).  Requires d | n (`check_level`).  At
+        level 1 these are the power sums s_j of the roots of the modulus
         X^n + c_{n-1} X^{n-1} + ... + c_0, from Newton's identities
         s_0 = n, s_k = -(k c_{n-k} + sum_{i<k} c_{n-i} s_{k-i}), in digit 0;
         above, row j sums row j of the p^{d i}-Frobenius matrices.  Checked
@@ -536,9 +549,8 @@ class Field:
         cached = self._trace_cache.get(d)
         if cached is not None:
             return cached[0]
+        self.check_level(d)
         p, n = self.p, self.n
-        if d < 1 or n % d != 0:
-            raise ValueError(f"trace level {d} does not divide the extension degree {n}")
         if d == 1:
             c, s = self.modulus, [n % p]
             for k in range(1, n):
@@ -736,10 +748,9 @@ def subfield_elements(ctx: Field, d: int) -> list[Elem]:
     this row-reduces its matrix (`artin_schreier_rows`), takes one kernel
     vector per free column and enumerates the p^d combinations of that
     basis.  Each result is checked to be fixed by the p^d-Frobenius, and
-    there must be exactly p^d of them.
+    there must be exactly p^d of them.  `Field.check_level` refuses a bad d.
     """
-    if d < 1 or ctx.n % d != 0:
-        raise ValueError(f"no subfield of level {d} in {ctx!r}")
+    ctx.check_level(d)
     p, n = ctx.p, ctx.n
     # equation j: sum_i x_i * L[i][j] = 0, digit j of x^{p^d} - x
     rows = [list(col) for col in zip(*ctx.artin_schreier_rows(d))]

@@ -10,7 +10,7 @@ the denominator never vanishes and f_b is total on the field.
 from __future__ import annotations
 
 from . import backend
-from .field import Elem, Field, first_elem_with_trace, frobenius, subfield_elements, trace_rel
+from .field import Elem, Field, first_elem_with_trace, frobenius, subfield_elements
 
 HARD_SCAN_CAP = 1 << 32
 
@@ -57,7 +57,8 @@ class FrozenRecord:
 
 
 class MapSpec(FrozenRecord):
-    """One member of the family: field, parameter b, Frobenius level d."""
+    """One member of the family: field, parameter b, Frobenius level d, with
+    b refused by `Field.check_trace_hypothesis` (and d by `check_level`)."""
 
     __slots__ = ("field", "b", "d")
 
@@ -65,12 +66,7 @@ class MapSpec(FrozenRecord):
         self._set(field=field, b=b, d=d)
         if b.field != field:
             raise ValueError("parameter b must live in the map's field")
-        if d < 1 or field.n % d != 0:
-            raise ValueError(f"Frobenius level {d} must divide n = {field.n}")
-        if not trace_rel(b, d):
-            raise ValueError(
-                "trace hypothesis violated: the level-%d trace of b is zero" % d
-            )
+        field.check_trace_hypothesis(b.coeffs, d)
 
 
 class PermReport(FrozenRecord):
@@ -135,6 +131,15 @@ def witness_image(spec: MapSpec, witness: tuple[Elem, Elem]) -> Elem:
     raise RuntimeError("witness failed re-verification")
 
 
+def witness_record(spec: MapSpec, witness: tuple[Elem, Elem]) -> tuple[dict, Elem]:
+    """The report record {"i1", "i2", "coeffs1", "coeffs2"} of a collision
+    witness and its common image, after `witness_image` re-verifies it."""
+    image = witness_image(spec, witness)
+    x1, x2 = witness
+    return {"i1": x1.index, "i2": x2.index,
+            "coeffs1": list(x1.coeffs), "coeffs2": list(x2.coeffs)}, image
+
+
 def verify_witness(spec: MapSpec, witness: tuple[Elem, Elem]) -> bool:
     """Whether a collision witness re-verifies under eval_f (`witness_image`)."""
     try:
@@ -147,13 +152,11 @@ def verify_witness(spec: MapSpec, witness: tuple[Elem, Elem]) -> bool:
 def trace_class_reps(ctx: Field) -> list[Elem]:
     """One parameter per trace class {t, -t}, t in F_p^*.
 
-    For odd p these are the first elements with absolute trace 1 .. (p-1)/2;
-    for p = 2 the single trace-1 representative.  Each is the smallest index
-    with its trace, so deterministic for a given field.
+    These are the first elements with absolute trace 1 .. floor(p/2): for
+    odd p the traces 1 .. (p-1)/2, for p = 2 trace 1 alone.  Each is the
+    smallest index with its trace, so deterministic for a given field.
     """
-    if ctx.p == 2:
-        return [first_elem_with_trace(ctx, 1)]
-    return [first_elem_with_trace(ctx, t) for t in range(1, (ctx.p - 1) // 2 + 1)]
+    return [first_elem_with_trace(ctx, t) for t in range(1, ctx.p // 2 + 1)]
 
 
 def subfield_trace_reps(ctx: Field, d: int) -> list[tuple[Elem, Elem]]:

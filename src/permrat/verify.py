@@ -27,7 +27,7 @@ import sys
 
 from .field import MAX_FIELD_ORDER, absolute_trace, is_prime, make_field, prime_divisors
 from .maps import (MapSpec, check_scan_order, is_permutation, subfield_trace_reps,
-                   trace_class_reps, witness_image)
+                   trace_class_reps, witness_record)
 
 
 def primes_upto(n: int, start: int = 2) -> list[int]:
@@ -44,28 +44,18 @@ def _largest_prime(n: int, start: int = 2) -> int:
 # can cross a process boundary and land in a progress file unchanged; the
 # curve and lemma cases live in curve_cases (see _CaseTable).
 
-def _witness_dict(spec: MapSpec, report) -> dict | None:
-    if report.witness is None:
-        return None
-    image = witness_image(spec, report.witness)
-    x1, x2 = report.witness
-    return {
-        "i1": x1.index,
-        "i2": x2.index,
-        "coeffs1": list(x1.coeffs),
-        "coeffs2": list(x2.coeffs),
-        "image_index": image.index,
-    }
-
-
 def _perm_case(args: dict) -> dict:
     ctx = make_field(args["p"], args["n"])
     spec = MapSpec(ctx, ctx.element(args["b_index"]), args.get("d", 1))
     report = is_permutation(spec)
+    witness = None
+    if report.witness is not None:  # permcheck's record, with the common image
+        witness, image = witness_record(spec, report.witness)
+        witness["image_index"] = image.index
     return {
         "is_permutation": report.is_permutation,
         "evaluations": report.evaluations,
-        "witness": _witness_dict(spec, report),
+        "witness": witness,
         "modulus": list(ctx.modulus) if ctx.modulus else None,
     }
 

@@ -2,12 +2,15 @@
 
 import copy
 import importlib
+import pathlib
 import pickle
 
 import pytest
 
 import permrat
-from permrat.field import make_field
+from permrat import _kernel_py
+from permrat.curves import collision_curve
+from permrat.field import first_elem_with_trace, make_field, subfield_elements, trace_rel
 from permrat.maps import MapSpec, PermReport, eval_f, is_permutation, verify_witness
 
 # Names that once had a second home in the package namespace, by module.
@@ -21,7 +24,7 @@ NAMES = {
     "field": ["Elem", "Field", "absolute_trace", "first_elem_with_trace", "frobenius",
               "is_irreducible", "is_prime", "make_field", "subfield_elements", "trace_rel"],
     "maps": ["MapSpec", "PermReport", "eval_f", "is_permutation", "subfield_trace_reps",
-             "trace_class_reps", "verify_witness"],
+             "trace_class_reps", "verify_witness", "witness_record"],
 }
 
 # Helpers that only tests reached, the layers the literal pencils of G and H
@@ -30,8 +33,9 @@ NAMES = {
 # discrete-log tables, which the power planes of `field._Slots` replaced, and
 # the univariate polynomial class with its one-caller sum, whose toolkit now
 # takes `field`'s coefficient lists, and the trace columns that the cached
-# trace matrix `Field.trace_rows` replaced; they are gone, or live in
-# tests/oracles.py.
+# trace matrix `Field.trace_rows` replaced, and the scan campaigns' copy of
+# the witness record that `maps.witness_record` replaced; they are gone, or
+# live in tests/oracles.py.
 GONE = {
     "_count": ["_field_tables"],
     "curve_cases": ["_AUDITS"],
@@ -40,7 +44,7 @@ GONE = {
     "field": ["pinvmod", "padd", "_trace_columns"],
     "_kernel_py": ["_Packed", "_slot_barrett"],
     "maps": ["conjugate_b", "difference_value"],
-    "verify": ["conjugation_identity_mismatches"],
+    "verify": ["conjugation_identity_mismatches", "_witness_dict"],
 }
 
 
@@ -118,8 +122,50 @@ def test_mapspec_validation_errors():
     with pytest.raises(ValueError, match="must live in the map's field"):
         MapSpec(f25, make_field(5, 1).from_int(1))
     for d in (0, 3):
-        with pytest.raises(ValueError, match="must divide n"):
+        with pytest.raises(ValueError, match=f"^level {d} is not a positive divisor of n = 2$"):
             MapSpec(f25, f25.element(3), d)
+
+
+LEVEL_TEXT = "^level {d} is not a positive divisor of n = {n}$"
+HYPOTHESIS_TEXT = "^trace hypothesis violated: the level-{d} trace of b is zero$"
+
+
+@pytest.mark.parametrize("d", [0, 3, -1, 5])
+def test_every_bad_level_reads_one_text(d):
+    # the maps, the scan kernel's entry, the traces and the subfields refuse
+    # a level that is not a positive divisor of n through Field.check_level
+    f = make_field(3, 4)
+    b = f.element(1)
+    refusals = [lambda: MapSpec(f, b, d), lambda: _kernel_py.perm_scan(3, 4, d, b.coeffs),
+                lambda: trace_rel(b, d), lambda: subfield_elements(f, d),
+                lambda: first_elem_with_trace(f, 1, d), lambda: f.check_level(d)]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=LEVEL_TEXT.format(d=d, n=4)):
+            refuse()
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 1), (5, 5, 1), (5, 2, 1), (3, 4, 2), (3, 4, 1)])
+def test_every_trace_zero_parameter_reads_one_text(p, n, d):
+    # the map, the scan kernel's entry and (at level 1) the collision curve
+    # refuse a b of level-d trace zero through Field.check_trace_hypothesis
+    f = make_field(p, n)
+    for b in [b for b in f if not trace_rel(b, d)][:4]:
+        refusals = [lambda: MapSpec(f, b, d), lambda: _kernel_py.perm_scan(p, n, d, b.coeffs),
+                    lambda: f.check_trace_hypothesis(b.coeffs, d)]
+        if d == 1:
+            refusals.append(lambda: collision_curve(f, b))
+        for refuse in refusals:
+            with pytest.raises(ValueError, match=HYPOTHESIS_TEXT.format(d=d)):
+                refuse()
+
+
+def test_each_rule_has_one_raise_site():
+    # each text is written once in the package: Field.check_level and
+    # Field.check_trace_hypothesis are the one raise site of each rule
+    src = pathlib.Path(permrat.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    assert text.count("is not a positive divisor of n") == 1
+    assert text.count("trace hypothesis violated") == 1
 
 
 def test_permreport_value_semantics():

@@ -57,6 +57,22 @@ def test_permcheck_requires_valid_parameter(capsys):
     assert "trace" in err
 
 
+@pytest.mark.parametrize("line,commands", [
+    ("error: level 3 is not a positive divisor of n = 4\n", [
+        ["permcheck", "--p", "3", "--n", "4", "--frob-level", "3", "--b-index", "1"],
+        ["permcheck", "--p", "3", "--n", "4", "--frob-level", "3", "--b-trace", "1"],
+        ["reps", "--p", "3", "--n", "4", "--d", "3"]]),
+    ("error: trace hypothesis violated: the level-1 trace of b is zero\n", [
+        ["permcheck", "--p", "5", "--n", "2", "--b-trace", "0"],
+        ["count", "--p", "5", "--n", "2", "--builtin", "F", "--b-trace", "0"]]),
+], ids=["level", "hypothesis"])
+def test_one_error_line_per_rule(capsys, line, commands):
+    # whichever command and flag meet a bad level or a trace-zero b, the
+    # usage error reads the one text of the field's check for that rule
+    for argv in commands:
+        assert run_cli(capsys, *argv) == (2, "", line), argv
+
+
 def test_permcheck_scan_cap(capsys):
     # the scan cap is maps.HARD_SCAN_CAP alone: --scan-cap is no option
     code, out, err = run_cli(capsys, "permcheck", "--p", "5", "--n", "2",

@@ -257,7 +257,7 @@ def test_first_elem_with_trace_checks_its_level_first(d):
     cached = set(f._trace_cache), set(f._frob_cache)
     for call in (lambda: first_elem_with_trace(f, 0, d), lambda: trace_rel(f.one, d)):
         with pytest.raises(ValueError,
-                           match=f"^trace level {d} does not divide the extension degree 4$"):
+                           match=f"^level {d} is not a positive divisor of n = 4$"):
             call()
         assert (set(f._trace_cache), set(f._frob_cache)) == cached
 

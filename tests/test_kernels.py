@@ -211,7 +211,7 @@ def test_every_trace_zero_parameter_is_refused_at_entry(monkeypatch):
                     _assert_refused(p, n, d, b)
                     refused += 1
     b = first_elem_with_trace(make_field(3, 3), 1)
-    assert "does not divide" in _entry_error(3, 3, 2, b.coeffs)
+    assert _entry_error(3, 3, 2, b.coeffs) == "level 2 is not a positive divisor of n = 3"
     assert calls == []
     assert refused == sum(p ** (n - d) for p, n in fields for d in range(1, n + 1) if n % d == 0)
 

@@ -11,7 +11,7 @@ from permrat import _kernel_py, curve_cases, curves, maps, verify
 from permrat.cli import emit_report, main
 from permrat.curves import BiPoly
 from permrat.field import make_field
-from permrat.maps import MapSpec, PermReport, eval_f, is_permutation
+from permrat.maps import MapSpec, eval_f, is_permutation
 
 from oracles import conjugation_identity_mismatches
 from test_report_contract import _PINNED, _PINNED_PROGRESS
@@ -183,7 +183,7 @@ def test_case_results_json_serializable():
     json.dumps(report)
 
 
-def test_witness_dict_evaluates_f_twice_per_witness(monkeypatch):
+def test_witness_record_evaluates_f_twice_per_witness(monkeypatch):
     ctx = make_field(5, 3)
     spec = MapSpec(ctx, ctx.element(1))
     report = is_permutation(spec)
@@ -192,10 +192,18 @@ def test_witness_dict_evaluates_f_twice_per_witness(monkeypatch):
     for module in (maps, verify):  # verify binds no eval_f today; a future import is counted
         monkeypatch.setattr(module, "eval_f", lambda s, x: calls.append(x) or eval_f(s, x),
                             raising=False)
-    out = verify._witness_dict(spec, report)
+    record, image = maps.witness_record(spec, report.witness)
     assert calls == [x1, x2]
-    assert out == {"i1": x1.index, "i2": x2.index, "coeffs1": list(x1.coeffs),
-                   "coeffs2": list(x2.coeffs), "image_index": eval_f(spec, x2).index}
+    assert record == {"i1": x1.index, "i2": x2.index, "coeffs1": list(x1.coeffs),
+                      "coeffs2": list(x2.coeffs)}
+    assert list(record) == ["i1", "i2", "coeffs1", "coeffs2"]
+    assert image == eval_f(spec, x2)
+    # the scan case prints the same record with the image appended, evaluated once more
+    calls.clear()
+    case = verify._perm_case({"p": 5, "n": 3, "b_index": 1})
+    assert calls == [x1, x2]
+    assert case["witness"] == {**record, "image_index": image.index}
+    assert list(case["witness"]) == ["i1", "i2", "coeffs1", "coeffs2", "image_index"]
 
 
 def test_forged_witness_fails_reverification():
@@ -205,8 +213,23 @@ def test_forged_witness_fails_reverification():
     assert eval_f(spec, x) != eval_f(spec, y)
     for forged in ((x, x), (x, y)):
         with pytest.raises(RuntimeError, match="^witness failed re-verification$"):
-            verify._witness_dict(spec, PermReport(False, forged, 10))
+            maps.witness_record(spec, forged)
+        with pytest.raises(RuntimeError, match="^witness failed re-verification$"):
+            maps.witness_image(spec, forged)
         assert not maps.verify_witness(spec, forged)
+
+
+def test_permcheck_prints_the_scan_campaigns_witness_record(capsys):
+    # one record for a colliding map: permcheck's witness is thm31's class
+    # case of the same b, less the common image the campaign appends
+    assert main(["permcheck", "--p", "5", "--n", "2", "--b-index", "1"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert (witness["i1"], witness["i2"]) == (1, 10)
+    assert main(["verify", "thm31", "--p-max", "5", "--full-primes", ""]) == 0
+    cases = {c["key"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
+    case_witness = dict(cases["class,p=5,b=1"]["witness"])
+    del case_witness["image_index"]
+    assert case_witness == witness and list(case_witness) == list(witness)
 
 
 # ---------------------------------------------------------------------------
